@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.core.flatgroups import FlatGroups, neighbor_center_pairs
 from repro.core.gonzalez import GonzalezNet, radius_guided_gonzalez
 from repro.core.result import ClusteringResult
 from repro.core.summary import CoreSummary, build_summary
@@ -30,74 +31,9 @@ from repro.index.netgraph import net_neighbor_sets
 from repro.index.registry import IndexSpec
 from repro.metricspace.dataset import MetricDataset, pairs_per_slice
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_labels
 from repro.utils.timer import TimingBreakdown
-from repro.utils.unionfind import UnionFind
 from repro.utils.validation import check_epsilon, check_min_pts, check_rho
-
-
-
-class _FlatGroups:
-    """Ragged groups (e.g. summary points per center) flattened for
-    vectorized cartesian-product expansion."""
-
-    def __init__(self, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-        self.flat = flat
-        self.starts = starts
-        self.sizes = sizes
-
-    @classmethod
-    def from_lists(cls, lists) -> "_FlatGroups":
-        sizes = np.asarray([len(x) for x in lists], dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-        if sizes.sum():
-            flat = np.concatenate(
-                [np.asarray(x, dtype=np.int64) for x in lists if len(x)]
-            )
-        else:
-            flat = np.empty(0, dtype=np.int64)
-        return cls(flat, starts, sizes)
-
-    @classmethod
-    def from_assignment(cls, items: np.ndarray, assign: np.ndarray, m: int):
-        order = np.argsort(assign, kind="stable")
-        boundaries = np.searchsorted(assign[order], np.arange(m + 1))
-        return cls(items[order], boundaries[:-1], np.diff(boundaries))
-
-    def cartesian(
-        self,
-        src_groups: np.ndarray,
-        other: "_FlatGroups",
-        tgt_groups: np.ndarray,
-    ):
-        """For each aligned (src group, tgt group) pair, emit the
-        cartesian product of their members as two flat COO arrays."""
-        a = self.sizes[src_groups]
-        b = other.sizes[tgt_groups]
-        counts = a * b
-        tot = int(counts.sum())
-        if tot == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pair_of = np.repeat(np.arange(counts.size), counts)
-        local = np.arange(tot) - np.repeat(np.cumsum(counts) - counts, counts)
-        b_rep = b[pair_of]
-        rows = self.flat[self.starts[src_groups][pair_of] + local // b_rep]
-        cols = other.flat[other.starts[tgt_groups][pair_of] + local % b_rep]
-        return rows, cols
-
-
-def _neighbor_center_pairs(neighbors: List[np.ndarray]):
-    """Flatten the enlarged neighbor lists into aligned (center,
-    neighbor-center) pair arrays."""
-    m = len(neighbors)
-    center_rep = np.repeat(
-        np.arange(m), [len(neighbors[j]) for j in range(m)]
-    )
-    if m and center_rep.size:
-        cand = np.concatenate([np.asarray(neighbors[j]) for j in range(m)])
-    else:
-        cand = np.empty(0, dtype=np.int64)
-    return center_rep, cand.astype(np.int64)
 
 
 class ApproxMetricDBSCAN:
@@ -307,38 +243,32 @@ class ApproxMetricDBSCAN:
         """Line 9 of Algorithm 2: connect summary points within
         ``(1+ρ)ε``; returns the dense cluster id of each summary point.
 
-        Candidate pairs are evaluated one block per occupied center
-        (rows = the center's summary points, columns = the summary
-        points of its enlarged neighbor set) instead of one batch call
-        per summary point.
+        Candidate pairs are evaluated with aligned pair-kernel slices;
+        the edges within ``(1+ρ)ε`` then go through the numpy
+        connected-components kernel in one call.
         """
         threshold = (1.0 + self.rho) * self.eps
-        uf = UnionFind(summary.size)
         members = summary.members
-        groups = _FlatGroups.from_lists(summary.members_by_center)
+        groups = FlatGroups.from_lists(summary.members_by_center)
 
         # COO expansion of the candidate edges: every (center j, neighbor
         # center k) pair fans out to the cartesian product of their
         # summary points; one aligned pair kernel then evaluates all
         # edges at once.  si < t dedupes the symmetric halves before
         # evaluation.
-        center_rep, cand_centers = _neighbor_center_pairs(neighbors)
+        center_rep, cand_centers = neighbor_center_pairs(neighbors)
         rows, cols = groups.cartesian(center_rep, groups, cand_centers)
         forward = rows < cols
         rows, cols = rows[forward], cols[forward]
         pair_slice = pairs_per_slice(dataset)
+        edge = np.empty(rows.size, dtype=bool)
         for lo in range(0, rows.size, pair_slice):
             sl = slice(lo, lo + pair_slice)
             # Merge edges need only the ``<= (1+ρ)ε`` verdict.
-            edge = dataset.pair_certified(
+            edge[sl] = dataset.pair_certified(
                 members[rows[sl]], members[cols[sl]], threshold
             )
-            for si, t in zip(rows[sl][edge], cols[sl][edge]):
-                uf.union(int(si), int(t))
-        labels_map = uf.component_labels(range(summary.size))
-        return np.array(
-            [labels_map[si] for si in range(summary.size)], dtype=np.int64
-        )
+        return component_labels(summary.size, rows[edge], cols[edge])
 
     def _label_points(
         self,
@@ -380,11 +310,11 @@ class ApproxMetricDBSCAN:
         # COO fallback: (slow point, candidate summary point) pairs via
         # the enlarged neighbor sets, reduced with min/argmin scatters.
         m = net.n_centers
-        point_groups = _FlatGroups.from_assignment(
+        point_groups = FlatGroups.from_assignment(
             slow, net.center_of[slow], m
         )
-        summary_groups = _FlatGroups.from_lists(summary.members_by_center)
-        center_rep, cand_centers = _neighbor_center_pairs(neighbors)
+        summary_groups = FlatGroups.from_lists(summary.members_by_center)
+        center_rep, cand_centers = neighbor_center_pairs(neighbors)
         rows, cols = point_groups.cartesian(
             center_rep, summary_groups, cand_centers
         )

@@ -9,9 +9,13 @@ preprocessing (Algorithm 1 with ``r̄ = ε/2``):
    and *sparse* spheres ``E2``, whose few points are checked against the
    candidate set ``∪_{e' ∈ A_e} C_{e'}`` justified by Lemma 2.
 2. **Merge core points** (Lemma 5): core points sharing a cover set are
-   directly ε-reachable; across neighboring cover sets the bichromatic
-   closest pair (BCP) decides connectivity, answered with a cover tree
-   per core set and early-exit nearest-neighbor queries.
+   directly ε-reachable; two neighboring cover sets join when their
+   bichromatic closest pair (BCP) of core points is within ε.  All
+   neighboring center pairs are decided together in three rounds of
+   aligned pair-kernel slices over growing core-pair sub-blocks
+   (1×1, 4×4, then the full block); after each round a numpy
+   connected-components kernel drops the pairs whose centers are
+   already connected, so only unlinked pairs pay for a full block.
 3. **Label border points and outliers** (Lemma 6): each non-core point
    searches the core points of its neighboring cover sets; within ε it
    becomes a border point of the nearest core's cluster, otherwise noise.
@@ -27,20 +31,33 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.flatgroups import (
+    FlatGroups, neighbor_center_pairs, rectangle_slices,
+)
 from repro.core.gonzalez import GonzalezNet, radius_guided_gonzalez
 from repro.core.result import ClusteringResult
-from repro.covertree.tree import CoverTree
 from repro.index.netgraph import net_neighbor_sets
 from repro.index.registry import IndexSpec
-from repro.metricspace.dataset import MetricDataset
+from repro.metricspace.dataset import (
+    DEFAULT_BLOCK_BYTES, MetricDataset, pairs_per_slice,
+)
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_roots, first_seen_labels
 from repro.utils.timer import TimingBreakdown
-from repro.utils.unionfind import UnionFind
 from repro.utils.validation import check_epsilon, check_min_pts
+
+#: Step (2)'s rounds: each tests every still-open center pair's leading
+#: ``lead × lead`` core-pair sub-block (``None``: the whole block), then
+#: closes the pairs whose centers are connected by then, so most pairs
+#: never reach their full block.
+MERGE_SCHEDULE = (1, 4, None)
 
 
 class MetricDBSCAN:
     """Exact metric DBSCAN via the radius-guided Gonzalez net.
+
+    Step (2) decides all neighboring core-set pairs together in the
+    rounds of :data:`MERGE_SCHEDULE`; it builds no cover trees.
 
     Parameters
     ----------
@@ -52,10 +69,6 @@ class MetricDBSCAN:
     r_bar:
         Net radius for the preprocessing; any value ``<= ε/2`` is valid
         (Remark 5).  Defaults to ``ε/2``.
-    use_cover_tree:
-        Use cover trees for the Step-(2) BCP queries (the paper's
-        method).  Setting ``False`` switches to brute-force BCP — kept
-        for the ablation bench.
     dense_shortcut:
         Enable the dense-sphere fast path of Step (1).  Setting
         ``False`` forces the neighborhood count for every point — kept
@@ -108,7 +121,6 @@ class MetricDBSCAN:
         eps: float,
         min_pts: int,
         r_bar: Optional[float] = None,
-        use_cover_tree: bool = True,
         dense_shortcut: bool = True,
         collect_border_memberships: bool = False,
         index: IndexSpec = None,
@@ -125,7 +137,6 @@ class MetricDBSCAN:
                 f"r_bar must be in (0, eps/2]; got r_bar={r_bar} for eps={self.eps}"
             )
         self.r_bar = float(r_bar)
-        self.use_cover_tree = bool(use_cover_tree)
         self.dense_shortcut = bool(dense_shortcut)
         self.collect_border_memberships = bool(collect_border_memberships)
         self.index = index
@@ -329,6 +340,11 @@ class MetricDBSCAN:
     ) -> tuple:
         """Merge core points into clusters; returns per-center cluster ids.
 
+        Neighboring centers ``j < k`` that both hold core points join
+        when some core pair across their cover sets is within ε (the
+        BCP test of Lemma 5), decided round by round per
+        :data:`MERGE_SCHEDULE`.
+
         Returns
         -------
         (center_cluster, core_by_center):
@@ -338,64 +354,74 @@ class MetricDBSCAN:
             ``C_{e_j}`` (the paper's ``C̃_e``).
         """
         m = net.n_centers
-        eps = self.eps
         core_by_center: List[np.ndarray] = [
             members[core_mask[members]] for members in cover
         ]
-        occupied = [j for j in range(m) if len(core_by_center[j]) > 0]
-        uf = UnionFind(m)
-        trees: Dict[int, CoverTree] = {}
+        groups = FlatGroups.from_lists(core_by_center)
+        occupied = groups.sizes > 0
+        src, dst = neighbor_center_pairs(neighbors)
+        keep = (src < dst) & occupied[src] & occupied[dst]
+        src, dst = src[keep], dst[keep]
 
-        def tree_for(j: int) -> CoverTree:
-            if j not in trees:
-                trees[j] = CoverTree(dataset, indices=core_by_center[j])
-            return trees[j]
-
-        for j in occupied:
-            for k in neighbors[j]:
-                k = int(k)
-                if k <= j or len(core_by_center[k]) == 0:
-                    continue
-                if uf.connected(j, k):
-                    continue
-                if self._bcp_within(dataset, tree_for, j, k, core_by_center, eps):
-                    uf.union(j, k)
+        roots = np.arange(m, dtype=np.int64)
+        done = 0
+        for lead in MERGE_SCHEDULE:
+            if src.size == 0:
+                break
+            hit = self._any_core_pair_within(
+                dataset, groups, src, dst, done, lead
+            )
+            # Join the new links onto the components found so far: the
+            # kernel runs on the old roots only, then every center
+            # follows its old root to the new one.
+            roots = component_roots(m, roots[src[hit]], roots[dst[hit]])[roots]
+            still_open = roots[src] != roots[dst]
+            src, dst = src[still_open], dst[still_open]
+            done = lead
 
         center_cluster = np.full(m, -1, dtype=np.int64)
-        labels_map = uf.component_labels(occupied)
-        for j in occupied:
-            center_cluster[j] = labels_map[j]
+        center_cluster[occupied] = first_seen_labels(roots[occupied])
         return center_cluster, core_by_center
 
-    def _bcp_within(
+    def _any_core_pair_within(
         self,
         dataset: MetricDataset,
-        tree_for,
-        j: int,
-        k: int,
-        core_by_center: List[np.ndarray],
-        eps: float,
-    ) -> bool:
-        """Whether the bichromatic closest pair of ``C̃_j`` and ``C̃_k``
-        is within ``eps``."""
-        a, b = core_by_center[j], core_by_center[k]
-        if self.use_cover_tree:
-            # Build the tree on the larger side, query with the smaller.
-            if len(a) >= len(b):
-                tree, queries = tree_for(j), b
-            else:
-                tree, queries = tree_for(k), a
-            for q in queries:
-                _, dist = tree.nearest(dataset.point(int(q)), early_stop=eps)
-                if dist <= eps:
-                    return True
-            return False
-        # Brute-force BCP (ablation path): blocked certified decision
-        # masks, early exit after each block.
-        for _, mask in dataset.cross_blocks(a, b, certified_threshold=eps):
-            if bool(np.any(mask)):
-                return True
-        return False
+        groups: FlatGroups,
+        src: np.ndarray,
+        dst: np.ndarray,
+        done: int,
+        lead: Optional[int],
+    ) -> np.ndarray:
+        """Whether some core pair of ``C̃_src[i] × C̃_dst[i]`` inside the
+        leading ``lead × lead`` sub-block (``None``: the whole block),
+        but outside the ``done × done`` one an earlier round decided,
+        is within ε; one verdict per pair ``i``.
+
+        Pairs are taken one slice length at a time and their cells are
+        evaluated in slices of that length, so neither the per-pair
+        bookkeeping nor the cell expansion ever exists whole.  A slice
+        gathers one distance block's worth of operands
+        (``DEFAULT_BLOCK_BYTES``), so the merge stays below the memory
+        peak the fit's other phases already set.
+        """
+        slice_len = pairs_per_slice(dataset, DEFAULT_BLOCK_BYTES)
+        hit = np.zeros(src.size, dtype=bool)
+        for lo in range(0, src.size, slice_len):
+            a, b = src[lo : lo + slice_len], dst[lo : lo + slice_len]
+            n_rows, n_cols = groups.sizes[a], groups.sizes[b]
+            if lead is not None:
+                n_rows = np.minimum(n_rows, lead)
+                n_cols = np.minimum(n_cols, lead)
+            for pair, r, c in rectangle_slices(n_rows, n_cols, slice_len):
+                new = (r >= done) | (c >= done)
+                pair, r, c = pair[new], r[new], c[new]
+                within = dataset.pair_certified(
+                    groups.flat[groups.starts[a[pair]] + r],
+                    groups.flat[groups.starts[b[pair]] + c],
+                    self.eps,
+                )
+                hit[lo + pair[within]] = True
+        return hit
 
     # ------------------------------------------------------------------
     # Step (3)

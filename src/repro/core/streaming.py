@@ -80,9 +80,11 @@ from repro.metricspace.dataset import (
 )
 from repro.metricspace.euclidean import EuclideanMetric
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_labels
 from repro.utils.timer import TimingBreakdown
-from repro.utils.unionfind import UnionFind
-from repro.utils.validation import check_epsilon, check_min_pts, check_rho
+from repro.utils.validation import (
+    check_epsilon, check_finite, check_min_pts, check_rho,
+)
 
 #: Backwards-compatible alias — the store now lives in
 #: :mod:`repro.metricspace.dataset` so the index layer can build over it.
@@ -480,12 +482,20 @@ class StreamingApproxDBSCAN:
                 watch_is_center.append(False)
             return fresh
 
+        def _pass1_chunks() -> Iterator[List[Any]]:
+            """Pass 1 reads the stream first, so it screens every chunk
+            for NaN/inf coordinates before any state changes."""
+            for chunk in _stream_chunks(
+                stream_factory(), lambda: rows_per_block(max(1, len(centers)))
+            ):
+                if is_vector:
+                    check_finite(chunk, "stream payloads")
+                yield chunk
+
         with timings.phase("pass1_build_net"):
             if use_index:
                 epoch = self.epoch_batched
-                for chunk in _stream_chunks(
-                    stream_factory(), lambda: rows_per_block(max(1, len(centers)))
-                ):
+                for chunk in _pass1_chunks():
                     n_seen += len(chunk)
                     m0 = len(centers)
                     if epoch:
@@ -523,9 +533,7 @@ class StreamingApproxDBSCAN:
                                 np.arange(center_index.n_stored, len(centers))
                             )
             else:
-                for chunk in _stream_chunks(
-                    stream_factory(), lambda: rows_per_block(max(1, len(centers)))
-                ):
+                for chunk in _pass1_chunks():
                     n_seen += len(chunk)
                     m0 = len(centers)
                     if m0 == 0:
@@ -836,25 +844,21 @@ class StreamingApproxDBSCAN:
         """
         metric = metric if metric is not None else self.metric
         size = len(summary)
-        uf = UnionFind(size)
-        if size > 1:
-            payloads = summary.view()
-            # Threshold-only merge: certified decision mask instead of
-            # a float64 distance matrix.
-            mask = metric.cross_certified(
-                payloads, payloads, (1.0 + self.rho) * self.eps
+        if size <= 1:
+            return np.zeros(size, dtype=np.int64)
+        payloads = summary.view()
+        # Threshold-only merge: certified decision mask instead of a
+        # float64 distance matrix.
+        mask = metric.cross_certified(
+            payloads, payloads, (1.0 + self.rho) * self.eps
+        )
+        if timings is not None:
+            timings.count(
+                "peak_center_matrix_bytes",
+                CERTIFIED_BYTES_PER_ENTRY * size * size,
             )
-            if timings is not None:
-                timings.count(
-                    "peak_center_matrix_bytes",
-                    CERTIFIED_BYTES_PER_ENTRY * size * size,
-                )
-            rows, cols = np.nonzero(mask)
-            upper = rows < cols
-            for i, j in zip(rows[upper], cols[upper]):
-                uf.union(int(i), int(j))
-        labels_map = uf.component_labels(range(size))
-        return np.array([labels_map[i] for i in range(size)], dtype=np.int64)
+        rows, cols = np.nonzero(np.triu(mask, 1))
+        return component_labels(size, rows, cols)
 
     def _merge_indexed(
         self,
@@ -866,7 +870,6 @@ class StreamingApproxDBSCAN:
         summary point instead of the dense ``|S*|²`` block, producing
         the identical edge set (and therefore identical components)."""
         size = len(summary)
-        uf = UnionFind(size)
         csr = index.range_query_batch_csr(
             np.arange(size, dtype=np.intp),
             (1.0 + self.rho) * self.eps,
@@ -879,6 +882,4 @@ class StreamingApproxDBSCAN:
         # touching Python per row.
         rows = csr.query_rows()
         upper = csr.ids > rows
-        uf.union_edges(rows[upper], csr.ids[upper])
-        labels_map = uf.component_labels(range(size))
-        return np.array([labels_map[i] for i in range(size)], dtype=np.int64)
+        return component_labels(size, rows[upper], csr.ids[upper])

@@ -55,9 +55,11 @@ from repro.metricspace.base import Metric
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
 from repro.metricspace.euclidean import EuclideanMetric
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_labels
 from repro.utils.timer import TimingBreakdown
-from repro.utils.unionfind import UnionFind
-from repro.utils.validation import check_epsilon, check_min_pts, check_rho
+from repro.utils.validation import (
+    check_epsilon, check_finite, check_min_pts, check_rho,
+)
 
 
 class _LiveCenter:
@@ -208,8 +210,14 @@ class _CenterStoreBase:
     # ------------------------------------------------------------------
     # Online maintenance
 
+    def _check_payloads(self, payloads: Any) -> None:
+        """Reject NaN/inf vector payloads before they touch any state."""
+        if self.metric.is_vector_metric:
+            check_finite(payloads, "stream payloads")
+
     def insert(self, payload: Any) -> None:
         """Process one stream arrival (and expire aged-out state)."""
+        self._check_payloads(payload)
         self._pre_arrival()
         if self.index is not None:
             # Candidate centers from one range query; every center
@@ -267,6 +275,9 @@ class _CenterStoreBase:
 
         empty = np.empty(0, dtype=np.float64)
         for chunk in stream_chunks(payloads, size_fn):
+            # A chunk with a NaN/inf payload is rejected whole; earlier
+            # chunks stay ingested.
+            self._check_payloads(chunk)
             self._pre_arrival()  # may expire state: snapshot after
             csr = None
             block: Optional[np.ndarray] = None
@@ -483,8 +494,8 @@ class _CenterStoreBase:
     def _refresh_clusters_inner(self) -> None:
         alive = self._alive_slots()
         core = [s for s in alive if self._is_core(s)]
-        uf = UnionFind(len(core))
         threshold = (1.0 + self.rho) * self.eps
+        rows = cols = np.empty(0, dtype=np.int64)
         if len(core) > 1 and self._index is not None:
             # One CSR range query over all core centers; non-core hits
             # map to -1 and the upper-triangle mask drops them together
@@ -499,19 +510,16 @@ class _CenterStoreBase:
             rows = csr.query_rows()
             mapped = pos_of[csr.ids]
             upper = mapped > rows
-            uf.union_edges(rows[upper], mapped[upper])
+            rows, cols = rows[upper], mapped[upper]
         elif len(core) > 1:
             # One certified decision block over the core centers
             # replaces the per-center sweep — the merge needs only the
             # ``<= threshold`` verdicts.
             batch = self._slot_batch(core)
             mask = self.metric.cross_certified(batch, batch, threshold)
-            rows, cols = np.nonzero(mask)
-            upper = rows < cols
-            for i, j in zip(rows[upper], cols[upper]):
-                uf.union(int(i), int(j))
-        labels = uf.component_labels(range(len(core)))
-        self._center_cluster = {slot: labels[i] for i, slot in enumerate(core)}
+            rows, cols = np.nonzero(np.triu(mask, 1))
+        labels = component_labels(len(core), rows, cols)
+        self._center_cluster = dict(zip(core, labels.tolist()))
         self._clusters_dirty = False
 
     def predict(self, payload: Any) -> int:
@@ -769,7 +777,12 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
             if self.ttl is None:
                 raise ValueError("per-point ttl requires a TTL-mode model")
             self._ttl_override = self._check_ttl(ttl)
-        super().insert(payload)
+        try:
+            super().insert(payload)
+        finally:
+            # ``_pre_arrival`` consumes the override; a rejected payload
+            # must not leave it behind for the next arrival.
+            self._ttl_override = None
 
     def _pre_arrival(self) -> None:
         tick = self._n_seen  # 0-based tick of the arrival being processed

@@ -16,6 +16,7 @@ import numpy as np
 from repro.metricspace.base import Metric
 from repro.metricspace.counting import CountingMetric
 from repro.metricspace.euclidean import EuclideanMetric
+from repro.utils.validation import check_finite
 
 IndexArray = Union[Sequence[int], np.ndarray]
 
@@ -117,6 +118,7 @@ class MetricDataset:
                 raise ValueError(
                     f"vector data must be 2-dimensional, got shape {arr.shape}"
                 )
+            check_finite(arr, "vector data")
             self._points: Any = arr
             self._n = arr.shape[0]
         else:

@@ -1,8 +1,9 @@
 """Disjoint-set (union-find) with path compression and union by rank.
 
-Used by the exact DBSCAN merge step (Section 3.1, Step (2)), the summary
-merge of Algorithm 2 (line 9), and several baselines (grid merging in
-Gan--Tao, micro-cluster graphs in the streaming baselines).
+Used by the baselines (grid merging in Gan--Tao, core graphs in
+DBSCAN++, micro-cluster graphs in the streaming baselines).  The
+package's own batch merges go through the vectorized kernel in
+:mod:`repro.utils.components`.
 """
 
 from __future__ import annotations
@@ -79,29 +80,6 @@ class UnionFind:
             self._rank[ra] += 1
         self._n_components -= 1
         return True
-
-    def union_edges(self, a: Iterable[int], b: Iterable[int]) -> int:
-        """Merge many ``(a[i], b[i])`` pairs in one pass.
-
-        Accepts any aligned integer iterables, including numpy arrays
-        (converted up front so the inner loop sees plain ``int``\\ s —
-        much cheaper than per-pair numpy scalar indexing).  Union-find
-        itself is inherently sequential pointer chasing, so the loop
-        stays in Python; batching removes the per-pair call overhead
-        the solvers' merge steps used to pay.
-
-        Returns the number of merges actually performed.
-        """
-        if hasattr(a, "tolist"):
-            a = a.tolist()
-        if hasattr(b, "tolist"):
-            b = b.tolist()
-        union = self.union
-        merged = 0
-        for x, y in zip(a, b):
-            if union(x, y):
-                merged += 1
-        return merged
 
     def connected(self, a: int, b: int) -> bool:
         """Whether ``a`` and ``b`` are currently in the same component."""

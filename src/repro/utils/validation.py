@@ -42,6 +42,18 @@ def check_rho(rho: float) -> float:
     return value
 
 
+def check_finite(values, what: str) -> None:
+    """Reject NaN and ±inf entries with a ``ValueError``.
+
+    The solvers' distance thresholds and net radii are meaningless for
+    non-finite coordinates (an infinite point is never covered, so the
+    net never stops growing), so vector inputs are checked at the
+    dataset and stream-ingestion boundaries.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite; found NaN or infinity")
+
+
 def ensure_labels_array(labels: Sequence[int], n: int | None = None) -> np.ndarray:
     """Coerce a label sequence into an ``int64`` numpy array.
 

@@ -101,12 +101,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             MetricDBSCAN(0.6, 5, r_bar=0.5)
 
-    def test_brute_bcp_equivalent(self):
-        ds = random_instance(201)
-        a = MetricDBSCAN(0.6, 5, use_cover_tree=True).fit(ds)
-        b = MetricDBSCAN(0.6, 5, use_cover_tree=False).fit(ds)
-        assert_equivalent(a, b)
-
     def test_dense_shortcut_off_equivalent(self):
         ds = random_instance(202)
         a = MetricDBSCAN(0.6, 5, dense_shortcut=True).fit(ds)

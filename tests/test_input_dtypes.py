@@ -1,5 +1,6 @@
 """Input-dtype boundary coercion: float32/int data must cluster
-bit-identically to its float64 cast.
+bit-identically to its float64 cast, and NaN/inf coordinates must be
+rejected where they enter.
 
 The engine coerces vector payloads to float64 exactly once, at the
 dataset/store boundary (``MetricDataset.__init__`` / ``PayloadStore``);
@@ -12,7 +13,13 @@ would be rounded twice and these tests would diverge.
 import numpy as np
 import pytest
 
-from repro.core import StreamingApproxDBSCAN, approx_metric_dbscan, metric_dbscan
+from repro.core import (
+    DecayingApproxDBSCAN,
+    StreamingApproxDBSCAN,
+    WindowedApproxDBSCAN,
+    approx_metric_dbscan,
+    metric_dbscan,
+)
 from repro.metricspace import EuclideanMetric, MetricDataset
 
 BACKENDS = ["auto", "brute", "grid", "covertree"]
@@ -60,3 +67,84 @@ def test_streaming_payloads_match_float64_cast():
     ref = solver.fit(MetricDataset(raw.astype(np.float64), EuclideanMetric()))
     got = solver.fit(MetricDataset(raw, EuclideanMetric()))
     np.testing.assert_array_equal(ref.labels, got.labels)
+
+
+# ----------------------------------------------------------------------
+# Non-finite payloads: one bad coordinate among 300 N(0, 1) points in
+# 4-d used to hang the batch fits (inf) or mis-cluster silently (NaN).
+# Every entry point must refuse it up front.
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+def poisoned(bad, n=300, dim=4):
+    pts = np.random.default_rng(0).normal(size=(n, dim))
+    pts[n // 2, 1] = bad
+    return pts
+
+
+@NON_FINITE
+def test_dataset_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MetricDataset(poisoned(bad))
+
+
+@NON_FINITE
+@pytest.mark.parametrize("index", [None, "auto"])
+def test_fit_stream_rejects_non_finite(bad, index):
+    pts = poisoned(bad)
+    solver = StreamingApproxDBSCAN(0.9, 3, rho=0.5, index=index)
+    with pytest.raises(ValueError, match="finite"):
+        solver.fit_stream(lambda: iter(pts))
+
+
+FORGETTING_MODELS = {
+    "windowed": lambda index: WindowedApproxDBSCAN(
+        0.9, 3, rho=0.5, window=200, n_buckets=8, index=index
+    ),
+    "ttl": lambda index: DecayingApproxDBSCAN(0.9, 3, rho=0.5, ttl=200, index=index),
+    "decay": lambda index: DecayingApproxDBSCAN(
+        0.9, 3, rho=0.5, decay=0.01, index=index
+    ),
+}
+
+
+@NON_FINITE
+@pytest.mark.parametrize("index", [None, "auto"])
+@pytest.mark.parametrize("model", sorted(FORGETTING_MODELS))
+def test_insert_rejects_non_finite(bad, index, model):
+    pts = poisoned(bad)
+    solver = FORGETTING_MODELS[model](index)
+    solver.insert_many(pts[:100])
+    with pytest.raises(ValueError, match="finite"):
+        solver.insert(pts[150])
+    assert solver.n_seen == 100
+    solver.insert(pts[0])  # the model stays usable
+    assert solver.n_seen == 101
+
+
+@NON_FINITE
+@pytest.mark.parametrize("index", [None, "auto"])
+@pytest.mark.parametrize("model", sorted(FORGETTING_MODELS))
+def test_insert_many_rejects_non_finite(bad, index, model):
+    pts = poisoned(bad)
+    solver = FORGETTING_MODELS[model](index)
+    with pytest.raises(ValueError, match="finite"):
+        solver.insert_many(pts)
+    # The chunk holding row 150 is rejected whole; nothing after it runs.
+    assert solver.n_seen <= 150
+
+
+def test_rejected_ttl_override_does_not_leak():
+    model = DecayingApproxDBSCAN(0.9, 3, rho=0.5, ttl=50)
+    with pytest.raises(ValueError, match="finite"):
+        model.insert(np.array([0.0, np.nan, 0.0, 0.0]), ttl=1)
+    reference = DecayingApproxDBSCAN(0.9, 3, rho=0.5, ttl=50)
+    pts = poisoned(0.0)[:40]
+    for p in pts:
+        model.insert(p)
+        reference.insert(p)
+    assert model.memory_points == reference.memory_points
+    assert model.n_clusters == reference.n_clusters

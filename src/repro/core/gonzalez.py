@@ -278,14 +278,14 @@ class GonzalezNet:
         if m < 2:
             return False
         if self.index is not None and not self.has_dense_center_matrix:
-            results = self.index.range_query_batch(
+            results = self.index.range_query_batch_csr(
                 np.asarray(self.centers, dtype=np.intp),
                 self.r_bar,
                 with_distances=False,
             )
             # Each center reports itself at distance 0; any second hit
             # is a packing violation.
-            return any(len(ids) > 1 for ids, _ in results)
+            return bool((results.counts() > 1).any())
         off_diag = self.center_distances[~np.eye(m, dtype=bool)]
         return bool(off_diag.min() <= self.r_bar)
 
@@ -543,23 +543,18 @@ def radius_guided_gonzalez(
                 flush_spec, dataset, indices=pending,
                 radius_hint=float(radii.max()),
             )
-            results = pending_index.range_query_batch(
+            results = pending_index.range_query_batch_csr(
                 np.asarray(centers[:base], dtype=np.intp)[qpos], radii
             )
             for counter, value in pending_index.counters().items():
                 flush_counters[counter] = (
                     flush_counters.get(counter, 0) + int(value)
                 )
-            sizes = [len(ids) for ids, _ in results]
-            total = int(np.sum(sizes))
-            if total:
-                track_pairs(total)
-                es = np.repeat(qpos, sizes)
-                js_new = (
-                    position_of[np.concatenate([ids for ids, _ in results])]
-                    - base
-                )
-                d_ce = np.concatenate([dists for _, dists in results])
+            if results.ids.size:
+                track_pairs(results.ids.size)
+                es = np.repeat(qpos, results.counts())
+                js_new = position_of[results.ids] - base
+                d_ce = results.dists
         if es.size:
             # Sort only the actives whose group is actually reachable.
             affected = np.zeros(base, dtype=bool)
@@ -700,12 +695,11 @@ def radius_guided_gonzalez(
     cov_idx = np.flatnonzero(covered)
     if m > 1 and cov_idx.size:
         order, boundaries = _group_boundaries(center_of[cov_idx], m)
-        results = center_index.range_query_batch(
+        results = center_index.range_query_batch_csr(
             centers_arr, 2.0 * r_bar * _PRUNE_SLACK, with_distances=False
         )
-        sizes = [len(ids) for ids, _ in results]
-        ks = np.repeat(np.arange(m), sizes)
-        js = position_of[np.concatenate([ids for ids, _ in results])]
+        ks = results.query_rows()
+        js = position_of[results.ids]
         self_hit = ks != js
         ks, js = ks[self_hit], js[self_hit]
         track_pairs(ks.size, bytes_per_pair=16)
@@ -849,13 +843,12 @@ def pruned_ball_counts(
     qpos = np.flatnonzero(group_sizes > 0)
     if qpos.size == 0:
         return counts
-    results = center_index.range_query_batch(
+    results = center_index.range_query_batch_csr(
         centers_arr[qpos], reach_at[qpos]
     )
-    sizes = [len(ids) for ids, _ in results]
-    ks = np.repeat(qpos, sizes)
-    js = position_of[np.concatenate([ids for ids, _ in results])]
-    d_kj = np.concatenate([dists_ for _, dists_ in results])
+    ks = np.repeat(qpos, results.counts())
+    js = position_of[results.ids]
+    d_kj = results.dists
     track_pairs(ks.size)
     whole = d_kj <= whole_at[ks]
     np.add.at(counts, js[whole], group_sizes[ks[whole]])

@@ -2,7 +2,7 @@
 
 Range/kNN neighbor search behind one interface so solvers scale past
 the dense center-center matrices of PR 1: :class:`BruteForceIndex`
-(blocked scans, any metric), :class:`GridIndex` (uniform-cell hashing
+(blocked scans, any metric), :class:`GridIndex` (uniform-cell table
 for vector metrics), :class:`CoverTreeIndex` (general metric spaces),
 selected by name through :func:`build_index` (``auto`` policy, or the
 ``REPRO_DEFAULT_INDEX`` environment variable).  See

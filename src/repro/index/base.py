@@ -15,7 +15,7 @@ queries; the backend decides how to prune.  Three backends ship:
 
 - :class:`~repro.index.brute.BruteForceIndex` — the PR-1 engine behind
   the interface; works for any metric, optimal for small sets;
-- :class:`~repro.index.grid.GridIndex` — uniform-cell hashing over
+- :class:`~repro.index.grid.GridIndex` — a uniform-cell table over
   vector metrics, cell width tied to the expected query radius so
   candidates come from adjacent cells only;
 - :class:`~repro.index.covertree.CoverTreeIndex` — adapter over
@@ -45,9 +45,9 @@ Contract
   :meth:`NeighborIndex.range_query_points_csr`).  Consumers that fan
   out over many queries — streaming passes, merge graphs, recounts —
   should prefer the CSR form: ``brute`` and ``grid`` produce it
-  natively with no per-query Python assembly, and its flat arrays feed
-  ``np.bincount`` / segment reductions directly.  Row contents are
-  identical between the two shapes.
+  natively, and its flat arrays feed ``np.bincount`` / segment
+  reductions directly.  Row contents are identical between the two
+  shapes.
 - A stored query point always reports itself (distance 0).
 - Instrumentation: ``n_range_queries`` counts queries answered and
   ``n_candidates`` counts the exact-filter distance evaluations spent
@@ -60,9 +60,9 @@ Dynamic indexes
 Backends with ``supports_insert = True`` accept :meth:`insert` /
 :meth:`insert_batch` after :meth:`build`, growing the stored set
 without a rebuild: the brute backend appends to its block store, the
-grid bins new points into cells in amortized O(1), and the cover tree
-uses its native insert.  An index grown by inserts answers every query
-exactly as one built fresh over the union (the incremental-equivalence
+grid appends the new points' cell rows, and the cover tree uses its
+native insert.  An index grown by inserts answers every query exactly
+as one built fresh over the union (the incremental-equivalence
 suite in ``tests/test_index_dynamic.py`` pins this per backend).
 Backends that cannot insert are served by :class:`DynamicIndexWrapper`,
 which buffers inserts and lazily rebuilds its inner backend before the
@@ -74,23 +74,23 @@ their summary as it grows.
 Deletion is the other half of the lifecycle: backends with
 ``supports_delete = True`` accept :meth:`delete` / :meth:`delete_batch`
 after :meth:`build`, shrinking the stored set without a rebuild — the
-brute backend drops rows from its (sorted) block store, the grid
-removes ids from their cells in amortized O(cell) and prunes emptied
-cells.  An index that has seen deletions answers every query exactly as
-one built fresh over the survivors (``tests/test_index_deletion.py``
-pins this per backend).  Backends without native removal (the cover
-tree would need re-parenting) go through :class:`DynamicIndexWrapper`,
-which *tombstones* deleted ids — masking them out of the inner
-backend's answers — and compacts (one inner rebuild) only when the
-live fraction drops below :attr:`DynamicIndexWrapper.compact_live_fraction`.
+brute backend drops rows from its (sorted) block store, the grid drops
+the ids' stored cell rows.  An index that has seen deletions answers
+every query exactly as one built fresh over the survivors
+(``tests/test_index_deletion.py`` pins this per backend).  Backends
+without native removal (the cover tree would need re-parenting) go
+through :class:`DynamicIndexWrapper`, which *tombstones* deleted ids —
+masking them out of the inner backend's answers — and compacts (one
+inner rebuild) only when the live fraction drops below
+:attr:`DynamicIndexWrapper.compact_live_fraction`.
 
 Two contract points deletion adds:
 
 - at :meth:`delete_batch` time a deleted id's payload must still be
-  the payload it was *indexed* with — backends locate points by
-  hashing their current payload (grid) or by cached structure built
-  from it (cover tree), so callers that recycle payload slots (the
-  windowed solver) must delete first and overwrite after;
+  the payload it was *indexed* with — backends may locate points by
+  cached structure built from it (cover tree), so callers that recycle
+  payload slots (the windowed solver) must delete first and overwrite
+  after;
 - re-inserting an id the wrapper holds as a tombstone forces an inner
   rebuild before the next query: the inner structure still references
   the id, and its payload may have changed.

@@ -104,11 +104,6 @@ class BruteForceIndex(NeighborIndex):
                 np.concatenate(self._dists) if self._with_distances else None,
             )
 
-    def _reduced_radii(self, metric, radii: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [metric.reduce_threshold(float(r)) for r in radii], dtype=np.float64
-        )
-
     def range_query_batch_csr(
         self, queries: IndexArray, radius, with_distances: bool = True
     ) -> CSRQueryResult:
@@ -122,7 +117,7 @@ class BruteForceIndex(NeighborIndex):
         targets = self._targets()
         flat = self._FlatCollector(self, with_distances)
         if isinstance(radius, np.ndarray):
-            red_radii = self._reduced_radii(metric, radius)
+            red_radii = metric.reduce_thresholds(radius)
             pos = 0
             for _, block in dataset.cross_blocks(
                 queries=queries, targets=targets, reduced=True
@@ -164,7 +159,7 @@ class BruteForceIndex(NeighborIndex):
             return CSRQueryResult.empty(len(payloads), with_distances)
         metric = dataset.metric
         per_query = isinstance(radius, np.ndarray)
-        red_radii = self._reduced_radii(metric, radius) if per_query else None
+        red_radii = metric.reduce_thresholds(radius) if per_query else None
         certified = not per_query and not with_distances
         red_radius = None if per_query else metric.reduce_threshold(radius)
         stored_payloads = dataset.gather(self.stored)

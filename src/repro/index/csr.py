@@ -149,19 +149,24 @@ def csr_from_parts(
     id_parts: Sequence[np.ndarray],
     dist_parts: Optional[Sequence[np.ndarray]],
 ) -> CSRQueryResult:
-    """Assemble a CSR result from per-block flat triples.
+    """Assemble a CSR result from flat ``(query, id[, dist])`` triples.
 
-    ``qidx_parts`` carry the query index of every hit; blocks may cover
-    queries in any order (the grid groups them by cell), so the flat
-    arrays are stably sorted by query index — which preserves the
-    ascending-ids-within-row invariant as long as each query's hits come
-    from a single block in ascending order.
+    ``qidx_parts`` carry the query index of every hit.  Parts may arrive
+    in any order (the grid emits them block by block and pair slice by
+    pair slice), so one sort by ``(query, id)`` restores the row-major,
+    ascending-within-row layout of the interface contract.  Each
+    ``(query, id)`` pair may occur at most once.
     """
     if not qidx_parts:
         return CSRQueryResult.empty(n_queries, dist_parts is not None)
     qidx = np.concatenate(qidx_parts)
     ids = np.concatenate(id_parts)
-    order = np.argsort(qidx, kind="stable")
+    # One int64 key per hit: n_queries · (max id + 1) stays far below
+    # 2^63 for any batch over a dataset that fits in memory.
+    span = int(ids.max()) + 1 if ids.size else 1
+    # Stable (run-merging) sort: blocks and pair slices arrive as long
+    # ascending runs.
+    order = np.argsort(qidx.astype(np.int64) * span + ids, kind="stable")
     counts = np.bincount(qidx, minlength=n_queries)
     offsets = np.zeros(n_queries + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])

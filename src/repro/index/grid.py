@@ -1,13 +1,13 @@
 """Uniform-cell grid backend for vector metrics.
 
-The grid hashes every stored point into an integer cell of a uniform
+The grid bins every stored point into an integer cell of a uniform
 lattice over a *projection* onto the few highest-variance coordinates
 (``max_grid_dims``, default 3).  A range query at radius ``r`` gathers
 candidates only from the cells whose box lower bound can reach the
 query cell — with the cell width tied to the expected query radius
 (``radius_hint``, e.g. the solver's ε or the ``2r̄ + ε`` merge-graph
 threshold), that is the ``O(3^g)`` adjacent cells — and then filters
-them exactly through the instrumented ``MetricDataset`` kernels.
+them exactly through the metric's kernels.
 
 Correctness rests on one fact: the *view distance* computed from the
 grid coordinates lower-bounds the true metric distance, so cell pruning
@@ -25,16 +25,40 @@ of ``3^d``) at the price of looser candidate sets in high ambient
 dimension — the exact filter restores correctness, and the benchmark
 ``benchmarks/bench_index_backends.py`` measures the trade.
 
-The grid is fully dynamic: cells hold global ids, so inserts bin new
-points in amortized O(1) and deletes remove ids from their cells in
-amortized O(cell) with emptied cells pruned — the lattice itself
-(projection dims, origin, width) stays fixed for the index's lifetime.
+Flat cell table
+---------------
+The index keeps one integer cell row per stored point (clipped to
+``±2^62`` before the int64 cast, which only shrinks cell gaps, so every
+box lower bound stays valid).  Inserts append rows and deletes drop
+them; the lattice itself (projection dims, origin, width) stays fixed
+for the index's lifetime.  Before the next query the rows are
+materialized into one sorted table: a collision-free key per occupied
+cell (the row's raw bytes — exact for any finite input, no hashing),
+CSR starts, and the ids of each cell in ascending order.
+
+One-pass queries
+----------------
+A range-query batch is answered in one vectorized pass, whatever its
+size.  Queries are grouped by cell; each group's cell expands into the
+offsets of its stencil (cached per lattice shape, with each offset's box
+lower bound), one ``searchsorted`` looks the ``cell + offset`` keys up
+in the table, and every query keeps the found cells within its own
+radius.  A group whose radius spans more cells than are occupied scans
+the occupied-cell table instead.  The (query, candidate) pairs are then
+decided slice by slice with the aligned pair kernels, except that a
+group whose block is big enough to engage the float32 cascade
+(``CASCADE_MIN_ELEMENTS``) — or, for queries decided on float64
+distances, to leave the difference kernel — gets one block kernel
+call.  One sort of the hits by (query, id) produces the CSR result, so
+Python-level iterations scale with the number of such blocks and pair
+slices, never with the number of queries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +71,7 @@ from repro.index.base import (
 )
 from repro.index.csr import csr_from_parts
 from repro.metricspace.base import Metric
-from repro.metricspace.counting import CountingMetric
+from repro.metricspace.counting import unwrap
 from repro.metricspace.cosine import CosineMetric
 from repro.metricspace.dataset import (
     CERTIFIED_BYTES_PER_ENTRY,
@@ -55,59 +79,133 @@ from repro.metricspace.dataset import (
     pairs_per_slice,
     rows_per_block,
 )
-from repro.metricspace.precision import cascade_engaged
-from repro.metricspace.euclidean import EuclideanMetric
+from repro.metricspace.euclidean import DIFF_KERNEL_MAX, EuclideanMetric
 from repro.metricspace.minkowski import (
     ChebyshevMetric,
     ManhattanMetric,
     MinkowskiMetric,
 )
+from repro.metricspace.precision import CASCADE_MIN_ELEMENTS
 
 #: Relative slack on cell-pruning comparisons so float rounding can only
 #: *add* candidate cells, never drop one.
 _SLACK = 1.0 + 1e-9
 
-
-def _unwrap(metric: Metric) -> Metric:
-    """See through the CountingMetric instrumentation wrapper."""
-    while isinstance(metric, CountingMetric):
-        metric = metric.inner
-    return metric
+#: Cell coordinates are clipped to ±2^62 before the int64 cast: far
+#: enough from the int64 range that ``cell + offset`` never overflows.
+_CELL_LIMIT = float(2**62)
 
 
-def _group_rows(cells: np.ndarray):
-    """Group equal integer rows: returns ``(unique_rows, groups)`` with
-    ``groups[u]`` the (ascending) positions whose row is
-    ``unique_rows[u]``."""
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.x may return (n, 1)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    groups = [order[boundaries[u] : boundaries[u + 1]] for u in range(len(uniq))]
-    return uniq, groups
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One collision-free scalar key per integer cell row: the row's raw
+    bytes as a void scalar.  Their (byte-wise) order is not numeric, but
+    it is a total order consistent with equality — all a sorted lookup
+    table needs."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
+
+
+def _in_sorted(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Membership of each of ``values`` in the sorted array ``pool`` by
+    binary search (``np.isin`` sorts or tables both sides per call)."""
+    if pool.size == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    at = np.minimum(np.searchsorted(pool, values), pool.size - 1)
+    return pool[at] == values
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Flags marking the first entry of each run of equal values."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def _expand(
+    starts: np.ndarray, counts: np.ndarray, budget: Optional[int] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Ragged expansion in bounded slices.
+
+    Yields ``(owner, position)`` arrays covering ``position = starts[i]
+    + k`` for every ``0 <= k < counts[i]``, in order, at most ``budget``
+    entries per slice (one slice when ``budget`` is ``None``; rows
+    longer than a slice are split).  Always yields at least once.
+    """
+    ends = np.cumsum(counts)
+    shift = ends - counts - starts  # flat index minus position, per row
+    total = int(ends[-1]) if ends.size else 0
+    if budget is None or total <= budget:
+        owner = np.repeat(np.arange(len(counts)), counts)
+        yield owner, np.arange(total) - shift[owner]
+        return
+    for lo in range(0, total, budget):
+        hi = min(lo + budget, total)
+        r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+        span = np.minimum(ends[r0 : r1 + 1], hi) - np.maximum(
+            ends[r0 : r1 + 1] - counts[r0 : r1 + 1], lo
+        )
+        owner = np.repeat(np.arange(r0, r0 + span.size), span)
+        yield owner, np.arange(lo, hi) - shift[owner]
+
+
+def _norm(per_dim: np.ndarray, p: float) -> np.ndarray:
+    """``p``-norm over the last axis of per-dimension gaps."""
+    if p == math.inf:
+        return per_dim.max(axis=-1)
+    return np.sum(per_dim**p, axis=-1) ** (1.0 / p)
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil(g: int, reach: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets of the ``g``-dim cube of Chebyshev radius ``reach``,
+    ordered shell by shell (the cube of any smaller reach ``r`` is the
+    first ``(2r+1)^g`` rows), and each offset's box lower bound in cell
+    widths under the ``p``-norm view.  Shared by every index: it depends
+    on nothing but the lattice's shape."""
+    axes = np.arange(-reach, reach + 1, dtype=np.int64)
+    offs = np.stack(np.meshgrid(*([axes] * g), indexing="ij"), axis=-1)
+    offs = offs.reshape(-1, g)
+    offs = offs[np.argsort(np.abs(offs).max(axis=1), kind="stable")]
+    # Any point of a cell at offset o is >= (|o|-1) widths away per dim.
+    bounds = _norm(np.maximum(np.abs(offs) - 1, 0).astype(np.float64), p)
+    offs.flags.writeable = bounds.flags.writeable = False
+    return offs, bounds
+
+
+def _max_reach(g: int, n_cells: int) -> int:
+    """The widest reach whose stencil cube, ``(2r+1)^g`` offsets, is no
+    larger than ``max(64, n_cells)``; wider queries scan the occupied
+    cells instead."""
+    cap = max(64, n_cells)
+    reach = int((cap ** (1.0 / g) - 1.0) // 2)
+    while (2 * reach + 3) ** g <= cap:
+        reach += 1
+    while reach > 0 and (2 * reach + 1) ** g > cap:
+        reach -= 1
+    return reach
 
 
 class _GridView:
     """Euclidean-compatible coordinate view of a vector metric.
 
     ``coords`` maps payload rows to grid coordinates, ``view_radius``
-    maps a true-metric radius to the view geometry, ``expand_view``
-    maps a view-space lower bound back to a true-metric lower bound
-    (used by the kNN certification), and ``combine`` aggregates per-dim
+    maps true-metric radii to the view geometry, ``expand_view`` maps a
+    view-space lower bound back to a true-metric lower bound (used by
+    the kNN certification), and ``p`` is the norm that aggregates per-dim
     cell gaps into a view-space lower bound.
     """
 
     def __init__(self, metric: Metric) -> None:
-        metric = _unwrap(metric)
+        metric = unwrap(metric)
         self._chord = isinstance(metric, CosineMetric)
         if isinstance(metric, ChebyshevMetric):
-            self._p: Optional[float] = math.inf
+            self.p = math.inf
         elif isinstance(metric, ManhattanMetric):
-            self._p = 1.0
+            self.p = 1.0
         elif isinstance(metric, MinkowskiMetric):
-            self._p = metric.p
+            self.p = metric.p
         elif isinstance(metric, (EuclideanMetric, CosineMetric)):
-            self._p = 2.0
+            self.p = 2.0
         else:
             raise TypeError(
                 f"GridIndex does not support {type(metric).__name__}; "
@@ -118,7 +216,7 @@ class _GridView:
     def supports(metric: Metric) -> bool:
         """Whether :class:`GridIndex` can serve this metric."""
         return isinstance(
-            _unwrap(metric),
+            unwrap(metric),
             (EuclideanMetric, MinkowskiMetric, ManhattanMetric,
              ChebyshevMetric, CosineMetric),
         )
@@ -134,9 +232,10 @@ class _GridView:
             arr = arr / norms[:, None]
         return arr
 
-    def view_radius(self, radius: float) -> float:
+    def view_radius(self, radius):
+        """Scalar or per-query radii mapped into view space."""
         if self._chord:
-            return 2.0 * math.sin(min(max(radius, 0.0), math.pi) / 2.0)
+            return 2.0 * np.sin(np.clip(radius, 0.0, np.pi) / 2.0)
         return radius
 
     def expand_view(self, view_bound: float) -> float:
@@ -144,16 +243,9 @@ class _GridView:
             return 2.0 * math.asin(min(max(view_bound, 0.0), 2.0) / 2.0)
         return view_bound
 
-    def combine(self, per_dim: np.ndarray) -> np.ndarray:
-        """Aggregate per-dimension coordinate gaps (last axis) into a
-        view-space lower bound."""
-        if self._p == math.inf:
-            return per_dim.max(axis=-1)
-        return np.sum(per_dim**self._p, axis=-1) ** (1.0 / self._p)
-
 
 class GridIndex(NeighborIndex):
-    """Uniform-cell hashing index for vector metrics.
+    """Uniform-cell index for vector metrics over a flat cell table.
 
     Parameters
     ----------
@@ -188,6 +280,7 @@ class GridIndex(NeighborIndex):
         return _GridView.supports(metric)
 
     # ------------------------------------------------------------------
+    # The lattice and the cell table
 
     #: Below this stored-set size the projection variance is estimated
     #: from a dataset sample instead — an index built over one or two
@@ -205,11 +298,10 @@ class GridIndex(NeighborIndex):
         # discriminative cheap sketch of the data.
         var_coords = coords
         if len(self.stored) < self.VARIANCE_SAMPLE_MIN:
-            sample = np.unique(
-                np.linspace(
-                    0, dataset.n - 1, min(dataset.n, 1024)
-                ).astype(np.intp)
-            )
+            # Strictly increasing: the step is never below one.
+            sample = np.linspace(
+                0, dataset.n - 1, min(dataset.n, 1024)
+            ).astype(np.intp)
             try:
                 var_coords = self._view.coords(dataset.gather(sample))
             except ValueError:
@@ -222,104 +314,11 @@ class GridIndex(NeighborIndex):
         proj = coords[:, self._dims]
         self._origin = proj.min(axis=0)
         self._width = self._pick_width(proj)
-        cells = np.floor((proj - self._origin) / self._width).astype(np.int64)
-        # Group stored *ids* by cell, kept both as a dict (O(1) lookups
-        # for the adjacent-offset path) and an aligned key array +
-        # group list (vectorized occupied-cell scans when a query
-        # radius spans many cell widths).  Cells hold global ids rather
-        # than positions into ``self.stored`` so deletion compacts the
-        # stored array without remapping every cell.
-        self._cell_keys, groups = _group_rows(cells)
-        self._cell_groups: List[np.ndarray] = [self.stored[g] for g in groups]
-        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._cell_pos: Dict[Tuple[int, ...], int] = {}
-        for u, (key, group) in enumerate(zip(self._cell_keys, self._cell_groups)):
-            tkey = tuple(int(c) for c in key)
-            self._cells[tkey] = group
-            self._cell_pos[tkey] = u
-
-    def _insert(self, new: np.ndarray) -> None:
-        """Bin the new points into cells — amortized O(1) per point.
-
-        The lattice (projection dims, origin, width) is fixed at build
-        time; inserted points may fall outside the original bounding
-        box (integer cell coordinates extend in every direction), so
-        no rebuild is ever needed for correctness.
-        """
-        coords = self._view.coords(self.dataset.gather(new))
-        proj = coords[:, self._dims]
-        cells = np.floor((proj - self._origin) / self._width).astype(np.int64)
-        uniq, groups = _group_rows(cells)
-        fresh_keys = []
-        fresh_groups = []
-        for key, group in zip(uniq, groups):
-            tkey = tuple(int(c) for c in key)
-            members = new[group]
-            u = self._cell_pos.get(tkey)
-            if u is None:
-                fresh_keys.append(key)
-                fresh_groups.append(members)
-            else:
-                merged = np.concatenate([self._cell_groups[u], members])
-                self._cell_groups[u] = merged
-                self._cells[tkey] = merged
-        if fresh_keys:
-            base = len(self._cell_groups)
-            self._cell_keys = np.concatenate(
-                [self._cell_keys, np.asarray(fresh_keys, dtype=np.int64)]
-            )
-            self._cell_groups.extend(fresh_groups)
-            for off, (key, members) in enumerate(zip(fresh_keys, fresh_groups)):
-                tkey = tuple(int(c) for c in key)
-                self._cells[tkey] = members
-                self._cell_pos[tkey] = base + off
-
-    def _delete(self, removed: np.ndarray) -> None:
-        """Remove ids from their cells — amortized O(cell) per point.
-
-        The removed points' *current* payloads locate their cells (the
-        interface contract: delete before recycling a payload slot);
-        cells emptied by the removal are pruned from the occupied-cell
-        table by swapping with the last entry, so the table never holds
-        ghost cells.
-        """
-        coords = self._view.coords(self.dataset.gather(removed))
-        proj = coords[:, self._dims]
-        cells = np.floor((proj - self._origin) / self._width).astype(np.int64)
-        uniq, groups = _group_rows(cells)
-        for key, group in zip(uniq, groups):
-            tkey = tuple(int(c) for c in key)
-            drop = removed[group]
-            u = self._cell_pos.get(tkey)
-            members = self._cell_groups[u] if u is not None else None
-            kept = (
-                members[~np.isin(members, drop)] if members is not None else None
-            )
-            if members is None or len(kept) != len(members) - len(drop):
-                raise RuntimeError(
-                    "grid delete: a point's payload no longer hashes to "
-                    "the cell it was indexed under (payload mutated "
-                    "before delete?)"
-                )
-            if kept.size:
-                self._cell_groups[u] = kept
-                self._cells[tkey] = kept
-            else:
-                self._prune_cell(tkey, u)
-
-    def _prune_cell(self, tkey: Tuple[int, ...], u: int) -> None:
-        """Drop an emptied cell: swap the last table entry into its row
-        and shrink the key array / group list by one."""
-        last = len(self._cell_groups) - 1
-        if u != last:
-            last_key = self._cell_keys[last].copy()
-            self._cell_keys[u] = last_key
-            self._cell_groups[u] = self._cell_groups[last]
-            self._cell_pos[tuple(int(c) for c in last_key)] = u
-        self._cell_keys = self._cell_keys[:last]
-        self._cell_groups.pop()
-        del self._cells[tkey]
-        del self._cell_pos[tkey]
+        # ``_rows[i]`` is the cell of stored id ``_ids[i]``; the sorted
+        # table and the stencil are derived lazily from the lattice.
+        self._ids = self.stored
+        self._rows = self._cell_rows(coords)
+        self._table: Optional[Tuple[np.ndarray, ...]] = None
 
     def _pick_width(self, proj: np.ndarray) -> float:
         if self.cell_width is not None:
@@ -335,197 +334,217 @@ class GridIndex(NeighborIndex):
         width = float(spans.max()) / per_axis
         return width if width > 0 else 1.0
 
-    # ------------------------------------------------------------------
+    def _cell_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Integer cell rows of view coordinates, clipped to ±2^62 before
+        the int64 cast (clipping only shrinks cell gaps, so the box
+        lower bounds stay valid for points past the int64 range)."""
+        cells = np.floor((coords[:, self._dims] - self._origin) / self._width)
+        return np.clip(cells, -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
 
-    def _cell_offsets(self, view_radius: float) -> Optional[np.ndarray]:
-        """Offset vectors of every cell whose box lower bound can reach
-        a query anywhere in its own cell.
+    def _insert(self, new: np.ndarray) -> None:
+        """Append the new points' cell rows; the lattice is fixed, and
+        points outside the original bounding box simply land in new
+        cells, so no rebuild is ever needed."""
+        coords = self._view.coords(self.dataset.gather(new))
+        self._ids = np.concatenate([self._ids, new])
+        self._rows = np.concatenate([self._rows, self._cell_rows(coords)])
+        self._table = None
 
-        Returns ``None`` when the offset lattice would be larger than
-        the set of *occupied* cells (query radius spanning many cell
-        widths): :meth:`_gather` then scans the occupied-cell table
-        directly, which bounds every query at ``O(#occupied cells)``
-        regardless of the radius/width ratio.
-        """
-        g = len(self._dims)
-        reach = int(math.floor(view_radius / self._width)) + 1
-        if (2 * reach + 1) ** g > max(64, len(self._cell_groups)):
-            return None
-        axes = np.arange(-reach, reach + 1, dtype=np.int64)
-        offs = np.stack(
-            np.meshgrid(*([axes] * g), indexing="ij"), axis=-1
-        ).reshape(-1, g)
-        # Any point of a cell at offset o is >= (|o|-1)*w away per dim.
-        per_dim = np.maximum(np.abs(offs) - 1, 0).astype(np.float64) * self._width
-        lb = self._view.combine(per_dim)
-        return offs[lb <= view_radius * _SLACK]
+    def _delete(self, removed: np.ndarray) -> None:
+        """Drop the removed ids' rows.  The stored rows locate them, so
+        deletion never reads (possibly recycled) payloads."""
+        keep = ~_in_sorted(self._ids, np.sort(removed))
+        self._ids = self._ids[keep]
+        self._rows = self._rows[keep]
+        self._table = None
 
-    def _gather(
-        self,
-        cell: np.ndarray,
-        offsets: Optional[np.ndarray],
-        view_radius: float,
-    ) -> np.ndarray:
-        """Stored ids reachable from ``cell`` (sorted ascending, the
-        interface contract's result order)."""
-        if offsets is None:
-            # Occupied-cell scan: the same box lower bound, evaluated
-            # against every occupied cell key in one vectorized pass.
-            per_dim = (
-                np.maximum(np.abs(self._cell_keys - cell) - 1, 0).astype(np.float64)
-                * self._width
+    def _cells(self) -> Tuple[np.ndarray, ...]:
+        """The flat cell table ``(keys, rows, starts, ids)``: one sorted
+        key and integer row per occupied cell, CSR ``starts`` into
+        ``ids``, and each cell's stored ids ascending.  Materialized
+        after any build, insert or delete, at the next query."""
+        if self._table is None:
+            by_id = np.argsort(self._ids, kind="stable")
+            keys = _keys(self._rows)[by_id]
+            order = np.argsort(keys, kind="stable")
+            perm = by_id[order]
+            keys = keys[order]
+            first = _run_starts(keys)
+            starts = np.append(np.flatnonzero(first), len(keys)).astype(np.intp)
+            self._table = (
+                keys[first], self._rows[perm][first], starts, self._ids[perm]
             )
-            lb = self._view.combine(per_dim)
-            chunks = [
-                self._cell_groups[u]
-                for u in np.flatnonzero(lb <= view_radius * _SLACK)
-            ]
-        else:
-            cells = self._cells
-            chunks = []
-            for key in (cell + offsets).tolist():
-                hit = cells.get(tuple(key))
-                if hit is not None:
-                    chunks.append(hit)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        return np.sort(np.concatenate(chunks).astype(np.intp, copy=False))
+        return self._table
 
-    def _range_impl(
-        self,
-        qcells: np.ndarray,
-        eval_rows,
-        radius,
-        with_distances: bool,
-        eval_certified=None,
-        eval_pairs=None,
+    def _reach(
+        self, rows: np.ndarray, view_r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, cell, bound)`` triples: for each cell row, the table
+        positions of the occupied cells whose box lower bound — in cell
+        widths, also returned — is within its view radius.
+
+        A row's stencil is the cube of reach ``floor(r/w) + 1``; when
+        that cube holds more offsets than there are occupied cells
+        (radius spanning many cell widths), the row scans the occupied
+        cells instead, which bounds it at ``O(#occupied cells)``.
+        """
+        keys, cell_rows, _, _ = self._cells()
+        g = len(self._dims)
+        with np.errstate(over="ignore"):
+            limit = view_r * (_SLACK / self._width)
+            reach = np.floor(view_r / self._width) + 1.0
+        scan = reach > _max_reach(g, len(keys))
+        budget = pairs_per_slice(self.dataset)
+        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        near = np.flatnonzero(~scan)
+        if near.size:
+            reach = reach[near].astype(np.intp)
+            offs, bounds = _stencil(g, int(reach.max()), self._view.p)
+            sizes = (2 * reach + 1) ** g
+            for owner, t in _expand(np.zeros_like(sizes), sizes, budget):
+                r = near[owner]
+                lb = bounds[t]
+                ok = lb <= limit[r]
+                r, t, lb = r[ok], t[ok], lb[ok]
+                want = _keys(np.take(rows, r, axis=0) + np.take(offs, t, axis=0))
+                u = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+                hit = keys[u] == want
+                parts.append((r[hit], u[hit], lb[hit]))
+        if scan.any():
+            far = np.flatnonzero(scan)
+            per = np.full(far.size, len(keys), dtype=np.intp)
+            for owner, u in _expand(np.zeros_like(per), per, budget):
+                r = far[owner]
+                # Gaps in float64: clipped rows may differ by 2^63.
+                gaps = np.abs(
+                    np.take(cell_rows, u, axis=0)
+                    - np.take(rows, r, axis=0).astype(np.float64)
+                )
+                lb = _norm(np.maximum(gaps - 1.0, 0.0), self._view.p)
+                ok = lb <= limit[r]
+                parts.append((r[ok], u[ok], lb[ok]))
+        r, u, lb = (np.concatenate(column) for column in zip(*parts))
+        return r, u, lb
+
+    # ------------------------------------------------------------------
+    # Range queries
+
+    def _count(self, n: int) -> None:
+        """Attribute ``n`` exact-filter evaluations (one kernel call)."""
+        self.n_candidates += n
+        self.dataset.n_cross_blocks += 1
+        self.dataset.n_cross_evals += n
+
+    def _range(
+        self, qpay: np.ndarray, radius, with_distances: bool
     ) -> CSRQueryResult:
-        """Shared cell-grouped range-query loop, CSR output.
+        """One vectorized pass over a batch of query payloads.
 
-        ``eval_rows(sub, cand) -> reduced block`` evaluates the query
-        rows at positions ``sub`` (into the original query sequence)
-        against the gathered candidate ids ``cand``; the two public
-        entry points differ only in how query coordinates and exact
-        filters are obtained (dataset indices vs raw payloads).
-
-        ``radius`` may be a per-query array (see
-        :func:`~repro.index.base.check_radii`): cell gathering then
-        uses each query group's max view radius and the exact filter
-        applies per-row thresholds.  Scalar decision-only queries
-        (``with_distances=False``) use ``eval_certified(sub, cand) ->
-        boolean mask`` instead of the reduced filter, riding the
-        mixed-precision cascade.
-
-        Each evaluated block contributes one flat ``(query row,
-        candidate id, distance)`` triple via ``np.nonzero``; a query's
-        hits all come from its single cell-group — either as a block or
-        through the flat small-group pair batch (``eval_pairs(qs,
-        cand_ids) -> bool mask``, used for scalar decision-only groups
-        too small to engage the cascade) — in ascending-id order, so
-        the stable sort in :func:`csr_from_parts` restores row-major
-        order without touching within-row order.
+        ``radius`` is a scalar or per-query array (see
+        :func:`~repro.index.base.check_radii`).  Scalar decision-only
+        queries ride the certified kernels (the float32 cascade on big
+        blocks); the rest compare reduced distances against per-row
+        reduced thresholds, and distances are expanded once at the end.
         """
         dataset = self.dataset
         metric = dataset.metric
+        m = len(qpay)
+        self.n_range_queries += m
+        if m == 0 or self.n_stored == 0:  # deleted to empty
+            return CSRQueryResult.empty(m, with_distances)
         per_query = isinstance(radius, np.ndarray)
+        certified = not per_query and not with_distances
         if per_query:
-            red_radii = np.asarray(
-                [metric.reduce_threshold(float(r)) for r in radius],
-                dtype=np.float64,
-            )
-            view_radii = np.asarray(
-                [self._view.view_radius(float(r)) for r in radius],
-                dtype=np.float64,
-            )
-            offsets = None
+            red = metric.reduce_thresholds(radius)
+            view_r = np.asarray(self._view.view_radius(radius), dtype=np.float64)
         else:
-            red_radius = metric.reduce_threshold(radius)
-            view_r = self._view.view_radius(radius)
-            offsets = self._cell_offsets(view_r)
-        certified = (
-            eval_certified is not None and not per_query and not with_distances
-        )
-        n_queries = len(qcells)
-
-        qidx_parts: List[np.ndarray] = []
-        id_parts: List[np.ndarray] = []
-        dist_parts: Optional[List[np.ndarray]] = [] if with_distances else None
-        # Cell-groups too small to engage the float32 cascade would pay
-        # mostly per-call setup in the block filter; their (query,
-        # candidate) pairs are collected here and decided by one flat
-        # aligned evaluation after the loop — the same float64
-        # threshold test, minus ~all of the per-group overhead.
-        flat_q_parts: List[np.ndarray] = []
-        flat_id_parts: List[np.ndarray] = []
-        batch_pairs = eval_pairs is not None and certified
-        # Queries sharing a cell share the same candidate set: group
-        # them so the exact filter runs one block per occupied cell.
-        uniq, query_groups = _group_rows(qcells)
-        for u in range(len(uniq)):
-            group = query_groups[u]
-            if per_query:
-                # Gather at the group's widest radius; the per-row
-                # exact filter below restores each query's own bound.
-                group_view_r = float(view_radii[group].max())
-                cand = self._gather(
-                    uniq[u], self._cell_offsets(group_view_r), group_view_r
+            red = np.full(m, metric.reduce_threshold(radius))
+            view_r = np.full(m, self._view.view_radius(radius), dtype=np.float64)
+        # Queries sharing a cell form a group: its cells are looked up
+        # once, at the group's widest radius (the union of its queries'
+        # own stencils), and filtered to each query's radius below.
+        qrows = self._cell_rows(self._view.coords(qpay))
+        qkeys = _keys(qrows)
+        order = np.argsort(qkeys, kind="stable")
+        first = _run_starts(qkeys[order])
+        group_at = np.append(np.flatnonzero(first), m)
+        members = np.diff(group_at)
+        widest = np.maximum.reduceat(view_r[order], group_at[:-1])
+        group, u, lb = self._reach(np.take(qrows, order[first], axis=0), widest)
+        _, _, starts, ids = self._cells()
+        cell_n = np.diff(starts)
+        qidx: List[np.ndarray] = []
+        hit_ids: List[np.ndarray] = []
+        reduced: List[np.ndarray] = []
+        # A group is evaluated as one block when a block kernel beats
+        # per-pair gathers: when it engages the float32 cascade or, for
+        # distance queries, when the float64 block leaves the difference
+        # kernel for the gram expansion.  Smaller groups ride the aligned
+        # pair kernels, whose difference kernel is bit-identical to the
+        # small blocks they replace.
+        block_min = CASCADE_MIN_ELEMENTS
+        if not certified:
+            block_min = min(block_min, DIFF_KERNEL_MAX // qpay.shape[1] + 1)
+        big = members * np.bincount(
+            group, weights=cell_n[u], minlength=members.size
+        ) >= block_min
+        if big.any():
+            by_group = np.argsort(group, kind="stable")
+            cells_at = np.searchsorted(group[by_group], np.arange(members.size + 1))
+            for gid in np.flatnonzero(big):
+                sub = order[group_at[gid] : group_at[gid + 1]]
+                own = u[by_group[cells_at[gid] : cells_at[gid + 1]]]
+                _, pos = next(_expand(starts[own], cell_n[own]))
+                cand = np.sort(ids[pos])
+                targets = dataset.gather(cand)
+                step = rows_per_block(
+                    cand.size,
+                    bytes_per_entry=CERTIFIED_BYTES_PER_ENTRY if certified else 8,
                 )
+                for lo in range(0, sub.size, step):
+                    rows = sub[lo : lo + step]
+                    queries = np.take(qpay, rows, axis=0)
+                    if certified:
+                        hits = metric.cross_certified(queries, targets, radius)
+                    else:
+                        block = metric.reduced_cross(queries, targets)
+                        hits = block <= red[rows, None]
+                    self._count(hits.size)
+                    r, c = np.nonzero(hits)
+                    qidx.append(rows[r])
+                    hit_ids.append(cand[c])
+                    if with_distances:
+                        reduced.append(block[r, c])
+            small = ~big[group]
+            group, u, lb = group[small], u[small], lb[small]
+        # Every member of a small group pairs with the group's cells
+        # within its own radius, then with those cells' points.
+        pair, pos = next(_expand(group_at[group], members[group]))
+        q = order[pos]
+        with np.errstate(over="ignore"):
+            ok = lb[pair] <= view_r[q] * (_SLACK / self._width)
+        q, u = q[ok], u[pair[ok]]
+        for owner, pos in _expand(starts[u], cell_n[u], pairs_per_slice(dataset)):
+            if owner.size == 0:
+                continue
+            rows, cand = q[owner], ids[pos]
+            queries = np.take(qpay, rows, axis=0)
+            targets = dataset.gather(cand)
+            if certified:
+                hits = metric.pair_certified(queries, targets, radius)
             else:
-                cand = self._gather(uniq[u], offsets, view_r)
-            if cand.size == 0:
-                continue
-            if batch_pairs and not cascade_engaged(len(group) * cand.size):
-                flat_q_parts.append(
-                    np.repeat(group, cand.size)
-                )
-                flat_id_parts.append(np.tile(cand, len(group)))
-                continue
-            # Chunked exact filter: a dense cell (everything hashing
-            # together under a generous radius) must not materialize
-            # one |group| x |cand| matrix — keep the byte-bounded
-            # block guarantee of the engine paths this replaces.
-            step = rows_per_block(
-                len(cand),
-                bytes_per_entry=CERTIFIED_BYTES_PER_ENTRY if certified else 8,
-            )
-            for lo in range(0, len(group), step):
-                sub = group[lo : lo + step]
-                if certified:
-                    mask = eval_certified(sub, cand)
-                    self.n_candidates += mask.size
-                    rows, cols = np.nonzero(mask)
-                    qidx_parts.append(sub[rows])
-                    id_parts.append(cand[cols])
-                    continue
-                block = eval_rows(sub, cand)
-                self.n_candidates += block.size
-                if per_query:
-                    hits = block <= red_radii[sub][:, None]
-                else:
-                    hits = block <= red_radius
-                rows, cols = np.nonzero(hits)
-                qidx_parts.append(sub[rows])
-                id_parts.append(cand[cols])
-                if with_distances:
-                    dist_parts.append(
-                        np.asarray(
-                            metric.expand_reduced(block[rows, cols]),
-                            dtype=np.float64,
-                        )
-                    )
-        if flat_q_parts:
-            flat_q = np.concatenate(flat_q_parts)
-            flat_ids = np.concatenate(flat_id_parts)
-            step = pairs_per_slice(self.dataset)
-            for lo in range(0, flat_q.size, step):
-                qs = flat_q[lo : lo + step]
-                cs = flat_ids[lo : lo + step]
-                ok = eval_pairs(qs, cs)
-                self.n_candidates += ok.size
-                qidx_parts.append(qs[ok])
-                id_parts.append(cs[ok])
-        self.n_range_queries += n_queries
-        return csr_from_parts(n_queries, qidx_parts, id_parts, dist_parts)
+                value = metric.reduced_pair_distances(queries, targets)
+                hits = value <= red[rows]
+            self._count(rows.size)
+            qidx.append(rows[hits])
+            hit_ids.append(cand[hits])
+            if with_distances:
+                reduced.append(value[hits])
+        dists = None
+        if with_distances:
+            flat = np.concatenate(reduced) if reduced else np.empty(0)
+            dists = [np.asarray(metric.expand_reduced(flat), dtype=np.float64)]
+        return csr_from_parts(m, qidx, hit_ids, dists)
 
     def range_query_batch_csr(
         self, queries: IndexArray, radius, with_distances: bool = True
@@ -533,22 +552,7 @@ class GridIndex(NeighborIndex):
         dataset = self._require_built()
         queries = np.asarray(queries, dtype=np.intp)
         radius = check_radii(radius, len(queries))
-        qproj = self._view.coords(dataset.gather(queries))[:, self._dims]
-        qcells = np.floor((qproj - self._origin) / self._width).astype(np.int64)
-
-        def eval_rows(sub, cand):
-            return dataset.cross(queries[sub], cand, reduced=True)
-
-        def eval_certified(sub, cand):
-            return dataset.cross_certified(queries[sub], cand, radius)
-
-        def eval_pairs(qs, cand_ids):
-            return dataset.pair_certified(queries[qs], cand_ids, radius)
-
-        return self._range_impl(
-            qcells, eval_rows, radius, with_distances, eval_certified,
-            eval_pairs,
-        )
+        return self._range(dataset.gather(queries), radius, with_distances)
 
     def range_query_batch(
         self, queries: IndexArray, radius, with_distances: bool = True
@@ -560,38 +564,10 @@ class GridIndex(NeighborIndex):
     def range_query_points_csr(
         self, payloads, radius, with_distances: bool = True
     ) -> CSRQueryResult:
-        dataset = self._require_built()
+        self._require_built()
         radius = check_radii(radius, len(payloads))
-        metric = dataset.metric
-        parr = np.asarray(payloads, dtype=np.float64)
-        qproj = self._view.coords(parr)[:, self._dims]
-        qcells = np.floor((qproj - self._origin) / self._width).astype(np.int64)
-
-        def eval_rows(sub, cand):
-            block = metric.reduced_cross(parr[sub], dataset.gather(cand))
-            dataset.n_cross_blocks += 1
-            dataset.n_cross_evals += block.size
-            return block
-
-        def eval_certified(sub, cand):
-            mask = metric.cross_certified(
-                parr[sub], dataset.gather(cand), radius
-            )
-            dataset.n_cross_blocks += 1
-            dataset.n_cross_evals += mask.size
-            return mask
-
-        def eval_pairs(qs, cand_ids):
-            out = metric.pair_certified(
-                parr[qs], dataset.gather(cand_ids), radius
-            )
-            dataset.n_cross_blocks += 1
-            dataset.n_cross_evals += len(out)
-            return out
-
-        return self._range_impl(
-            qcells, eval_rows, radius, with_distances, eval_certified,
-            eval_pairs,
+        return self._range(
+            np.asarray(payloads, dtype=np.float64), radius, with_distances
         )
 
     def range_query_points(
@@ -604,13 +580,12 @@ class GridIndex(NeighborIndex):
     def knn(self, query: int, k: int) -> QueryResult:
         dataset = self._require_built()
         k = check_k(k)
+        self.n_range_queries += 1
         if self.n_stored == 0:  # deleted to empty
-            self.n_range_queries += 1
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
         metric = dataset.metric
-        qproj = self._view.coords(dataset.gather([int(query)]))[0, self._dims]
-        qcell = np.floor((qproj - self._origin) / self._width).astype(np.int64)
-        self.n_range_queries += 1
+        qrow = self._cell_rows(self._view.coords(dataset.gather([int(query)])))
+        _, _, starts, ids = self._cells()
         k = min(k, self.n_stored)
         # Expanding-ring search: points outside box reach R are at view
         # distance >= R*w, so once the kth candidate is closer than the
@@ -618,35 +593,31 @@ class GridIndex(NeighborIndex):
         # The cell width is already a view-space quantity; only a
         # caller-supplied hint needs mapping into view space.
         reach_r = (
-            self._view.view_radius(self.radius_hint)
+            float(self._view.view_radius(self.radius_hint))
             if self.radius_hint
             else self._width
         )
-        # Ring-delta cache: each doubling only gathers and evaluates
-        # the *newly* reached cells; candidates from earlier rings keep
-        # their already-computed reduced distances, so a far-from-mass
-        # query costs O(distinct candidates) total instead of
-        # O(rings · candidates).  ``seen`` holds the (sorted) ids
-        # already evaluated — _gather returns sorted ids, so the
-        # membership test is one np.isin over sorted arrays.
+        # Ring-delta cache: each doubling only evaluates the *newly*
+        # reached points; candidates from earlier rings keep their
+        # already-computed reduced distances, so a far-from-mass query
+        # costs O(distinct candidates) total instead of O(rings ·
+        # candidates).  ``seen`` holds the (sorted) ids already
+        # evaluated.
         seen = np.empty(0, dtype=np.intp)
         id_parts: List[np.ndarray] = []
         red_parts: List[np.ndarray] = []
-        n_eval = 0
         while True:
-            offsets = self._cell_offsets(reach_r)
-            gathered = self._gather(qcell, offsets, reach_r)
-            fresh = (
-                gathered[~np.isin(gathered, seen)] if seen.size else gathered
-            )
+            _, cells, _ = self._reach(qrow, np.asarray([reach_r]))
+            _, pos = next(_expand(starts[cells], np.diff(starts)[cells]))
+            fresh = np.sort(ids[pos])
+            fresh = fresh[~_in_sorted(fresh, seen)]
             if fresh.size:
-                seen = np.union1d(seen, fresh)
+                seen = np.sort(np.concatenate([seen, fresh]))
                 row = dataset.cross([int(query)], fresh, reduced=True)[0]
                 self.n_candidates += fresh.size
                 id_parts.append(fresh)
                 red_parts.append(np.asarray(row, dtype=np.float64))
-                n_eval += fresh.size
-            if n_eval >= k:
+            if seen.size >= k:
                 cand = np.concatenate(id_parts)
                 dists = np.asarray(
                     metric.expand_reduced(np.concatenate(red_parts)),
@@ -656,7 +627,7 @@ class GridIndex(NeighborIndex):
                 # Every ungathered point (box-excluded or cell-pruned)
                 # sits at view distance strictly above reach_r.
                 certified = (
-                    n_eval == self.n_stored
+                    seen.size == self.n_stored
                     or float(dists[sel[-1]]) <= self._view.expand_view(reach_r)
                 )
                 if certified:

@@ -137,7 +137,7 @@ def _probe_grid_degenerate(index: NeighborIndex) -> bool:
 
     Isotropic high-dimensional data concentrates no variance in the
     ≤3-dim projection, so every cell neighborhood gathers a constant
-    fraction of the stored set and the grid pays hashing overhead for
+    fraction of the stored set and the grid pays cell-lookup overhead for
     brute-force candidate counts.  The probe costs
     ``GRID_PROBE_QUERIES`` range queries at the build's radius hint and
     leaves the instrumentation counters as a fresh build would.

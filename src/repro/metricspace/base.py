@@ -142,6 +142,15 @@ class Metric(ABC):
         """
         return threshold
 
+    def reduce_thresholds(self, thresholds: np.ndarray) -> np.ndarray:
+        """:meth:`reduce_threshold` over an array of thresholds (the
+        per-query radii of a batched range query); vector metrics with
+        an elementwise reduction override the loop."""
+        return np.asarray(
+            [self.reduce_threshold(float(t)) for t in thresholds],
+            dtype=np.float64,
+        )
+
     def expand_reduced(self, values: Any) -> Any:
         """Map reduced distances (scalar or array) back to true distances."""
         return values

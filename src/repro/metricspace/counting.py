@@ -71,6 +71,9 @@ class CountingMetric(Metric):
     def reduce_threshold(self, threshold: float) -> float:
         return self.inner.reduce_threshold(threshold)
 
+    def reduce_thresholds(self, thresholds: np.ndarray) -> np.ndarray:
+        return self.inner.reduce_thresholds(thresholds)
+
     def expand_reduced(self, values: Any) -> Any:
         return self.inner.expand_reduced(values)
 

@@ -26,7 +26,7 @@ from repro.metricspace.precision import (
 #: cancellation).  Small blocks are overhead-dominated anyway, so the
 #: exact path costs nothing and keeps constructed boundary cases (e.g.
 #: points at exactly ε) bit-compatible with ``distance_many``.
-_DIFF_KERNEL_MAX = 1 << 15
+DIFF_KERNEL_MAX = 1 << 15
 
 
 def _as_2d(batch: np.ndarray) -> np.ndarray:
@@ -64,6 +64,10 @@ class EuclideanMetric(Metric):
     def reduce_threshold(self, threshold: float) -> float:
         return threshold * threshold
 
+    def reduce_thresholds(self, thresholds: np.ndarray) -> np.ndarray:
+        thresholds = np.asarray(thresholds, dtype=np.float64)
+        return thresholds * thresholds
+
     def expand_reduced(self, values):
         return np.sqrt(values)
 
@@ -80,7 +84,7 @@ class EuclideanMetric(Metric):
         targets = _as_2d(targets)
         if queries.shape[0] == 0 or targets.shape[0] == 0:
             return np.empty((queries.shape[0], targets.shape[0]), dtype=np.float64)
-        if queries.shape[0] * targets.shape[0] * queries.shape[1] <= _DIFF_KERNEL_MAX:
+        if queries.shape[0] * targets.shape[0] * queries.shape[1] <= DIFF_KERNEL_MAX:
             diff = queries[:, None, :] - targets[None, :, :]
             return np.einsum("ijk,ijk->ij", diff, diff)
         d2 = queries @ targets.T

@@ -96,6 +96,10 @@ class ManhattanMetric(Metric):
             batch = batch.reshape(1, -1)
         return np.sum(np.abs(batch - np.asarray(a, dtype=np.float64)), axis=1)
 
+    def pair_distances(self, a_batch: np.ndarray, b_batch: np.ndarray) -> np.ndarray:
+        a = np.atleast_2d(np.asarray(a_batch, dtype=np.float64))
+        return np.sum(np.abs(a - np.asarray(b_batch, dtype=np.float64)), axis=1)
+
 
 class ChebyshevMetric(Metric):
     """L∞ (maximum-coordinate) distance."""
@@ -112,3 +116,7 @@ class ChebyshevMetric(Metric):
         if batch.ndim == 1:
             batch = batch.reshape(1, -1)
         return np.max(np.abs(batch - np.asarray(a, dtype=np.float64)), axis=1)
+
+    def pair_distances(self, a_batch: np.ndarray, b_batch: np.ndarray) -> np.ndarray:
+        a = np.atleast_2d(np.asarray(a_batch, dtype=np.float64))
+        return np.max(np.abs(a - np.asarray(b_batch, dtype=np.float64)), axis=1)

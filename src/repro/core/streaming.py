@@ -35,17 +35,18 @@ labels through the center and summary indexes.  The labels are
 bit-identical to the dense-scan path — the index only changes which
 candidates reach the exact distance filter.
 
-The indexed passes are *epoch-batched* (PR 9): each chunk is probed
-once against the immutable chunk-start index snapshot in CSR form
-(:meth:`~repro.index.base.NeighborIndex.range_query_points_csr`), all
-candidate distances are evaluated in one flat
-``reduced_pair_distances`` call, and pass 1 then advances in epochs —
-the vectorized cumulative-count trick of the dense path applied to all
-rows up to the first new-center birth, one flat suffix-vs-new-center
+The indexed passes are *epoch-batched*: each chunk is probed once
+against the immutable chunk-start index snapshot in CSR form
+(:func:`probe_reduced`: one
+:meth:`~repro.index.base.NeighborIndex.range_query_points_csr` plus one
+flat ``reduced_pair_distances`` call), and pass 1 then advances in
+epochs (:func:`epoch_births`, shared with the windowed and decaying
+maintainers of :mod:`repro.core.windowed`) — all rows up to the first
+new-center birth are decided at once, one flat suffix-vs-new-center
 evaluation at the birth, repeat.  Per-element Python work happens only
 at center births (``O(|E|)`` times total, not ``O(n)``); pass 2's
 recount is one ``bincount`` over CSR ids per chunk and pass 3 is two
-CSR segment-argmin sweeps.  ``epoch_batched=False`` keeps the PR-3
+CSR segment-argmin sweeps.  ``epoch_batched=False`` keeps the
 per-element reference path; both produce bit-identical labels and
 identical distance-eval/candidate counters (pinned by
 ``tests/test_streaming_batched.py``).
@@ -62,20 +63,19 @@ completeness that Theorem 2's maximality argument needs while keeping
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import ClusteringResult
 from repro.index.base import NeighborIndex
-from repro.index.csr import segment_argmin
+from repro.index.csr import CSRQueryResult, segment_argmin
 from repro.index.registry import IndexSpec, build_dynamic_index, build_index
 from repro.metricspace.base import Metric
 from repro.metricspace.dataset import (
     CERTIFIED_BYTES_PER_ENTRY,
     GrowingMetricDataset,
     MetricDataset,
-    PayloadStore,
     rows_per_block,
 )
 from repro.metricspace.euclidean import EuclideanMetric
@@ -85,10 +85,6 @@ from repro.utils.timer import TimingBreakdown
 from repro.utils.validation import (
     check_epsilon, check_finite, check_min_pts, check_rho,
 )
-
-#: Backwards-compatible alias — the store now lives in
-#: :mod:`repro.metricspace.dataset` so the index layer can build over it.
-_PayloadStore = PayloadStore
 
 StreamFactory = Callable[[], Iterable[Any]]
 
@@ -114,8 +110,101 @@ def stream_chunks(stream: Iterable[Any], size_fn) -> Iterator[List[Any]]:
         yield chunk
 
 
-#: Backwards-compatible alias for the pre-public name.
-_stream_chunks = stream_chunks
+def _expand_rows(metric: Metric, payloads: Sequence[Any], rows_rep: np.ndarray) -> Any:
+    """Repeat query payloads along a CSR row-index expansion, so one
+    flat ``reduced_pair_distances`` call covers every (query,
+    candidate) pair of a batch."""
+    if metric.is_vector_metric:
+        return np.asarray(payloads)[rows_rep]
+    return [payloads[int(r)] for r in rows_rep]
+
+
+def probe_reduced(
+    metric: Metric,
+    index: NeighborIndex,
+    store: MetricDataset,
+    payloads: Sequence[Any],
+    radius: float,
+) -> Tuple[CSRQueryResult, np.ndarray]:
+    """One CSR range query of ``payloads`` against ``index`` (built over
+    ``store``) and one flat evaluation of every (query, candidate)
+    pair: the probe result and the reduced distances aligned with its
+    ``ids``."""
+    csr = index.range_query_points_csr(payloads, radius, with_distances=False)
+    if not csr.ids.size:
+        return csr, np.empty(0, dtype=np.float64)
+    red = metric.reduced_pair_distances(
+        _expand_rows(metric, payloads, csr.query_rows()), store.gather(csr.ids)
+    )
+    return csr, np.asarray(red, dtype=np.float64)
+
+
+def epoch_births(
+    metric: Metric,
+    chunk: List[Any],
+    best_red: np.ndarray,
+    red_r: float,
+    red_eps: float,
+    allocate: Callable[[int], int],
+    best_id: Optional[np.ndarray] = None,
+) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
+    """The center births of one chunk of arrivals, in epochs.
+
+    ``best_red`` holds each row's nearest reduced distance to the
+    centers of the chunk-start snapshot (``+inf`` for none) and
+    ``best_id``, when given, that center; both are updated in place.
+    The first row whose running nearest exceeds ``red_r`` is a birth:
+    ``allocate(row)`` stores it and returns its center id, and one
+    ``reduced_distance_many`` from it over the rows after it folds it
+    into the running minima (strict ``<``, so earlier centers win ties
+    exactly like an argmin over [snapshot..., births...]) and collects
+    its ε-hits.  The search resumes after the birth row.
+
+    Python work is O(#births), and the evaluated pairs are exactly
+    those of a per-arrival loop that checks each arrival against the
+    snapshot plus the chunk's earlier births.  Returns ``(birth_rows,
+    born_ids, hit_rows, hit_ids)``: the births in arrival order and
+    the births' ε-hits on later rows (flat, one block per birth).
+    """
+    n = len(chunk)
+    rows_all = np.asarray(chunk) if metric.is_vector_metric else chunk
+    birth_rows: List[int] = []
+    born: List[int] = []
+    # Kept as parts and concatenated once, never rescanned per epoch, so
+    # the loop stays O(#births) numpy calls even when nearly every
+    # arrival births a center (heavy-drift streams).
+    hit_rows: List[np.ndarray] = []
+    hit_ids: List[np.ndarray] = []
+    s = 0
+    while s < n:
+        viol = np.flatnonzero(best_red[s:] > red_r)
+        if not viol.size:
+            break
+        e = s + int(viol[0])  # birth row
+        j = allocate(e)
+        birth_rows.append(e)
+        born.append(j)
+        if e + 1 < n:
+            tail_red = np.asarray(
+                metric.reduced_distance_many(chunk[e], rows_all[e + 1 :]),
+                dtype=np.float64,
+            )
+            better = tail_red < best_red[e + 1 :]
+            best_red[e + 1 :][better] = tail_red[better]
+            if best_id is not None:
+                best_id[e + 1 :][better] = j
+            hr = np.flatnonzero(tail_red <= red_eps)
+            if hr.size:
+                hit_rows.append(hr + (e + 1))
+                hit_ids.append(np.full(hr.size, j, dtype=np.intp))
+        s = e + 1
+    empty = np.empty(0, dtype=np.intp)
+    return (
+        birth_rows,
+        born,
+        np.concatenate(hit_rows) if hit_rows else empty,
+        np.concatenate(hit_ids) if hit_ids else empty,
+    )
 
 
 class _GrowingCounts:
@@ -335,99 +424,52 @@ class StreamingApproxDBSCAN:
 
         is_vector = metric.is_vector_metric
 
-        def _expand_rows(payloads, rows_rep: np.ndarray):
-            """Repeat query payloads along a CSR row-index expansion so
-            one flat ``reduced_pair_distances`` call covers every
-            (query, candidate) pair of a chunk."""
-            if is_vector:
-                return np.asarray(payloads)[rows_rep]
-            return [payloads[int(r)] for r in rows_rep]
-
         def _pass1_epoch_chunk(chunk: List[Any]) -> List[int]:
             """Epoch-batched pass-1 step over one chunk.
 
-            One CSR probe against the chunk-start index snapshot, one
-            flat evaluation of every (row, snapshot candidate) pair,
-            then epochs: all rows up to the first net violation are
-            decided with the dense path's inclusive cumulative-count
-            trick (here in sparse form over the CSR hits), the violator
-            becomes a center, and only the remaining suffix is
-            evaluated against that one new center — so the total pair
-            evaluations, the candidate sets and every argmin
-            tie-break match the per-element ``_observe_candidates``
-            loop exactly, while Python-level work is O(#births).
+            One CSR probe against the chunk-start index snapshot and one
+            flat evaluation of every (row, snapshot candidate) pair seed
+            each row's running nearest center; :func:`epoch_births`
+            then walks the births, so the total pair evaluations, the
+            candidate sets and every argmin tie-break match the
+            per-element ``_observe_candidates`` loop exactly, while
+            Python-level work is O(#births).  The watch decisions
+            follow from the ε-hits with the dense path's inclusive
+            cumulative-count trick, in sparse form.
 
             Returns the ids of centers created inside the chunk.
             """
             n = len(chunk)
-            m0 = len(centers)
-            if m0:
-                csr = center_index.range_query_points_csr(
-                    chunk, probe_radius, with_distances=False
+            if len(centers):
+                csr, snap_red = probe_reduced(
+                    metric, center_index, centers, chunk, probe_radius
                 )
                 offsets, snap_ids = csr.offsets, csr.ids
+                snap_rows = csr.query_rows()
             else:
                 offsets = np.zeros(n + 1, dtype=np.intp)
-                snap_ids = np.empty(0, dtype=np.intp)
-            counts = np.diff(offsets)
-            rows_rep = np.repeat(np.arange(n, dtype=np.intp), counts)
-            if snap_ids.size:
-                snap_red = np.asarray(
-                    metric.reduced_pair_distances(
-                        _expand_rows(chunk, rows_rep), centers.gather(snap_ids)
-                    ),
-                    dtype=np.float64,
-                )
-            else:
+                snap_ids = snap_rows = np.empty(0, dtype=np.intp)
                 snap_red = np.empty(0, dtype=np.float64)
             within_snap = snap_red <= red_eps
-            # Running per-row best (reduced distance, candidate id) —
-            # snapshot argmin first, then each new center folds in with
-            # a strict ``<`` so earlier candidates win ties, exactly
-            # like argmin over [snapshot..., fresh...] concatenation.
+            # Running per-row best (reduced distance, candidate id),
+            # snapshot argmin first.
             arg, best_red = segment_argmin(snap_red, offsets)
             best_cand = np.full(n, -1, dtype=np.intp)
             has = arg >= 0
             best_cand[has] = snap_ids[arg[has]]
-            chunk_arr = np.asarray(chunk) if is_vector else None
 
-            fresh: List[int] = []  # centers created mid-chunk
-            birth_rows: List[int] = []
-            # Flat (row, center) ε-hit pairs: the snapshot block up
-            # front, one tail block appended per birth.  Kept as parts
-            # and concatenated once — never rescanned per epoch, so the
-            # loop below stays O(#births) numpy calls even when nearly
-            # every arrival births a center (heavy-drift streams).
-            hit_rows_parts: List[np.ndarray] = [rows_rep[within_snap]]
-            hit_cand_parts: List[np.ndarray] = [snap_ids[within_snap]]
-            s = 0
-            while s < n:
-                viol = np.flatnonzero(best_red[s:] > red_r)
-                if not viol.size:
-                    break
-                e = s + int(viol[0])  # birth row
-                j = centers.append(chunk[e])
+            def allocate(row: int) -> int:
+                j = centers.append(chunk[row])
                 detected.append(1)  # the center counts itself
-                fresh.append(j)
-                birth_rows.append(e)
-                if e + 1 < n:
-                    tail = (
-                        chunk_arr[e + 1 :] if is_vector else chunk[e + 1 :]
-                    )
-                    tail_red = np.asarray(
-                        metric.reduced_distance_many(chunk[e], tail),
-                        dtype=np.float64,
-                    )
-                    better = tail_red < best_red[e + 1 :]
-                    best_red[e + 1 :][better] = tail_red[better]
-                    best_cand[e + 1 :][better] = j
-                    hr = np.flatnonzero(tail_red <= red_eps)
-                    if hr.size:
-                        hit_rows_parts.append(hr + (e + 1))
-                        hit_cand_parts.append(
-                            np.full(hr.size, j, dtype=np.intp)
-                        )
-                s = e + 1
+                return j
+
+            birth_rows, fresh, tail_rows, tail_ids = epoch_births(
+                metric, chunk, best_red, red_r, red_eps, allocate, best_cand
+            )
+            # Flat (row, center) ε-hit pairs: the snapshot block, then
+            # the births' tail blocks.
+            hit_rows = np.concatenate([snap_rows[within_snap], tail_rows])
+            hit_cand = np.concatenate([snap_ids[within_snap], tail_ids])
 
             # Watch decisions, deferred to one global computation: the
             # per-element inclusive arrival-time count for row ``r`` is
@@ -439,8 +481,6 @@ class StreamingApproxDBSCAN:
             # cumulative-count trick).  ``det`` here already carries the
             # fresh centers' self-counts (appended above) but none of
             # this chunk's hits — exactly the chunk-start state.
-            hit_rows = np.concatenate(hit_rows_parts)
-            hit_cand = np.concatenate(hit_cand_parts)
             det = detected.view()
             is_birth = np.zeros(n, dtype=bool)
             is_birth[birth_rows] = True
@@ -485,7 +525,7 @@ class StreamingApproxDBSCAN:
         def _pass1_chunks() -> Iterator[List[Any]]:
             """Pass 1 reads the stream first, so it screens every chunk
             for NaN/inf coordinates before any state changes."""
-            for chunk in _stream_chunks(
+            for chunk in stream_chunks(
                 stream_factory(), lambda: rows_per_block(max(1, len(centers)))
             ):
                 if is_vector:
@@ -580,7 +620,7 @@ class StreamingApproxDBSCAN:
                         _index_spec(), watch, radius_hint=eps
                     )
                     if self.epoch_batched:
-                        for chunk in _stream_chunks(
+                        for chunk in stream_chunks(
                             stream_factory(), lambda: rows_per_block(len(watch))
                         ):
                             csr = watch_index.range_query_points_csr(
@@ -591,7 +631,7 @@ class StreamingApproxDBSCAN:
                                     csr.ids, minlength=len(watch)
                                 )
                     else:
-                        for chunk in _stream_chunks(
+                        for chunk in stream_chunks(
                             stream_factory(), lambda: rows_per_block(len(watch))
                         ):
                             for ids, _ in watch_index.range_query_points(
@@ -600,7 +640,7 @@ class StreamingApproxDBSCAN:
                                 exact_counts[ids] += 1
                 else:
                     watch_view = watch.view()
-                    for chunk in _stream_chunks(
+                    for chunk in stream_chunks(
                         stream_factory(), lambda: rows_per_block(len(watch))
                     ):
                         # Pass-2 only counts ``<= eps`` hits, so the
@@ -660,7 +700,7 @@ class StreamingApproxDBSCAN:
             offset = 0
             summary_view = summary_payloads.view()
             centers_view = centers.view()
-            for chunk in _stream_chunks(
+            for chunk in stream_chunks(
                 stream_factory(),
                 lambda: rows_per_block(max(1, m_centers + len(summary_payloads))),
             ):
@@ -673,19 +713,8 @@ class StreamingApproxDBSCAN:
                     # whose nearest in-r̄ center is not core fall to an
                     # identical CSR sweep over the summary index.
                     if center_index is not None:
-                        csr = center_index.range_query_points_csr(
-                            chunk, self.r_bar, with_distances=False
-                        )
-                        red_flat = (
-                            np.asarray(
-                                metric.reduced_pair_distances(
-                                    _expand_rows(chunk, csr.query_rows()),
-                                    centers.gather(csr.ids),
-                                ),
-                                dtype=np.float64,
-                            )
-                            if csr.ids.size
-                            else np.empty(0, dtype=np.float64)
+                        csr, red_flat = probe_reduced(
+                            metric, center_index, centers, chunk, self.r_bar
                         )
                         arg, _unused = segment_argmin(red_flat, csr.offsets)
                         covered = np.flatnonzero(arg >= 0)
@@ -701,23 +730,9 @@ class StreamingApproxDBSCAN:
                     else:
                         rest_rows = np.arange(len(chunk), dtype=np.intp)
                     if rest_rows.size and summary_index is not None:
-                        rest_payloads = [chunk[int(i)] for i in rest_rows]
-                        scsr = summary_index.range_query_points_csr(
-                            rest_payloads, fallback_radius,
-                            with_distances=False,
-                        )
-                        sred = (
-                            np.asarray(
-                                metric.reduced_pair_distances(
-                                    _expand_rows(
-                                        rest_payloads, scsr.query_rows()
-                                    ),
-                                    summary_payloads.gather(scsr.ids),
-                                ),
-                                dtype=np.float64,
-                            )
-                            if scsr.ids.size
-                            else np.empty(0, dtype=np.float64)
+                        scsr, sred = probe_reduced(
+                            metric, summary_index, summary_payloads,
+                            [chunk[int(i)] for i in rest_rows], fallback_radius,
                         )
                         sarg, _unused = segment_argmin(sred, scsr.offsets)
                         shas = np.flatnonzero(sarg >= 0)

@@ -10,7 +10,7 @@ principled forgetting variants on top of the same net machinery:
   the buckets covering the most recent ``window`` points are live.
   Every live center keeps its ε-ball count **per contributing bucket**,
   so when a bucket expires its contribution is subtracted exactly —
-  deletion costs ``O(#live centers)`` per bucket, never a rescan.
+  deletion never rescans the stream.
 - :class:`DecayingApproxDBSCAN` — per-point TTL (an expiry wheel keyed
   by arrival tick; every arrival's influence disappears exactly
   ``ttl`` arrivals later) or DBStream-style exponential decay
@@ -28,6 +28,34 @@ still tombstoned inside a :class:`~repro.index.base.DynamicIndexWrapper`
 are quarantined, not recycled, until the wrapper compacts: recycling
 would overwrite a payload the wrapped structure still references.
 
+**Epoch ingestion.**  Arrivals are ingested a chunk at a time with the
+loop streaming pass 1 runs (:func:`repro.core.streaming.epoch_births`).
+A chunk takes one snapshot of the live centers (one dense reduced
+block, or one CSR probe plus one flat pair evaluation); the first row
+whose running nearest reduced distance exceeds ``r̄`` becomes a center
+in a free slot, and one distance call over the rows after it updates
+the running minima and collects that center's ε-hits.  Python work
+happens only at births.  The chunk's ε-hits, plus each birth's
+self-hit, are then registered in one bulk call, and its new centers
+enter the index with one ``insert_batch``.
+
+**No release inside a chunk.**  Windowed chunks stop at bucket
+boundaries; TTL chunks stop before the next scheduled center death and
+take at most ``ttl`` rows, so a center born in a chunk cannot die in
+it; decay chunks stop before the next prune tick.  The chunk-start
+snapshot therefore holds for every row, and every read, slot
+assignment, count and weight equals the per-arrival loop's
+(``tests/test_windowed_ingest.py`` keeps that loop as the oracle).
+
+**Count storage.**  The windowed model keeps one int64 ring of
+``slots × n_buckets`` counts: a chunk's hits are one ``bincount`` onto
+the current bucket's column, an expired bucket zeroes its column, a
+released slot's row is zeroed, and the core test is one row sum.  TTL
+and decay keep per-center state (expiry counts, a lazily decayed
+weight) and apply a chunk's hits in arrival order, so weights follow
+the per-arrival float sequence.  TTL hit expiries falling inside a
+chunk only change counts and are applied when the chunk starts.
+
 Deviation from the batch Algorithm 2 (documented, heuristic): the
 summary holds only core *centers* — the per-sphere core-member
 refinement (``M`` in Algorithm 3) is not maintained under deletion, so
@@ -43,13 +71,15 @@ payloads — independent of the stream length, like Theorem 4.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.streaming import stream_chunks
+from repro.core.streaming import epoch_births, probe_reduced, stream_chunks
 from repro.index.base import NeighborIndex
+from repro.index.csr import in_sorted, segment_argmin
 from repro.index.registry import IndexSpec, build_dynamic_index
 from repro.metricspace.base import Metric
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
@@ -62,34 +92,22 @@ from repro.utils.validation import (
 )
 
 
-class _LiveCenter:
-    """A net center with per-bucket ε-ball count contributions."""
-
-    __slots__ = ("payload", "bucket", "contributions")
-
-    def __init__(self, payload: Any, bucket: int) -> None:
-        self.payload = payload
-        self.bucket = bucket  # bucket that created (and will expire) it
-        self.contributions: Dict[int, int] = {}
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.contributions.values())
-
-    def add(self, bucket: int) -> None:
-        self.contributions[bucket] = self.contributions.get(bucket, 0) + 1
-
-    def expire(self, bucket: int) -> None:
-        self.contributions.pop(bucket, None)
+def _fit_rows(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr`` with room for at least ``n`` rows (zero-filled growth,
+    capacity doubling)."""
+    if arr.shape[0] >= n:
+        return arr
+    grown = np.zeros((max(n, 2 * arr.shape[0]),) + arr.shape[1:], dtype=arr.dtype)
+    grown[: arr.shape[0]] = arr
+    return grown
 
 
 class _TTLCenter:
     """A net center whose ε-ball count expires per contributing tick."""
 
-    __slots__ = ("payload", "count", "expiries")
+    __slots__ = ("count", "expiries")
 
-    def __init__(self, payload: Any) -> None:
-        self.payload = payload
+    def __init__(self) -> None:
         self.count = 0
         #: expiry tick -> number of contributions disappearing then.
         self.expiries: Dict[int, int] = {}
@@ -98,10 +116,9 @@ class _TTLCenter:
 class _DecayCenter:
     """A net center with a lazily decayed exponential weight."""
 
-    __slots__ = ("payload", "weight", "tick")
+    __slots__ = ("weight", "tick")
 
-    def __init__(self, payload: Any, tick: int) -> None:
-        self.payload = payload
+    def __init__(self, tick: int) -> None:
         self.weight = 0.0
         self.tick = tick  # tick of the last weight update
 
@@ -118,24 +135,19 @@ class _DecayCenter:
 
 
 class _CenterStoreBase:
-    """Shared slot store, index maintenance and cluster view for the
-    forgetting maintainers.
+    """Shared slot store, epoch ingestion, index maintenance and cluster
+    view for the forgetting maintainers.
 
-    Subclasses supply the forgetting policy through four hooks:
-    ``_pre_arrival`` (advance time, expire state), ``_post_arrival``,
-    ``_new_center`` / ``_register_hit`` / ``_register_new`` (how an
-    arrival's influence is recorded) and ``_is_core``.  Everything else
-    — the ε/r̄ arrival decision, chunked batch insertion, slot
-    recycling with tombstone quarantine, delete-vs-rebuild eviction and
-    the ``(1+ρ)ε`` core-center merge — lives here and is byte-identical
-    across policies.
+    Subclasses supply the forgetting policy through hooks:
+    ``_chunk_limit`` (rows the next chunk may take without a release
+    inside it), ``_begin_chunk`` (expire what is due — the chunk's only
+    releases), ``_end_chunk``, ``_new_center`` / ``_forget`` (a slot's
+    life cycle), ``_register_hits`` (a chunk's ε-hits as arrays in
+    arrival order) and ``_core_mask``.  Everything else — the ε/r̄
+    arrival decision, slot recycling with tombstone quarantine,
+    delete-vs-rebuild eviction and the ``(1+ρ)ε`` core-center merge —
+    lives here and is byte-identical across policies.
     """
-
-    #: Subclasses whose ``_pre_arrival`` can release slots *inside* an
-    #: ``insert_many`` chunk set this so the chunk-start snapshot is
-    #: re-validated per arrival.  The windowed policy sizes chunks to
-    #: never cross a bucket boundary, so it keeps the cheap path.
-    _mid_chunk_releases = False
 
     def __init__(
         self,
@@ -154,14 +166,16 @@ class _CenterStoreBase:
         # Threshold tests run in the metric's reduced space.
         self._red_eps = self.metric.reduce_threshold(self.eps)
         self._red_r_bar = self.metric.reduce_threshold(self.r_bar)
+        self._predict_radius = (1.0 + self.rho / 2.0) * self.eps
+        self._red_predict = self.metric.reduce_threshold(self._predict_radius)
 
-        self._centers: List[Optional[Any]] = []
+        self._store = GrowingMetricDataset(self.metric)  # payload per slot
+        self._alive = np.zeros(16, dtype=bool)  # per slot
+        self._n_live = 0
         self._free_slots: List[int] = []
         #: Released slots whose ids a DynamicIndexWrapper still holds as
         #: tombstones; recycled only once the wrapper compacts.
         self._quarantined: List[int] = []
-        self._store = GrowingMetricDataset(self.metric)  # parallel payload buffer
-        self._slot_alive: List[bool] = []
         self.index = index
         self._index: Optional[NeighborIndex] = None
         self._probe_radius = max(self.eps, self.r_bar)
@@ -172,8 +186,12 @@ class _CenterStoreBase:
         #: Native ``delete_batch`` evictions performed.
         self.n_evict_deletes = 0
         self._n_seen = 0
+        # The cluster view, cached at refresh: core slots ascending,
+        # each slot's cluster (-1 unless core) and the cluster count.
         self._clusters_dirty = True
-        self._center_cluster: Dict[int, int] = {}
+        self._core_slots = np.empty(0, dtype=np.intp)
+        self._slot_cluster = np.empty(0, dtype=np.int64)
+        self._n_clusters = 0
         #: Cumulative instrumentation across the model's lifetime:
         #: every cluster refresh records a ``refresh_clusters`` phase
         #: with per-refresh counter deltas (store evals, index queries,
@@ -184,223 +202,139 @@ class _CenterStoreBase:
     # ------------------------------------------------------------------
     # Policy hooks
 
-    def _pre_arrival(self) -> None:
+    def _chunk_limit(self) -> int:
+        """Rows the next chunk may take so that no release falls inside
+        it (beyond the distance-block budget)."""
         raise NotImplementedError
 
-    def _post_arrival(self) -> None:
+    def _begin_chunk(self, n: int) -> None:
+        """Expire what is due while the next ``n`` arrivals are
+        processed; releases may happen only here."""
+        raise NotImplementedError
+
+    def _end_chunk(self, n: int) -> None:
         pass
 
-    def _new_center(self, payload: Any) -> Any:
+    def _new_center(self, slot: int, tick: int) -> None:
         raise NotImplementedError
 
-    def _register_hit(self, slot: int) -> None:
+    def _forget(self, slots: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _register_new(self, slot: int) -> None:
+    def _register_hits(self, ticks: np.ndarray, slots: np.ndarray) -> None:
+        """Record the ε-hits ``(ticks[k], slots[k])``, in arrival order."""
         raise NotImplementedError
 
-    def _is_core(self, slot: int) -> bool:
+    def _core_mask(self, slots: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _chunk_limit(self) -> int:
-        """Upper bound on the next ``insert_many`` chunk length (beyond
-        the distance-block budget)."""
-        return 4096
 
     # ------------------------------------------------------------------
     # Online maintenance
 
-    def _check_payloads(self, payloads: Any) -> None:
+    def _check_payloads(self, payloads: Any, what: str = "stream payloads") -> None:
         """Reject NaN/inf vector payloads before they touch any state."""
         if self.metric.is_vector_metric:
-            check_finite(payloads, "stream payloads")
+            check_finite(payloads, what)
 
     def insert(self, payload: Any) -> None:
-        """Process one stream arrival (and expire aged-out state)."""
-        self._check_payloads(payload)
-        self._pre_arrival()
-        if self.index is not None:
-            # Candidate centers from one range query; every center
-            # that could collect an ε-hit or cover within r̄ is a hit.
-            if self._index is not None:
-                hits = self._index.range_query_points(
-                    [payload], self._probe_radius, with_distances=False
-                )[0][0]
-                slots = [int(s) for s in hits]
-            else:
-                slots = []
-            red = (
-                self._reduced_to_slots(payload, slots)
-                if slots
-                else np.empty(0, dtype=np.float64)
-            )
-            self._apply_arrival(payload, slots, red)
-        else:
-            alive = self._alive_slots()
-            red = (
-                self._reduced_to_slots(payload, alive)
-                if alive
-                else np.empty(0, dtype=np.float64)
-            )
-            self._apply_arrival(payload, alive, red)
-        self._post_arrival()
+        """Process one stream arrival (``insert_many([payload])``)."""
+        self.insert_many([payload])
 
     def insert_many(self, payloads: Any) -> None:
-        """Process a sequence of arrivals with chunked batch distance
-        blocks.
+        """Process a sequence of arrivals, one epoch-batched chunk at a
+        time.
 
-        Equivalent to calling :meth:`insert` per element, but the
-        distances of a whole chunk against the live-center snapshot are
-        computed with one many-to-many ``cross`` block; only the rows
-        against centers created inside the same chunk fall back to
-        incremental one-to-many calls.
-
-        With an index configured the whole chunk is probed with one
-        CSR range query against the chunk-start index snapshot and the
-        candidate distances come from one flat
-        ``reduced_pair_distances`` call — same decisions as the
-        per-:meth:`insert` loop (centers allocated mid-chunk are
-        carried as explicit extra candidates, exactly like the dense
-        path), one query batch instead of one query per arrival.
-        Candidates that a mid-chunk release killed (or whose slot a new
-        center recycled) are dropped at decision time, so the snapshot
-        can never resurrect a forgotten center.
+        Each chunk first expires what is due (its only releases: chunks
+        are sized so that none falls inside them) and takes one
+        snapshot of the live centers — one dense reduced block, or
+        with an index one CSR range query plus one flat
+        ``reduced_pair_distances`` call.  :func:`epoch_births` then
+        walks the births: each becomes a center in a free slot, and one
+        distance call from it over the later rows of the chunk updates
+        their nearest distances and collects its ε-hits.  Finally the
+        chunk's ε-hits and births' self-hits are registered in one bulk
+        call and its new centers enter the index with one
+        ``insert_batch``.  Every read and every count equals a
+        per-arrival loop's.  A chunk with a NaN/inf payload is rejected
+        whole; earlier chunks stay ingested.
         """
-
-        def size_fn() -> int:
-            return min(
-                self._chunk_limit(),
-                max(1, rows_per_block(max(1, self.n_live_centers))),
-            )
-
-        empty = np.empty(0, dtype=np.float64)
-        for chunk in stream_chunks(payloads, size_fn):
-            # A chunk with a NaN/inf payload is rejected whole; earlier
-            # chunks stay ingested.
+        for chunk in stream_chunks(payloads, self._chunk_size):
             self._check_payloads(chunk)
-            self._pre_arrival()  # may expire state: snapshot after
-            csr = None
-            block: Optional[np.ndarray] = None
-            alive: List[int] = []
-            if self.index is not None:
-                if self._index is not None:
-                    csr = self._index.range_query_points_csr(
-                        chunk, self._probe_radius, with_distances=False
-                    )
-                    flat_red = (
-                        np.asarray(
-                            self.metric.reduced_pair_distances(
-                                self._expand_rows(chunk, csr.query_rows()),
-                                self._slot_batch(csr.ids),
-                            ),
-                            dtype=np.float64,
-                        )
-                        if csr.ids.size
-                        else empty
-                    )
-            else:
-                alive = self._alive_slots()
-                if alive:
-                    block = self.metric.reduced_cross(
-                        chunk, self._slot_batch(alive)
-                    )
-            new_slots: List[int] = []
-            new_set: set = set()
-            for i, payload in enumerate(chunk):
-                if i > 0:
-                    self._pre_arrival()
-                if csr is not None:
-                    lo, hi = int(csr.offsets[i]), int(csr.offsets[i + 1])
-                    slots = [int(s) for s in csr.ids[lo:hi]]
-                    red = flat_red[lo:hi]
-                elif block is not None:
-                    slots, red = alive, block[i]
-                else:
-                    slots, red = [], empty
-                if self._mid_chunk_releases and slots:
-                    keep = [
-                        j
-                        for j, s in enumerate(slots)
-                        if self._slot_alive[s] and s not in new_set
-                    ]
-                    if len(keep) != len(slots):
-                        slots = [slots[j] for j in keep]
-                        red = red[keep]
-                cand_new = new_slots
-                if self._mid_chunk_releases and new_slots:
-                    # Chunk-born centers can die (or their slot be
-                    # recycled by a later chunk-born center) before the
-                    # chunk ends; keep one live entry per slot.
-                    seen: set = set()
-                    cand_new = []
-                    for s in new_slots:
-                        if self._slot_alive[s] and s not in seen:
-                            cand_new.append(s)
-                            seen.add(s)
-                extra = (
-                    self._reduced_to_slots(payload, cand_new)
-                    if cand_new
-                    else None
-                )
-                slot = self._apply_arrival(payload, slots, red, cand_new, extra)
-                if slot is not None:
-                    new_slots.append(slot)
-                    new_set.add(slot)
-                self._post_arrival()
+            self._ingest_chunk(chunk)
 
-    def _apply_arrival(
-        self,
-        payload: Any,
-        alive: List[int],
-        red: np.ndarray,
-        extra_slots: Optional[List[int]] = None,
-        extra_red: Optional[np.ndarray] = None,
-    ) -> Optional[int]:
-        """Count ε-hits, then allocate a center when nothing is within
-        r̄.  Returns the new slot, if any."""
-        nearest_red = np.inf
-        for slots, values in ((alive, red), (extra_slots or [], extra_red)):
-            if not slots:
-                continue
-            for k in np.flatnonzero(values <= self._red_eps):
-                self._register_hit(slots[int(k)])
-            low = float(values.min())
-            nearest_red = min(nearest_red, low)
-        if nearest_red > self._red_r_bar:
-            slot = self._allocate(payload)
-            self._register_new(slot)
-            return slot
-        return None
+    def _chunk_size(self) -> int:
+        return min(self._chunk_limit(), rows_per_block(max(1, self._n_live)))
+
+    def _ingest_chunk(self, chunk: List[Any]) -> None:
+        n = len(chunk)
+        tick = self._n_seen  # tick of the chunk's first arrival
+        self._begin_chunk(n)
+        # Snapshot: every live center that could take an ε-hit or cover
+        # an arrival within r̄, with the reduced distances to it.
+        best = np.full(n, np.inf)
+        rows = slots = np.empty(0, dtype=np.intp)
+        if self._index is not None:
+            csr, red = probe_reduced(
+                self.metric, self._index, self._store, chunk, self._probe_radius
+            )
+            _, best = segment_argmin(red, csr.offsets)
+            within = red <= self._red_eps
+            rows, slots = csr.query_rows()[within], csr.ids[within]
+        elif self.index is None and self._n_live:
+            alive = self._alive_slots()
+            block = self.metric.reduced_cross(chunk, self._store.gather(alive))
+            best = block.min(axis=1)
+            rows, cols = np.nonzero(block <= self._red_eps)
+            slots = alive[cols]
+        birth_rows, born, tail_rows, tail_slots = epoch_births(
+            self.metric, chunk, best, self._red_r_bar, self._red_eps,
+            lambda row: self._allocate(chunk[row], tick + row),
+        )
+        self._n_seen += n
+        self._clusters_dirty = True
+        born_arr = np.asarray(born, dtype=np.intp)
+        rows = np.concatenate([rows, tail_rows, np.asarray(birth_rows, dtype=np.intp)])
+        slots = np.concatenate([slots, tail_slots, born_arr])
+        order = np.argsort(rows, kind="stable")
+        self._register_hits(tick + rows[order], slots[order])
+        if born_arr.size and self.index is not None:
+            self._index_births(born_arr)
+        self._end_chunk(n)
 
     # ------------------------------------------------------------------
     # Slot store + index maintenance
 
-    def _allocate(self, payload: Any) -> int:
-        center = self._new_center(payload)
+    def _allocate(self, payload: Any, tick: int) -> int:
+        """Store a new center in a free (or fresh) slot."""
         if not self._free_slots:
             self._reclaim_quarantined()
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._centers[slot] = center
-            self._slot_alive[slot] = True
             # Overwrite the payload row in place (recycled slot).  Safe:
             # releases always hit the index *before* the slot can reach
             # the free list, and tombstoned slots stay quarantined.
             self._store.set(slot, payload)
         else:
             slot = self._store.append(payload)
-            self._centers.append(center)
-            self._slot_alive.append(True)
-        if self.index is not None:
-            if self._index is None:
-                self._index = build_dynamic_index(
-                    self.index, self._store, indices=[slot],
-                    radius_hint=self._probe_radius,
-                    deletes=not self.evict_rebuild,
-                )
-            else:
-                self._index.insert(slot)
+            self._alive = _fit_rows(self._alive, slot + 1)
+        self._alive[slot] = True
+        self._n_live += 1
+        self._new_center(slot, tick)
         return slot
+
+    def _index_births(self, born: np.ndarray) -> None:
+        """One index insert for a chunk's new centers.  The first build
+        resolves the spec on a single center, exactly as an index grown
+        one center at a time."""
+        if self._index is None:
+            self._index = build_dynamic_index(
+                self.index, self._store, indices=born[:1],
+                radius_hint=self._probe_radius,
+                deletes=not self.evict_rebuild,
+            )
+            born = born[1:]
+        if born.size:
+            self._index.insert_batch(born)
 
     def _release_slots(self, slots: List[int]) -> None:
         """Forget the centers in ``slots``: mark dead, evict from the
@@ -408,16 +342,17 @@ class _CenterStoreBase:
         ``evict_rebuild``), and queue the slots for recycling."""
         if not slots:
             return
-        for slot in slots:
-            self._slot_alive[slot] = False
-            self._centers[slot] = None
+        dead = np.asarray(slots, dtype=np.intp)
+        self._alive[dead] = False
+        self._n_live -= dead.size
+        self._forget(dead)
         if self.index is None or self._index is None:
             self._free_slots.extend(slots)
             return
         with self.timings.phase("evict_index"):
             if self.evict_rebuild:
                 alive = self._alive_slots()
-                if alive:
+                if alive.size:
                     self._index = build_dynamic_index(
                         self.index, self._store, indices=alive,
                         radius_hint=self._probe_radius,
@@ -427,7 +362,7 @@ class _CenterStoreBase:
                     self._index = None
                 self._free_slots.extend(slots)
             else:
-                self._index.delete_batch(np.asarray(sorted(slots), dtype=np.intp))
+                self._index.delete_batch(np.sort(dead))
                 self.n_evict_deletes += 1
                 if self._index.n_stored == 0:
                     self._index = None
@@ -449,31 +384,12 @@ class _CenterStoreBase:
             self._quarantined.clear()
             return
         q = np.asarray(self._quarantined, dtype=np.intp)
-        blocked = np.isin(q, tombs)
-        self._free_slots.extend(int(s) for s in q[~blocked])
-        self._quarantined = [int(s) for s in q[blocked]]
+        blocked = in_sorted(q, tombs)
+        self._free_slots.extend(q[~blocked].tolist())
+        self._quarantined = q[blocked].tolist()
 
-    def _alive_slots(self) -> List[int]:
-        return [s for s, alive in enumerate(self._slot_alive) if alive]
-
-    def _distances_to_slots(self, payload: Any, slots: List[int]) -> np.ndarray:
-        return self.metric.distance_many(payload, self._slot_batch(slots))
-
-    def _reduced_to_slots(self, payload: Any, slots: List[int]) -> np.ndarray:
-        return self.metric.reduced_distance_many(payload, self._slot_batch(slots))
-
-    def _slot_batch(self, slots) -> Any:
-        view = self._store.view()
-        if self.metric.is_vector_metric:
-            return view[np.asarray(slots, dtype=np.intp)]
-        return [view[s] for s in slots]
-
-    def _expand_rows(self, chunk, rows_rep: np.ndarray) -> Any:
-        """Repeat chunk payloads along a CSR row expansion (flat query
-        side of ``reduced_pair_distances``)."""
-        if self.metric.is_vector_metric:
-            return np.asarray(chunk)[rows_rep]
-        return [chunk[int(r)] for r in rows_rep]
+    def _alive_slots(self) -> np.ndarray:
+        return np.flatnonzero(self._alive[: len(self._store)])
 
     # ------------------------------------------------------------------
     # Query side
@@ -493,79 +409,80 @@ class _CenterStoreBase:
 
     def _refresh_clusters_inner(self) -> None:
         alive = self._alive_slots()
-        core = [s for s in alive if self._is_core(s)]
+        core = alive[self._core_mask(alive)]
         threshold = (1.0 + self.rho) * self.eps
         rows = cols = np.empty(0, dtype=np.int64)
-        if len(core) > 1 and self._index is not None:
+        if core.size > 1 and self._index is not None:
             # One CSR range query over all core centers; non-core hits
             # map to -1 and the upper-triangle mask drops them together
             # with the duplicate edge direction — the same edge set as
             # the dense block, with no per-hit Python loop.
-            core_arr = np.asarray(core, dtype=np.intp)
             csr = self._index.range_query_batch_csr(
-                core_arr, threshold, with_distances=False
+                core, threshold, with_distances=False
             )
-            pos_of = np.full(len(self._centers), -1, dtype=np.int64)
-            pos_of[core_arr] = np.arange(len(core))
+            pos_of = np.full(len(self._store), -1, dtype=np.int64)
+            pos_of[core] = np.arange(core.size)
             rows = csr.query_rows()
             mapped = pos_of[csr.ids]
             upper = mapped > rows
             rows, cols = rows[upper], mapped[upper]
-        elif len(core) > 1:
+        elif core.size > 1:
             # One certified decision block over the core centers
             # replaces the per-center sweep — the merge needs only the
             # ``<= threshold`` verdicts.
-            batch = self._slot_batch(core)
+            batch = self._store.gather(core)
             mask = self.metric.cross_certified(batch, batch, threshold)
             rows, cols = np.nonzero(np.triu(mask, 1))
-        labels = component_labels(len(core), rows, cols)
-        self._center_cluster = dict(zip(core, labels.tolist()))
+        labels = component_labels(core.size, rows, cols)
+        self._core_slots = core
+        self._slot_cluster = np.full(len(self._store), -1, dtype=np.int64)
+        self._slot_cluster[core] = labels
+        self._n_clusters = int(labels.max()) + 1 if labels.size else 0
         self._clusters_dirty = False
 
     def predict(self, payload: Any) -> int:
         """Cluster id for a query point against the current view.
 
         Returns the cluster of the nearest live *core* center within
-        ``(1 + ρ/2)ε``, else ``-1`` (noise / forgotten region).
+        ``(1 + ρ/2)ε``, else ``-1`` (noise / forgotten region).  A NaN
+        or infinite vector query raises ``ValueError``.
         """
+        self._check_payloads(payload, "query payloads")
         self._refresh_clusters()
-        core_slots = list(self._center_cluster)
-        if not core_slots:
+        if not self._core_slots.size:
             return -1
-        radius = (1.0 + self.rho / 2.0) * self.eps
         if self._index is not None:
+            # Every hit is within the radius already; keep the core ones.
             hits = self._index.range_query_points(
-                [payload], radius, with_distances=False
+                [payload], self._predict_radius, with_distances=False
             )[0][0]
-            cand = [int(s) for s in hits if int(s) in self._center_cluster]
-            if not cand:
+            cand = hits[self._slot_cluster[hits] >= 0]
+            if not cand.size:
                 return -1
-            red = self._reduced_to_slots(payload, cand)
-            return self._center_cluster[cand[int(np.argmin(red))]]
-        red = self._reduced_to_slots(payload, core_slots)
+            red = self.metric.reduced_distance_many(payload, self._store.gather(cand))
+            return int(self._slot_cluster[cand[int(np.argmin(red))]])
+        core = self._core_slots
+        red = self.metric.reduced_distance_many(payload, self._store.gather(core))
         pos = int(np.argmin(red))
-        red_radius = self.metric.reduce_threshold(radius)
-        if float(red[pos]) <= red_radius:
-            return self._center_cluster[core_slots[pos]]
+        if float(red[pos]) <= self._red_predict:
+            return int(self._slot_cluster[core[pos]])
         return -1
 
     @property
     def n_clusters(self) -> int:
         """Number of clusters in the current view."""
         self._refresh_clusters()
-        if not self._center_cluster:
-            return 0
-        return len(set(self._center_cluster.values()))
+        return self._n_clusters
 
     @property
     def n_live_centers(self) -> int:
         """Live net centers (the memory footprint driver)."""
-        return sum(self._slot_alive)
+        return self._n_live
 
     @property
     def memory_points(self) -> int:
         """Stored payload slots (live + recyclable)."""
-        return len(self._centers)
+        return len(self._store)
 
     @property
     def n_seen(self) -> int:
@@ -591,11 +508,11 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
     index:
         Optional :mod:`repro.index` backend spec.  When set, a dynamic
         index over the live-center store answers every arrival /
-        predict / cluster-refresh probe as a range query: new centers
-        are inserted as they are allocated, and bucket expiry evicts
-        the expired slots with one native ``delete_batch`` — no
-        rebuild.  Clustering output is identical to the dense-scan
-        path.
+        predict / cluster-refresh probe as a range query: each chunk's
+        new centers are inserted with one ``insert_batch``, and bucket
+        expiry evicts the expired slots with one native
+        ``delete_batch`` — no rebuild.  Clustering output is identical
+        to the dense-scan path.
     evict_rebuild:
         A/B switch: ``True`` restores the rebuild-on-expiry eviction
         strategy (one full index rebuild over the survivors per expired
@@ -638,50 +555,51 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
         self._bucket_centers: Dict[int, List[int]] = {}
         self._current_bucket = 0
         self._in_bucket = 0
+        #: ε-ball counts per slot and live bucket: bucket ``b`` owns
+        #: column ``b % n_buckets`` (the ring reuses the expired one).
+        self._counts = np.zeros((16, self.n_buckets), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Policy hooks
 
-    def _pre_arrival(self) -> None:
+    def _chunk_limit(self) -> int:
+        # Chunks never span a bucket boundary, so expiry can only run
+        # at chunk start.
+        return self.bucket_size - self._in_bucket
+
+    def _begin_chunk(self, n: int) -> None:
         if self._in_bucket == 0:
             self._live_buckets.append(self._current_bucket)
             self._bucket_centers[self._current_bucket] = []
             while len(self._live_buckets) > self.n_buckets:
                 self._expire_bucket(self._live_buckets.popleft())
-        self._n_seen += 1
-        self._in_bucket += 1
-        self._clusters_dirty = True
 
-    def _post_arrival(self) -> None:
+    def _end_chunk(self, n: int) -> None:
+        self._in_bucket += n
         if self._in_bucket >= self.bucket_size:
             self._current_bucket += 1
             self._in_bucket = 0
 
-    def _chunk_limit(self) -> int:
-        # Chunks never span a bucket boundary, so expiry can only run
-        # at chunk start and the chunk snapshot stays valid throughout.
-        return self.bucket_size - self._in_bucket
-
-    def _new_center(self, payload: Any) -> _LiveCenter:
-        return _LiveCenter(payload, self._current_bucket)
-
-    def _register_hit(self, slot: int) -> None:
-        self._centers[slot].add(self._current_bucket)
-
-    def _register_new(self, slot: int) -> None:
-        self._centers[slot].add(self._current_bucket)
+    def _new_center(self, slot: int, tick: int) -> None:
+        self._counts = _fit_rows(self._counts, slot + 1)
         self._bucket_centers[self._current_bucket].append(slot)
 
-    def _is_core(self, slot: int) -> bool:
-        return self._centers[slot].total_count >= self.min_pts
+    def _forget(self, slots: np.ndarray) -> None:
+        self._counts[slots] = 0
+
+    def _register_hits(self, ticks: np.ndarray, slots: np.ndarray) -> None:
+        per_slot = np.bincount(slots)
+        self._counts[: per_slot.size, self._current_bucket % self.n_buckets] += per_slot
+
+    def _core_mask(self, slots: np.ndarray) -> np.ndarray:
+        return self._counts[slots].sum(axis=1) >= self.min_pts
 
     # ------------------------------------------------------------------
     # Expiry
 
     def _expire_bucket(self, bucket: int) -> None:
         self._release_slots(self._bucket_centers.pop(bucket, []))
-        for slot in self._alive_slots():
-            self._centers[slot].expire(bucket)
+        self._counts[:, bucket % self.n_buckets] = 0
 
 
 class DecayingApproxDBSCAN(_CenterStoreBase):
@@ -708,8 +626,6 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
     neighbor index, including native ``delete_batch`` eviction
     (``evict_rebuild=True`` for the rebuild A/B).
     """
-
-    _mid_chunk_releases = True  # wheel/pruning can fire inside a chunk
 
     def __init__(
         self,
@@ -752,11 +668,14 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
             raise ValueError(
                 f"prune_interval must be >= 1, got {self.prune_interval}"
             )
+        #: Per slot: the center's TTL or decay state (None once dead).
+        self._state: List[Any] = []
         #: tick -> slots with an ε-hit contribution expiring then.
         self._hit_wheel: Dict[int, List[int]] = {}
         #: tick -> slots whose creating arrival expires then (center dies).
         self._death_wheel: Dict[int, List[int]] = {}
-        self._tick_now = 0
+        #: Min-heap of the death wheel's ticks (with stale entries).
+        self._death_ticks: List[int] = []
         self._arrival_ttl = self.ttl
         self._ttl_override: Optional[int] = None
 
@@ -780,62 +699,86 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
         try:
             super().insert(payload)
         finally:
-            # ``_pre_arrival`` consumes the override; a rejected payload
+            # ``_begin_chunk`` consumes the override; a rejected payload
             # must not leave it behind for the next arrival.
             self._ttl_override = None
 
-    def _pre_arrival(self) -> None:
-        tick = self._n_seen  # 0-based tick of the arrival being processed
-        self._tick_now = tick
-        if self.ttl is not None:
-            # Ticks advance one by one, so popping exactly this tick
-            # drains every due entry.  Stale wheel rows for recycled
-            # slots are harmless: the new occupant's own expiries are
-            # keyed by *its* ticks and ``pop(tick, 0)`` double-drains
-            # to zero.
-            for slot in self._hit_wheel.pop(tick, ()):
-                center = self._centers[slot]
-                if center is not None:
-                    center.count -= center.expiries.pop(tick, 0)
-            dead = [
-                s for s in self._death_wheel.pop(tick, ()) if self._slot_alive[s]
-            ]
-            self._release_slots(dead)
-        elif self._n_seen and self._n_seen % self.prune_interval == 0:
-            self._prune_weak()
+    def _chunk_limit(self) -> int:
+        tick = self._n_seen  # tick of the next chunk's first arrival
+        if self.ttl is None:
+            # Stop before the next prune tick (a multiple of the interval).
+            return self.prune_interval - tick % self.prune_interval
+        # Stop before the next scheduled death after ``tick`` (deaths at
+        # ``tick`` itself run at chunk start), and take at most ``ttl``
+        # rows so a center born in the chunk cannot die inside it.
+        heap = self._death_ticks
+        while heap and heap[0] <= tick:
+            heapq.heappop(heap)
+        return min(self.ttl, heap[0] - tick) if heap else self.ttl
+
+    def _begin_chunk(self, n: int) -> None:
+        tick = self._n_seen
         self._arrival_ttl = (
             self._ttl_override if self._ttl_override is not None else self.ttl
         )
         self._ttl_override = None
-        self._n_seen += 1
-        self._clusters_dirty = True
-
-    def _new_center(self, payload: Any) -> Any:
         if self.ttl is not None:
-            return _TTLCenter(payload)
-        return _DecayCenter(payload, self._tick_now)
+            # Hit expiries due during the chunk only change counts, and
+            # none of the chunk's own hits expires inside it, so they
+            # all apply now.  Stale wheel rows of released slots find no
+            # center (or a recycled one, whose expiries are keyed by
+            # *its* ticks: ``pop(t, 0)`` drains them to zero).
+            for t in range(tick, tick + n):
+                for slot in self._hit_wheel.pop(t, ()):
+                    center = self._state[slot]
+                    if center is not None:
+                        center.count -= center.expiries.pop(t, 0)
+            dead = [s for s in self._death_wheel.pop(tick, ()) if self._alive[s]]
+            self._release_slots(dead)
+        elif tick and tick % self.prune_interval == 0:
+            self._prune_weak()
 
-    def _register_hit(self, slot: int) -> None:
-        center = self._centers[slot]
+    def _new_center(self, slot: int, tick: int) -> None:
         if self.ttl is not None:
+            center: Any = _TTLCenter()
+            expiry = tick + self._arrival_ttl
+            self._death_wheel.setdefault(expiry, []).append(slot)
+            heapq.heappush(self._death_ticks, expiry)
+        else:
+            center = _DecayCenter(tick)
+        if slot == len(self._state):
+            self._state.append(center)
+        else:
+            self._state[slot] = center
+
+    def _forget(self, slots: np.ndarray) -> None:
+        for slot in slots.tolist():
+            self._state[slot] = None
+
+    def _register_hits(self, ticks: np.ndarray, slots: np.ndarray) -> None:
+        state = self._state
+        if self.ttl is None:
+            for tick, slot in zip(ticks.tolist(), slots.tolist()):
+                state[slot].hit(tick, self.decay)
+            return
+        for tick, slot in zip(ticks.tolist(), slots.tolist()):
+            center = state[slot]
             center.count += 1
-            expiry = self._tick_now + self._arrival_ttl
+            expiry = tick + self._arrival_ttl
             center.expiries[expiry] = center.expiries.get(expiry, 0) + 1
             self._hit_wheel.setdefault(expiry, []).append(slot)
+
+    def _core_mask(self, slots: np.ndarray) -> np.ndarray:
+        state = self._state
+        if self.ttl is not None:
+            core = (state[s].count >= self.min_pts for s in slots.tolist())
         else:
-            center.hit(self._tick_now, self.decay)
-
-    def _register_new(self, slot: int) -> None:
-        self._register_hit(slot)  # the creating arrival's self-hit
-        if self.ttl is not None:
-            expiry = self._tick_now + self._arrival_ttl
-            self._death_wheel.setdefault(expiry, []).append(slot)
-
-    def _is_core(self, slot: int) -> bool:
-        center = self._centers[slot]
-        if self.ttl is not None:
-            return center.count >= self.min_pts
-        return center.weight_at(self._query_tick, self.decay) >= self.min_weight
+            tick = self._query_tick
+            core = (
+                state[s].weight_at(tick, self.decay) >= self.min_weight
+                for s in slots.tolist()
+            )
+        return np.fromiter(core, dtype=bool, count=slots.size)
 
     @property
     def _query_tick(self) -> int:
@@ -847,7 +790,7 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
         tick = self._n_seen  # weight as of the arrival about to process
         dead = [
             s
-            for s in self._alive_slots()
-            if self._centers[s].weight_at(tick, self.decay) < self.prune_weight
+            for s in self._alive_slots().tolist()
+            if self._state[s].weight_at(tick, self.decay) < self.prune_weight
         ]
         self._release_slots(dead)

@@ -28,6 +28,7 @@ __all__ = [
     "CSRQueryResult",
     "csr_from_parts",
     "csr_from_rows",
+    "in_sorted",
     "segment_argmin",
 ]
 
@@ -200,6 +201,15 @@ def csr_from_rows(
         else None
     )
     return CSRQueryResult(offsets, ids, dists)
+
+
+def in_sorted(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Membership of each of ``values`` in the sorted array ``pool`` by
+    binary search (``np.isin`` sorts or tables both sides per call)."""
+    if pool.size == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    at = np.minimum(np.searchsorted(pool, values), pool.size - 1)
+    return pool[at] == values
 
 
 def segment_argmin(

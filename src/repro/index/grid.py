@@ -69,7 +69,7 @@ from repro.index.base import (
     check_k,
     check_radii,
 )
-from repro.index.csr import csr_from_parts
+from repro.index.csr import csr_from_parts, in_sorted
 from repro.metricspace.base import Metric
 from repro.metricspace.counting import unwrap
 from repro.metricspace.cosine import CosineMetric
@@ -103,15 +103,6 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     table needs."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
-
-
-def _in_sorted(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Membership of each of ``values`` in the sorted array ``pool`` by
-    binary search (``np.isin`` sorts or tables both sides per call)."""
-    if pool.size == 0:
-        return np.zeros(np.shape(values), dtype=bool)
-    at = np.minimum(np.searchsorted(pool, values), pool.size - 1)
-    return pool[at] == values
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -353,7 +344,7 @@ class GridIndex(NeighborIndex):
     def _delete(self, removed: np.ndarray) -> None:
         """Drop the removed ids' rows.  The stored rows locate them, so
         deletion never reads (possibly recycled) payloads."""
-        keep = ~_in_sorted(self._ids, np.sort(removed))
+        keep = ~in_sorted(self._ids, np.sort(removed))
         self._ids = self._ids[keep]
         self._rows = self._rows[keep]
         self._table = None
@@ -610,7 +601,7 @@ class GridIndex(NeighborIndex):
             _, cells, _ = self._reach(qrow, np.asarray([reach_r]))
             _, pos = next(_expand(starts[cells], np.diff(starts)[cells]))
             fresh = np.sort(ids[pos])
-            fresh = fresh[~_in_sorted(fresh, seen)]
+            fresh = fresh[~in_sorted(fresh, seen)]
             if fresh.size:
                 seen = np.sort(np.concatenate([seen, fresh]))
                 row = dataset.cross([int(query)], fresh, reduced=True)[0]

@@ -157,7 +157,8 @@ class MetricDataset:
         """Payloads at ``indices`` (array slice for vector data, list
         otherwise)."""
         if self.metric.is_vector_metric:
-            return self._points[np.asarray(indices, dtype=np.intp)]
+            # ``np.take`` beats fancy indexing 2-10x on narrow rows.
+            return np.take(self._points, np.asarray(indices, dtype=np.intp), axis=0)
         return [self._points[int(i)] for i in indices]
 
     # ------------------------------------------------------------------

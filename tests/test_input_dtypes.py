@@ -137,6 +137,21 @@ def test_insert_many_rejects_non_finite(bad, index, model):
     assert solver.n_seen <= 150
 
 
+@NON_FINITE
+@pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+@pytest.mark.parametrize("model", sorted(FORGETTING_MODELS))
+def test_predict_rejects_non_finite(bad, index, model):
+    """A NaN/inf query used to read as noise (-1) without a word."""
+    pts = poisoned(0.0)
+    solver = FORGETTING_MODELS[model](index)
+    solver.insert_many(pts[:100])
+    query = pts[0].copy()
+    query[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solver.predict(query)
+    assert solver.predict(pts[0]) >= -1  # the model stays usable
+
+
 def test_rejected_ttl_override_does_not_leak():
     model = DecayingApproxDBSCAN(0.9, 3, rho=0.5, ttl=50)
     with pytest.raises(ValueError, match="finite"):

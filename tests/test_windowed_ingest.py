@@ -1,0 +1,434 @@
+"""The epoch ingest of the forgetting models against a per-arrival
+reference maintainer.
+
+:class:`PerArrivalReference` is the straightforward ingest the epoch
+loop of :mod:`repro.core.windowed` replaces: every arrival expires what
+is due, probes the live centers (one range query, or one dense scan),
+registers its ε-hits center by center in dict-based state, and — when
+nothing lies within r̄ — stores a new center in a free slot and inserts
+it into the index at once.  Its reads (cluster refresh, ``predict``)
+follow the model's documented semantics.
+
+The property: for random streams cut at random into ``insert_many``
+calls and single ``insert``s, every read, ``n_clusters``,
+``n_live_centers``, ``memory_points``, the slot assignment and every
+live slot's counts (windowed, TTL) or weight (decay) equal the
+reference's after each call.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Any, Dict, List, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.windowed import DecayingApproxDBSCAN, WindowedApproxDBSCAN
+from repro.index.registry import build_dynamic_index
+from repro.metricspace import EditDistanceMetric
+from repro.metricspace.dataset import GrowingMetricDataset
+from repro.utils.components import component_labels
+
+INDEXES = [None, "brute", "grid", "covertree"]
+
+
+class PerArrivalReference:
+    """Per-arrival maintainer with the configuration of ``model``."""
+
+    def __init__(self, model) -> None:
+        self.cfg = model
+        self.metric = model.metric
+        self.red_eps = self.metric.reduce_threshold(model.eps)
+        self.red_r = self.metric.reduce_threshold(model.r_bar)
+        self.probe = max(model.eps, model.r_bar)
+        self.store = GrowingMetricDataset(self.metric)
+        #: Per slot: bucket -> count (windowed), [count, {expiry: n}]
+        #: (TTL) or [weight, tick] (decay); None once released.
+        self.state: List[Any] = []
+        self.free: List[int] = []
+        self.quarantined: List[int] = []
+        self.index = None
+        self.n_seen = 0
+        self.dirty = True
+        self.cluster: Dict[int, int] = {}
+        self.windowed = isinstance(model, WindowedApproxDBSCAN)
+        self.ttl = None if self.windowed else model.ttl
+        if self.windowed:
+            self.live_buckets: deque = deque()
+            self.bucket_centers: Dict[int, List[int]] = {}
+            self.bucket = 0
+            self.in_bucket = 0
+        self.hit_wheel: Dict[int, List[int]] = {}
+        self.death_wheel: Dict[int, List[int]] = {}
+
+    # -- ingest --------------------------------------------------------
+
+    def alive(self) -> List[int]:
+        return [s for s, c in enumerate(self.state) if c is not None]
+
+    def insert(self, payload: Any, ttl: Optional[int] = None) -> None:
+        tick = self.n_seen
+        self.expire(tick)
+        self.arrival_ttl = ttl if ttl is not None else self.ttl
+        self.n_seen += 1
+        self.dirty = True
+        if self.cfg.index is None:
+            slots = self.alive()
+        elif self.index is None:
+            slots = []
+        else:
+            hits = self.index.range_query_points(
+                [payload], self.probe, with_distances=False
+            )[0][0]
+            slots = [int(s) for s in hits]
+        red = (
+            self.metric.reduced_distance_many(payload, self.store.gather(slots))
+            if slots
+            else np.empty(0)
+        )
+        for k in np.flatnonzero(red <= self.red_eps):
+            self.hit(slots[int(k)], tick)
+        if (red.min() if red.size else np.inf) > self.red_r:
+            self.allocate(payload, tick)
+        if self.windowed:
+            self.in_bucket += 1
+            if self.in_bucket >= self.cfg.bucket_size:
+                self.bucket += 1
+                self.in_bucket = 0
+
+    def expire(self, tick: int) -> None:
+        if self.windowed:
+            if self.in_bucket == 0:
+                self.live_buckets.append(self.bucket)
+                self.bucket_centers[self.bucket] = []
+                while len(self.live_buckets) > self.cfg.n_buckets:
+                    old = self.live_buckets.popleft()
+                    self.release(self.bucket_centers.pop(old))
+                    for c in self.state:
+                        if c is not None:
+                            c.pop(old, None)
+        elif self.ttl is not None:
+            for slot in self.hit_wheel.pop(tick, ()):
+                c = self.state[slot]
+                if c is not None:
+                    c[0] -= c[1].pop(tick, 0)
+            self.release(self.death_wheel.pop(tick, []))
+        elif tick and tick % self.cfg.prune_interval == 0:
+            self.release(
+                [s for s in self.alive() if self.weight_at(s, tick) < self.cfg.prune_weight]
+            )
+
+    def hit(self, slot: int, tick: int) -> None:
+        c = self.state[slot]
+        if self.windowed:
+            c[self.bucket] = c.get(self.bucket, 0) + 1
+        elif self.ttl is not None:
+            c[0] += 1
+            expiry = tick + self.arrival_ttl
+            c[1][expiry] = c[1].get(expiry, 0) + 1
+            self.hit_wheel.setdefault(expiry, []).append(slot)
+        else:
+            c[0] = self.weight_at(slot, tick) + 1.0
+            c[1] = tick
+
+    def weight_at(self, slot: int, tick: int) -> float:
+        weight, last = self.state[slot]
+        if tick <= last:
+            return weight
+        return weight * 2.0 ** (-self.cfg.decay * (tick - last))
+
+    def allocate(self, payload: Any, tick: int) -> None:
+        if self.windowed:
+            center: Any = {}
+        elif self.ttl is not None:
+            center = [0, {}]
+        else:
+            center = [0.0, tick]
+        if not self.free:
+            self.reclaim()
+        if self.free:
+            slot = self.free.pop()
+            self.state[slot] = center
+            self.store.set(slot, payload)
+        else:
+            slot = self.store.append(payload)
+            self.state.append(center)
+        if self.cfg.index is not None:
+            if self.index is None:
+                self.index = build_dynamic_index(
+                    self.cfg.index, self.store, indices=[slot],
+                    radius_hint=self.probe, deletes=not self.cfg.evict_rebuild,
+                )
+            else:
+                self.index.insert(slot)
+        self.hit(slot, tick)  # the creating arrival's self-hit
+        if self.windowed:
+            self.bucket_centers[self.bucket].append(slot)
+        elif self.ttl is not None:
+            self.death_wheel.setdefault(tick + self.arrival_ttl, []).append(slot)
+
+    def release(self, slots: List[int]) -> None:
+        if not slots:
+            return
+        for s in slots:
+            self.state[s] = None
+        if self.cfg.index is None or self.index is None:
+            self.free.extend(slots)
+        elif self.cfg.evict_rebuild:
+            alive = self.alive()
+            self.index = (
+                build_dynamic_index(
+                    self.cfg.index, self.store, indices=alive, radius_hint=self.probe
+                )
+                if alive
+                else None
+            )
+            self.free.extend(slots)
+        else:
+            self.index.delete_batch(np.asarray(sorted(slots), dtype=np.intp))
+            if self.index.n_stored == 0:
+                self.index = None
+            self.quarantined.extend(slots)
+            self.reclaim()
+
+    def reclaim(self) -> None:
+        tombs = getattr(self.index, "tombstones", None) if self.index else None
+        if tombs is None or len(tombs) == 0:
+            self.free.extend(self.quarantined)
+            self.quarantined = []
+            return
+        q = np.asarray(self.quarantined, dtype=np.intp)
+        blocked = np.isin(q, tombs)
+        self.free.extend(int(s) for s in q[~blocked])
+        self.quarantined = [int(s) for s in q[blocked]]
+
+    # -- reads ---------------------------------------------------------
+
+    def is_core(self, slot: int) -> bool:
+        c = self.state[slot]
+        if self.windowed:
+            return sum(c.values()) >= self.cfg.min_pts
+        if self.ttl is not None:
+            return c[0] >= self.cfg.min_pts
+        return self.weight_at(slot, max(0, self.n_seen - 1)) >= self.cfg.min_weight
+
+    def refresh(self) -> None:
+        if not self.dirty:
+            return
+        core = [s for s in self.alive() if self.is_core(s)]
+        threshold = (1.0 + self.cfg.rho) * self.cfg.eps
+        rows = cols = np.empty(0, dtype=np.int64)
+        if len(core) > 1 and self.index is not None:
+            csr = self.index.range_query_batch_csr(
+                np.asarray(core, dtype=np.intp), threshold, with_distances=False
+            )
+            pos_of = {s: k for k, s in enumerate(core)}
+            pairs = [
+                (r, pos_of.get(int(s), -1))
+                for r, s in zip(csr.query_rows().tolist(), csr.ids.tolist())
+            ]
+            edges = [(r, c) for r, c in pairs if c > r]
+            if edges:
+                rows, cols = map(np.asarray, zip(*edges))
+        elif len(core) > 1:
+            batch = self.store.gather(core)
+            mask = self.metric.cross_certified(batch, batch, threshold)
+            rows, cols = np.nonzero(np.triu(mask, 1))
+        labels = component_labels(len(core), rows, cols)
+        self.cluster = dict(zip(core, labels.tolist()))
+        self.dirty = False
+
+    def predict(self, payload: Any) -> int:
+        self.refresh()
+        if not self.cluster:
+            return -1
+        radius = (1.0 + self.cfg.rho / 2.0) * self.cfg.eps
+        if self.index is not None:
+            hits = self.index.range_query_points(
+                [payload], radius, with_distances=False
+            )[0][0]
+            cand = [int(s) for s in hits if int(s) in self.cluster]
+            if not cand:
+                return -1
+            red = self.metric.reduced_distance_many(payload, self.store.gather(cand))
+            return self.cluster[cand[int(np.argmin(red))]]
+        core = list(self.cluster)
+        red = self.metric.reduced_distance_many(payload, self.store.gather(core))
+        pos = int(np.argmin(red))
+        if red[pos] <= self.metric.reduce_threshold(radius):
+            return self.cluster[core[pos]]
+        return -1
+
+    def n_clusters(self) -> int:
+        self.refresh()
+        return len(set(self.cluster.values()))
+
+
+def assert_same_state(model, ref: PerArrivalReference, queries) -> None:
+    """Every read and every live slot's support match the reference."""
+    assert model.n_seen == ref.n_seen
+    assert model.memory_points == len(ref.store)
+    live = ref.alive()
+    assert model.n_live_centers == len(live)
+    assert np.flatnonzero(model._alive[: model.memory_points]).tolist() == live
+    for slot in live:
+        want = ref.state[slot]
+        if ref.windowed:
+            row = model._counts[slot]
+            got = {b: int(row[b % model.n_buckets]) for b in ref.live_buckets}
+            assert got == {b: want.get(b, 0) for b in ref.live_buckets}
+        elif ref.ttl is not None:
+            center = model._state[slot]
+            assert (center.count, center.expiries) == (want[0], want[1])
+        else:
+            center = model._state[slot]
+            assert (center.weight, center.tick) == (want[0], want[1])
+    assert [model.predict(q) for q in queries] == [ref.predict(q) for q in queries]
+    assert model.n_clusters == ref.n_clusters()
+
+
+def replay(model, stream, calls, queries) -> None:
+    """Feed ``stream`` to ``model`` and the reference through ``calls``
+    — ``(stop, single, ttl)``: rows up to ``stop`` in one
+    ``insert_many`` or as single ``insert``s (with an optional
+    per-point ``ttl``) — comparing after every call."""
+    ref = PerArrivalReference(model)
+    start = 0
+    for stop, single, ttl in calls:
+        part = stream[start:stop]
+        start = stop
+        if single:
+            for p in part:
+                if ttl is None:
+                    model.insert(p)
+                else:
+                    model.insert(p, ttl=ttl)
+                ref.insert(p, ttl)
+        else:
+            model.insert_many(part)
+            for p in part:
+                ref.insert(p)
+        assert_same_state(model, ref, queries)
+
+
+@st.composite
+def streams(draw):
+    """Tight blobs plus far outliers: births range from a few percent
+    of arrivals (no outliers) to every arrival (all outliers)."""
+    dim = draw(st.sampled_from([1, 2, 5]))
+    n = draw(st.integers(1, 400))
+    outliers = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-6.0, 6.0, size=(int(rng.integers(1, 5)), dim))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.1, (n, dim))
+    far = rng.random(n) < outliers
+    pts[far] = rng.uniform(-1000.0, 1000.0, (int(far.sum()), dim))
+    queries = np.vstack([pts[rng.integers(0, n, 6)], np.full((1, dim), 5000.0)])
+    return pts, queries
+
+
+@st.composite
+def call_plans(draw, n: int, overrides: bool = False):
+    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=6))) | {n})
+    plan = []
+    for stop in cuts:
+        single = draw(st.booleans())
+        ttl = draw(st.one_of(st.none(), st.integers(1, 80))) if single and overrides else None
+        plan.append((stop, single, ttl))
+    return plan
+
+
+MODEL_SETTINGS = dict(max_examples=30, deadline=None)
+
+
+@given(data=st.data(), stream=streams())
+@settings(**MODEL_SETTINGS)
+def test_windowed_matches_per_arrival(data, stream):
+    pts, queries = stream
+    window = data.draw(st.integers(1, 120), label="window")
+    model = WindowedApproxDBSCAN(
+        1.0, data.draw(st.integers(2, 6), label="min_pts"),
+        rho=data.draw(st.sampled_from([0.5, 1.0]), label="rho"),
+        window=window,
+        n_buckets=data.draw(st.integers(1, window), label="n_buckets"),
+        index=data.draw(st.sampled_from(INDEXES), label="index"),
+        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
+    )
+    replay(model, pts, data.draw(call_plans(len(pts))), queries)
+
+
+@given(data=st.data(), stream=streams())
+@settings(**MODEL_SETTINGS)
+def test_ttl_matches_per_arrival(data, stream):
+    pts, queries = stream
+    model = DecayingApproxDBSCAN(
+        1.0, data.draw(st.integers(2, 6), label="min_pts"), rho=0.5,
+        # Below and above the chunk lengths the stream cuts allow.
+        ttl=data.draw(st.one_of(st.integers(1, 8), st.integers(9, 300)), label="ttl"),
+        index=data.draw(st.sampled_from(INDEXES), label="index"),
+        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
+    )
+    replay(model, pts, data.draw(call_plans(len(pts), overrides=True)), queries)
+
+
+@given(data=st.data(), stream=streams())
+@settings(**MODEL_SETTINGS)
+def test_decay_matches_per_arrival(data, stream):
+    pts, queries = stream
+    model = DecayingApproxDBSCAN(
+        1.0, 3, rho=0.5,
+        decay=data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="decay"),
+        min_weight=data.draw(st.sampled_from([None, 1.5]), label="min_weight"),
+        prune_weight=data.draw(st.sampled_from([0.5, 2.0]), label="prune_weight"),
+        prune_interval=data.draw(st.integers(1, 50), label="prune_interval"),
+        index=data.draw(st.sampled_from(INDEXES), label="index"),
+        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
+    )
+    replay(model, pts, data.draw(call_plans(len(pts))), queries)
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_short_ttl_hits_expire_inside_a_chunk(index):
+    """With a uniform TTL a center outlives every hit it takes; only
+    per-point overrides make hits expire while their center lives.
+    Here they fall on later ticks of the next ``insert_many`` chunk,
+    which applies them when it starts."""
+    rng = np.random.default_rng(3)
+    pts = rng.normal(0.0, 0.1, size=(120, 2))
+    model = DecayingApproxDBSCAN(1.0, 3, rho=0.5, ttl=100, index=index)
+    plan = [(10, False, None), (20, True, 3), (60, False, None), (120, False, None)]
+    replay(model, pts, plan, np.zeros((1, 2)))
+
+
+EDIT_MODELS = {
+    "windowed": lambda index: WindowedApproxDBSCAN(
+        2.0, 3, rho=1.0, window=40, n_buckets=5,
+        metric=EditDistanceMetric(), index=index,
+    ),
+    "ttl": lambda index: DecayingApproxDBSCAN(
+        2.0, 3, rho=1.0, ttl=30, metric=EditDistanceMetric(), index=index
+    ),
+    "decay": lambda index: DecayingApproxDBSCAN(
+        2.0, 3, rho=1.0, decay=0.05, prune_interval=7,
+        metric=EditDistanceMetric(), index=index,
+    ),
+}
+
+
+@pytest.mark.parametrize("index", [None, "brute", "covertree"])
+@pytest.mark.parametrize("kind", sorted(EDIT_MODELS))
+def test_edit_distance_stream_matches_per_arrival(kind, index):
+    """Non-vector payloads run through the same epoch loop."""
+    rng = np.random.default_rng(7)
+    bases = ["kitten", "sitting", "flaw", "lawn", "abcdefgh"]
+    stream = []
+    for _ in range(150):
+        word = list(bases[int(rng.integers(len(bases)))])
+        for _ in range(int(rng.integers(0, 3))):
+            word[int(rng.integers(len(word)))] = "xyz"[int(rng.integers(3))]
+        stream.append("".join(word))
+    queries = bases + ["zzzzzzzzzzzzzz"]
+    plan = [(30, False, None), (45, True, None), (150, False, None)]
+    replay(EDIT_MODELS[kind](index), stream, plan, queries)

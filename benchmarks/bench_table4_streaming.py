@@ -100,21 +100,16 @@ def run_comparison(quick=False):
 
 
 def run_throughput(quick=False):
-    """Sustained-throughput leg: points/sec of the streaming solver's
-    three ingestion strategies on one drifting session stream.
+    """Sustained-throughput leg: points/sec of the streaming solver on
+    one blob stream, dense and indexed.
 
-    ``dense`` is the chunk-vectorized no-index path; ``per-element``
-    probes the index per chunk but consumes the answers one arrival at
-    a time; ``epoch`` (the default) consumes each chunk's CSR probe in
-    vectorized epochs.  All three produce bit-identical labels and the
-    two indexed modes perform identical evaluation counts, so the
-    series differ only in wall time — the point of the comparison.
+    ``dense`` is the no-index path (chunk snapshots are dense blocks);
+    ``epoch`` runs the same pass-1 epoch loop on CSR probes of a grid
+    index over the centers.  Both produce bit-identical labels, so the
+    series differ only in wall time and in the index's work counters.
 
     The workload is a blob stream whose center count stays well below
-    the arrival count: there the indexed path's cost is dominated by
-    per-arrival interpreter work, which is exactly what epoch-batching
-    removes (heavily drifting streams are evaluation-bound instead, and
-    all ingestion modes converge on the same BLAS time).
+    the arrival count, where a center index prunes most candidates.
     """
     n = 4000 if quick else 20000
     pts, _ = make_blobs(
@@ -125,16 +120,14 @@ def run_throughput(quick=False):
     eps = 1.0
     modes = [
         ("dense", {}),
-        ("per-element", {"index": THROUGHPUT_INDEX, "epoch_batched": False}),
-        ("epoch", {"index": THROUGHPUT_INDEX, "epoch_batched": True}),
+        ("epoch", {"index": THROUGHPUT_INDEX}),
     ]
-    rows, series, phase_times = [], [], {}
+    rows, series = [], []
     for mode, kwargs in modes:
         solver = StreamingApproxDBSCAN(eps, MIN_PTS, rho=RHO, **kwargs)
         result, seconds = timed(lambda: solver.fit(dataset))
         phases = result.timings.phases
         hot = phases.get("pass1_build_net", 0.0) + phases.get("pass3_label", 0.0)
-        phase_times[mode] = hot
         rows.append((
             f"blobs n={n}", f"ingest={mode}",
             f"{n / seconds:,.0f}", f"{seconds:.2f}", f"{hot:.2f}",
@@ -143,12 +136,7 @@ def run_throughput(quick=False):
             f"throughput/{mode}", wall=seconds, result=result,
             throughput=n / seconds, n=n,
         ))
-    speedup = phase_times["per-element"] / max(phase_times["epoch"], 1e-12)
-    rows.append((
-        f"blobs n={n}", "epoch vs per-element",
-        "-", "-", f"{speedup:.1f}x (pass1+pass3)",
-    ))
-    return rows, series, speedup
+    return rows, series
 
 
 def write_table4_report(rows, series=None, quick=False, throughput_rows=None):
@@ -162,8 +150,8 @@ def write_table4_report(rows, series=None, quick=False, throughput_rows=None):
     if throughput_rows:
         lines += [
             "",
-            "Sustained ingestion throughput (identical labels, identical "
-            "indexed eval counts; wall time only)",
+            "Sustained ingestion throughput (dense vs grid-indexed; "
+            "identical labels)",
             "",
         ]
         lines += format_table(
@@ -182,7 +170,7 @@ def test_table4_streaming_comparison(benchmark):
     rows, scores, series = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1
     )
-    t_rows, t_series, _ = run_throughput(quick=True)
+    t_rows, t_series = run_throughput(quick=True)
     write_table4_report(rows, series + t_series, throughput_rows=t_rows)
     # Shape check: on most workloads our streaming solver is at least as
     # good as every baseline (paper: best on most test instances).
@@ -207,11 +195,10 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
     rows, scores, series = run_comparison(quick=args.quick)
-    t_rows, t_series, speedup = run_throughput(quick=args.quick)
+    t_rows, t_series = run_throughput(quick=args.quick)
     write_table4_report(
         rows, series + t_series, quick=args.quick, throughput_rows=t_rows
     )
-    print(f"epoch vs per-element (pass1+pass3): {speedup:.1f}x")
     return 0
 
 

@@ -199,9 +199,7 @@ class BICO:
             },
         )
 
-    def fit_stream(
-        self, stream_factory, n_hint: Optional[int] = None
-    ) -> ClusteringResult:
+    def fit_stream(self, stream_factory) -> ClusteringResult:
         """Streaming interface compatible with
         :class:`~repro.core.streaming.StreamingApproxDBSCAN`:
         ``stream_factory()`` must be re-iterable (two passes)."""

@@ -16,7 +16,7 @@ nearest MC within ``r`` (noise otherwise).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -177,7 +177,7 @@ class DBStream:
 
         return self.fit_stream(factory)
 
-    def fit_stream(self, stream_factory, n_hint: Optional[int] = None) -> ClusteringResult:
+    def fit_stream(self, stream_factory) -> ClusteringResult:
         """Streaming interface (two passes: learn, then label)."""
         timings = TimingBreakdown()
         with timings.phase("online"):

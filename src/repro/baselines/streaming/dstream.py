@@ -17,7 +17,7 @@ image datasets.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class DStream:
 
         return self.fit_stream(factory)
 
-    def fit_stream(self, stream_factory, n_hint: Optional[int] = None) -> ClusteringResult:
+    def fit_stream(self, stream_factory) -> ClusteringResult:
         """Streaming interface (two passes: learn, then label)."""
         timings = TimingBreakdown()
         with timings.phase("online"):

@@ -13,7 +13,7 @@ Like BICO, evoStream needs the number of macro clusters ``k`` up front.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class EvoStream:
 
         return self.fit_stream(factory)
 
-    def fit_stream(self, stream_factory, n_hint: Optional[int] = None) -> ClusteringResult:
+    def fit_stream(self, stream_factory) -> ClusteringResult:
         """Streaming interface (two passes: learn, then label)."""
         timings = TimingBreakdown()
         with timings.phase("online"):

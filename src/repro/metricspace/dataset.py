@@ -104,7 +104,7 @@ class MetricDataset:
     3
     >>> ds.distance(0, 1)
     3.0
-    >>> list(ds.distances_from(0))
+    >>> ds.distances_from(0).tolist()
     [0.0, 3.0, 7.0]
     """
 
@@ -430,6 +430,30 @@ class PayloadStore:
         self._size += 1
         return idx
 
+    def extend(self, payloads: Sequence[Any]) -> None:
+        """Append a sequence of payloads (as many :meth:`append` calls
+        would, in one copy for vector payloads)."""
+        if not len(payloads):
+            return
+        if not self._vector:
+            self._list.extend(payloads)
+            self._size += len(payloads)
+            return
+        rows = np.asarray(payloads, dtype=np.float64)
+        rows = rows.reshape(rows.shape[0], -1)
+        end = self._size + rows.shape[0]
+        if self._array is None:
+            self._array = np.empty((max(4, end), rows.shape[1]), dtype=np.float64)
+        elif end > self._array.shape[0]:
+            grown = np.empty(
+                (max(end, 2 * self._array.shape[0]), self._array.shape[1]),
+                dtype=np.float64,
+            )
+            grown[: self._size] = self._array[: self._size]
+            self._array = grown
+        self._array[self._size : end] = rows
+        self._size = end
+
     def set(self, idx: int, payload: Any) -> None:
         """Overwrite slot ``idx`` in place (the windowed solver
         recycles expired center slots)."""
@@ -489,6 +513,10 @@ class GrowingMetricDataset(MetricDataset):
     def append(self, payload: Any) -> int:
         """Store a payload; returns its permanent index."""
         return self._store.append(payload)
+
+    def extend(self, payloads: Sequence[Any]) -> None:
+        """Store payloads under the next indices, in order."""
+        self._store.extend(payloads)
 
     def set(self, idx: int, payload: Any) -> None:
         """Overwrite a recycled slot in place."""

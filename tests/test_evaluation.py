@@ -3,9 +3,17 @@ sweeps.  Reference values were cross-checked against scikit-learn's
 implementations (same conventions: noise is an ordinary label, AMI uses
 arithmetic-mean normalization)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import repro
 
 from repro.evaluation import (
     adjusted_mutual_information,
@@ -166,3 +174,36 @@ class TestNMI:
         a = rng.integers(0, 3, size=100)
         b = rng.integers(0, 3, size=100)
         assert 0.0 <= normalized_mutual_information(a, b) <= 1.0
+
+
+def test_evaluation_and_cli_import_without_scipy():
+    """scipy is not a dependency: ``repro.evaluation`` and the CLI
+    (``cluster``, ``bench-diff``) import with it blocked."""
+    code = textwrap.dedent(
+        """
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{name} is blocked")
+                return None
+
+        sys.meta_path.insert(0, BlockScipy())
+        import repro.cli
+        from repro.evaluation import adjusted_mutual_information
+
+        print(round(adjusted_mutual_information([0, 0, 1, 1], [1, 1, 0, 0]), 12))
+        """
+    )
+    env = dict(os.environ)
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1.0"

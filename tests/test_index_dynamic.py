@@ -491,9 +491,7 @@ class TestStreamingIndexed:
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(150, 2))
         stream = ReplayStream(pts)
-        result = StreamingApproxDBSCAN(0.6, 5, rho=0.5, index="grid").fit_stream(
-            stream, n_hint=len(pts)
-        )
+        result = StreamingApproxDBSCAN(0.6, 5, rho=0.5, index="grid").fit_stream(stream)
         assert stream.passes_started == 3
         assert result.labels.shape[0] == len(pts)
 
@@ -560,3 +558,24 @@ class TestGrowingDataset:
         assert ds.get(1) == "abd"
         ds.set(1, "xyz")
         assert ds.view() == ["abc", "xyz"]
+
+    @pytest.mark.parametrize("start", [0, 3, 4])
+    def test_extend_matches_appends(self, start):
+        """``extend`` stores exactly what one ``append`` per payload
+        stores, whether it fills, grows or starts the buffer."""
+        rng = np.random.default_rng(16)
+        rows = rng.normal(size=(start + 9, 3)).astype(np.float32)
+        one, many = GrowingMetricDataset(), GrowingMetricDataset()
+        for row in rows:
+            one.append(row)
+        for row in rows[:start]:
+            many.append(row)
+        many.extend([])
+        many.extend(list(rows[start : start + 2]))
+        many.extend(rows[start + 2 :])
+        assert many.n == one.n == len(rows)
+        np.testing.assert_array_equal(many.view(), one.view())
+        words = GrowingMetricDataset(EditDistanceMetric())
+        words.append("abc")
+        words.extend(["abd", "xyz"])
+        assert words.view() == ["abc", "abd", "xyz"] and words.n == 3

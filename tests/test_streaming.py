@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import OriginalDBSCAN
 from repro.core import StreamingApproxDBSCAN
-from repro.datasets import ReplayStream, make_session_stream
+from repro.datasets import ReplayStream, make_blobs, make_session_stream
 from repro.metricspace import EditDistanceMetric, MetricDataset
 
 from conftest import same_cluster_pairs
@@ -79,7 +79,7 @@ class TestStreamingProtocol:
         ds = random_instance(20)
         stream = ReplayStream(np.asarray(ds.points))
         solver = StreamingApproxDBSCAN(0.6, 5, rho=0.5)
-        result = solver.fit_stream(stream, n_hint=ds.n)
+        result = solver.fit_stream(stream)
         assert stream.passes_started == 3
         assert result.labels.shape[0] == ds.n
 
@@ -131,3 +131,56 @@ class TestDriftStream:
         assert result.n_clusters >= 2
         # Streaming memory must be a small fraction of the stream.
         assert result.stats["memory_ratio"] < 0.5
+
+
+class TestStreamLengthChecks:
+    """Passes 2 and 3 must read exactly the points pass 1 read; any
+    other count is an error, never labels from uninitialized memory."""
+
+    @staticmethod
+    def _points():
+        pts, _ = make_blobs(
+            n=300, n_clusters=3, dim=2, std=0.3, spread=6.0,
+            outlier_fraction=0.05, seed=0,
+        )
+        return pts
+
+    @staticmethod
+    def _factory(passes):
+        """A factory whose k-th call streams ``passes[k]``."""
+        calls = iter(passes)
+        return lambda: iter(next(calls))
+
+    @pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+    def test_same_stream_each_pass(self, index):
+        pts = self._points()
+        result = StreamingApproxDBSCAN(0.5, 5, rho=0.5, index=index).fit_stream(
+            self._factory([pts, pts, pts])
+        )
+        assert (result.n_clusters, result.n_noise) == (3, 15)
+
+    MESSAGES = {
+        "shared-iterator": "pass 1 read 300 points, pass 2 read 0",
+        "shorter-pass-2": "pass 1 read 300 points, pass 2 read 293",
+        "longer-pass-2": "pass 1 read 300 points, pass 2 read 305",
+        "shorter-pass-3": "pass 1 read 300 points, pass 3 read 299",
+    }
+
+    @pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+    @pytest.mark.parametrize("case", list(MESSAGES))
+    def test_length_change_raises(self, index, case):
+        pts = self._points()
+        if case == "shared-iterator":
+            shared = iter(pts)
+
+            def factory():
+                return shared
+        else:
+            factory = self._factory({
+                "shorter-pass-2": [pts, pts[:293], pts],
+                "longer-pass-2": [pts, np.vstack([pts, pts[:5]]), pts],
+                "shorter-pass-3": [pts, pts, pts[:299]],
+            }[case])
+        solver = StreamingApproxDBSCAN(0.5, 5, rho=0.5, index=index)
+        with pytest.raises(ValueError, match=self.MESSAGES[case]):
+            solver.fit_stream(factory)

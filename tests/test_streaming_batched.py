@@ -1,4 +1,4 @@
-"""Tests for the vectorized streaming ingestion engine (PR 9).
+"""Tests for the vectorized streaming ingestion engine.
 
 Two load-bearing properties:
 
@@ -7,26 +7,38 @@ Two load-bearing properties:
    same rows, in the same order, with the same distances as the
    tuple-list API, for scalar and per-query radii, with and without
    distances.
-2. **Epoch-batched == per-element == dense** — the epoch-batched
-   indexed pass 1 is a pure execution-strategy change: labels must be
-   bit-identical to both the per-element indexed reference loop and the
-   dense (no-index) path, and the deterministic work counters
-   (``distance_evals``, ``n_candidates``, ``n_range_queries``) must be
-   *identical* between the two indexed modes — not merely close.
+2. **Chunk steps == one arrival at a time** — :class:`PerElementReference`
+   runs Algorithm 3 the straightforward way: pass 1 takes each arrival
+   on its own against the chunk-start snapshot plus the centers born
+   earlier in the chunk, and the indexed passes consume their index
+   answers row by row.  The production passes (one shared epoch loop
+   for pass 1, CSR sweeps for passes 2 and 3) must reproduce its
+   labels and footprint exactly, dense and under every index setting,
+   and with an index its deterministic work counters
+   (``distance_evals``, ``n_candidates``, ``n_range_queries``) — not
+   merely close.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.streaming import StreamingApproxDBSCAN
+import repro.core.streaming as streaming
+from repro.core.streaming import StreamingApproxDBSCAN, stream_chunks
 from repro.core.windowed import WindowedApproxDBSCAN
-from repro.datasets import make_blobs, make_moons
+from repro.datasets import make_blobs
 from repro.index import build_index, segment_argmin
+from repro.index.base import NeighborIndex
 from repro.index.csr import CSRQueryResult, csr_from_parts, csr_from_rows
-from repro.index.registry import DEFAULT_INDEX_ENV
+from repro.index.registry import DEFAULT_INDEX_ENV, build_dynamic_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
+from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
+from repro.utils.components import component_labels
 
 BACKENDS = ("brute", "grid", "covertree")
 #: Index specs the streaming solvers are exercised under; ``auto``
@@ -36,21 +48,11 @@ INDEX_SETTINGS = ("auto", "brute", "grid", "covertree")
 COUNTER_KEYS = ("distance_evals", "n_candidates", "n_range_queries")
 
 
+STATS_KEYS = ("n_centers", "watch_size", "summary_size", "memory_points")
+
+
 def _counters(result):
     return {k: result.timings.counters.get(k, 0) for k in COUNTER_KEYS}
-
-
-def _blobs():
-    pts, _ = make_blobs(
-        n=620, n_clusters=3, dim=2, std=0.35, spread=9.0,
-        outlier_fraction=0.04, seed=21,
-    )
-    return pts
-
-
-def _moons():
-    pts, _ = make_moons(n=620, noise=0.05, outlier_fraction=0.03, seed=8)
-    return pts
 
 
 def _words(n=180, seed=3):
@@ -232,73 +234,349 @@ def test_csr_equivalence_edit_distance(backend):
 
 
 # ----------------------------------------------------------------------
-# Epoch-batched ingestion parity
+# The per-element reference
 
 
-@pytest.mark.parametrize("spec", INDEX_SETTINGS)
-@pytest.mark.parametrize(
-    "name,pts,eps,min_pts",
-    [("blobs", _blobs(), 0.7, 6), ("moons", _moons(), 0.14, 6)],
-    ids=["blobs", "moons"],
+class PerElementReference:
+    """Algorithm 3 one arrival at a time, with the configuration of
+    ``solver``.
+
+    Pass 1 reads the stream in the production chunks.  Each chunk's
+    snapshot is one dense block against the centers (no index) or one
+    range query of the center index.  Every arrival then gets one
+    ``reduced_distance_many`` call — to its snapshot hits plus the
+    centers born earlier in the chunk (indexed), or to those births
+    alone, next to its block row (dense) — counts its ε-hits, takes the
+    first argmin, and becomes a center, a watch-list entry, or neither.  Pass 2 counts each watch point's ε-ball from the
+    watch index row by row; pass 3 labels row by row through the center
+    and summary indexes.  Without an index, passes 2 and 3 scan the
+    same dense blocks as the solver.
+    """
+
+    def __init__(self, solver: StreamingApproxDBSCAN) -> None:
+        self.solver = solver
+
+    def _spec(self):
+        spec = self.solver.index
+        return spec.spawn() if isinstance(spec, NeighborIndex) else spec
+
+    def fit_stream(self, factory, metric=None) -> Tuple[np.ndarray, Dict, Dict]:
+        """Labels, footprint stats and (indexed) work counters."""
+        cfg = self.solver
+        metric = metric if metric is not None else cfg.metric
+        spec = cfg.index
+        eps, min_pts, rho = cfg.eps, cfg.min_pts, cfg.rho
+        red_eps = metric.reduce_threshold(eps)
+        red_r = metric.reduce_threshold(cfg.r_bar)
+        probe = max(eps, cfg.r_bar)
+        centers = GrowingMetricDataset(metric)
+        detected: List[int] = []
+        watch = GrowingMetricDataset(metric)
+        watch_center: List[int] = []
+        watch_is_center: List[bool] = []
+        center_index = None
+
+        # -- pass 1 ----------------------------------------------------
+        for chunk in stream_chunks(
+            factory(), lambda: rows_per_block(max(1, len(centers)))
+        ):
+            m0 = len(centers)
+            if m0 and spec is not None:
+                snapshot = center_index.range_query_points(
+                    chunk, probe, with_distances=False
+                )
+            elif m0:
+                block = metric.reduced_cross(chunk, centers.view())
+            for i, payload in enumerate(chunk):
+                if spec is not None:
+                    cand = np.arange(m0, len(centers), dtype=np.intp)
+                    if m0:
+                        cand = np.concatenate([snapshot[i][0], cand])
+                    red = (
+                        metric.reduced_distance_many(payload, centers.gather(cand))
+                        if cand.size else np.empty(0)
+                    )
+                else:
+                    cand = np.arange(len(centers), dtype=np.intp)
+                    red = block[i] if m0 else np.empty(0)
+                    if len(centers) > m0:
+                        red = np.concatenate([
+                            red,
+                            metric.reduced_distance_many(
+                                payload, centers.view()[m0:]
+                            ),
+                        ])
+                red = np.asarray(red, dtype=np.float64)
+                for c in cand[red <= red_eps]:
+                    detected[int(c)] += 1
+                if red.size:
+                    k = int(np.argmin(red))
+                    nearest, nearest_red = int(cand[k]), float(red[k])
+                else:
+                    nearest, nearest_red = -1, np.inf
+                if nearest_red > red_r:
+                    j = centers.append(payload)
+                    detected.append(1)  # the center counts itself
+                    watch.append(payload)
+                    watch_center.append(j)
+                    watch_is_center.append(True)
+                elif detected[nearest] < min_pts:
+                    watch.append(payload)
+                    watch_center.append(nearest)
+                    watch_is_center.append(False)
+            if spec is not None and len(centers) > m0:
+                if center_index is None:
+                    center_index = build_dynamic_index(
+                        spec, centers, radius_hint=probe
+                    )
+                else:
+                    center_index.insert_batch(
+                        np.arange(center_index.n_stored, len(centers))
+                    )
+
+        # -- pass 2: recount, S*, merge --------------------------------
+        counts = np.zeros(len(watch), dtype=np.int64)
+        watch_index = None
+        if spec is not None and len(watch):
+            watch_index = build_index(self._spec(), watch, radius_hint=eps)
+        for chunk in stream_chunks(factory(), lambda: rows_per_block(len(watch))):
+            if watch_index is not None:
+                for ids, _ in watch_index.range_query_points(
+                    chunk, eps, with_distances=False
+                ):
+                    counts[ids] += 1
+            else:
+                mask = metric.cross_certified(chunk, watch.view(), eps)
+                counts += np.count_nonzero(mask, axis=0)
+        watch_core = counts >= min_pts
+        center_is_core = np.asarray(detected, dtype=np.int64) >= min_pts
+        for pos, j in enumerate(watch_center):
+            if watch_is_center[pos] and watch_core[pos]:
+                center_is_core[j] = True
+        summary = GrowingMetricDataset(metric)
+        center_pos = np.full(len(centers), -1, dtype=np.int64)
+        for j in range(len(centers)):
+            if center_is_core[j]:
+                center_pos[j] = summary.append(centers.get(j))
+        for pos, j in enumerate(watch_center):
+            if watch_core[pos] and not watch_is_center[pos] and not center_is_core[j]:
+                summary.append(watch.get(pos))
+        size = len(summary)
+        merge_radius = (1.0 + rho) * eps
+        summary_index = None
+        if spec is not None and size > 1:
+            summary_index = build_index(
+                self._spec(), summary, radius_hint=merge_radius
+            )
+            rows = summary_index.range_query_batch(
+                np.arange(size, dtype=np.intp), merge_radius, with_distances=False
+            )
+            edges = [(a, int(b)) for a, (ids, _) in enumerate(rows) for b in ids if b > a]
+        elif size > 1:
+            mask = metric.cross_certified(summary.view(), summary.view(), merge_radius)
+            edges = list(zip(*np.nonzero(np.triu(mask, 1))))
+        else:
+            edges = []
+        cluster = component_labels(
+            size, [a for a, _ in edges], [b for _, b in edges]
+        )
+        fallback = (1.0 + rho / 2.0) * eps
+        if spec is not None and summary_index is None and size:
+            summary_index = build_index(self._spec(), summary, radius_hint=fallback)
+
+        # -- pass 3 ----------------------------------------------------
+        labels: List[int] = []
+        for chunk in stream_chunks(
+            factory(), lambda: rows_per_block(max(1, len(centers) + size))
+        ):
+            chunk_labels = [-1] * len(chunk)
+            if spec is not None:
+                rest = []
+                hits = center_index.range_query_points(
+                    chunk, cfg.r_bar, with_distances=False
+                )
+                for i, payload in enumerate(chunk):
+                    ids = hits[i][0]
+                    if ids.size:
+                        red = metric.reduced_distance_many(payload, centers.gather(ids))
+                        j = int(ids[int(np.argmin(red))])
+                        if center_is_core[j]:
+                            chunk_labels[i] = int(cluster[center_pos[j]])
+                            continue
+                    rest.append(i)
+                if rest and summary_index is not None:
+                    shits = summary_index.range_query_points(
+                        [chunk[i] for i in rest], fallback, with_distances=False
+                    )
+                    for i, (ids, _) in zip(rest, shits):
+                        if ids.size:
+                            red = metric.reduced_distance_many(
+                                chunk[i], summary.gather(ids)
+                            )
+                            chunk_labels[i] = int(cluster[int(ids[int(np.argmin(red))])])
+            else:
+                block = metric.reduced_cross(chunk, centers.view())
+                rest = []
+                for i in range(len(chunk)):
+                    j = int(np.argmin(block[i]))
+                    if center_is_core[j] and block[i, j] <= red_r:
+                        chunk_labels[i] = int(cluster[center_pos[j]])
+                    else:
+                        rest.append(i)
+                if rest and size:
+                    sblock = metric.reduced_cross(
+                        [chunk[i] for i in rest], summary.view()
+                    )
+                    for row, i in enumerate(rest):
+                        k = int(np.argmin(sblock[row]))
+                        if sblock[row, k] <= metric.reduce_threshold(fallback):
+                            chunk_labels[i] = int(cluster[k])
+            labels.extend(chunk_labels)
+
+        stats = {
+            "n_centers": len(centers),
+            "watch_size": len(watch),
+            "summary_size": size,
+            "memory_points": len(centers) + len(watch),
+        }
+        work = dict.fromkeys(COUNTER_KEYS, 0)
+        for idx in (center_index, watch_index, summary_index):
+            if idx is not None:
+                for key, value in idx.counters().items():
+                    if key in work:
+                        work[key] += value
+        work["distance_evals"] = sum(
+            store.n_cross_evals for store in (centers, watch, summary)
+        )
+        return np.asarray(labels, dtype=np.int64), stats, work
+
+
+def _assert_matches_reference(result, reference, indexed: bool) -> None:
+    labels, stats, work = reference
+    # Bit-identical labels — not up-to-relabeling, *identical*: both
+    # visit arrivals in the same order and must make the same
+    # center/watch/label decisions.
+    np.testing.assert_array_equal(result.labels, labels)
+    assert {k: result.stats[k] for k in STATS_KEYS} == stats
+    if indexed:
+        # Same evaluations, only scheduled differently.
+        assert _counters(result) == work
+
+
+# ----------------------------------------------------------------------
+# Chunk steps == the per-element reference
+
+
+@st.composite
+def _blob_streams(draw):
+    """Tight blobs plus 0–100% far outliers, shuffled into one stream;
+    snapped to a coarse lattice when ``lattice`` is drawn, so that
+    exact distance ties (and duplicate points) exercise the first-wins
+    tie-breaks."""
+    n = draw(st.integers(1, 400))
+    dim = draw(st.sampled_from([1, 2, 5]))
+    n_out = int(round(draw(st.floats(0.0, 1.0)) * n))
+    k = draw(st.integers(1, 4))
+    lattice = draw(st.sampled_from([None, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blob_centers = rng.uniform(-8.0, 8.0, size=(k, dim))
+    blobs = blob_centers[rng.integers(k, size=n - n_out)] + rng.normal(
+        0.0, 0.3, size=(n - n_out, dim)
+    )
+    outliers = rng.uniform(-200.0, 200.0, size=(n_out, dim))
+    pts = rng.permutation(np.vstack([blobs, outliers]))
+    if lattice is not None:
+        pts = np.round(pts / lattice) * lattice
+    return pts, dim
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    stream=_blob_streams(),
+    rho=st.sampled_from([0.5, 1.0, 2.0]),
+    min_pts=st.integers(2, 8),
+    max_chunk=st.integers(1, 64),
 )
-class TestEpochBatchedParity:
-    def test_epoch_matches_per_element_and_dense(
-        self, monkeypatch, spec, name, pts, eps, min_pts
-    ):
-        monkeypatch.setenv(DEFAULT_INDEX_ENV, spec)
-        ds = MetricDataset(pts)
-        dense = StreamingApproxDBSCAN(eps, min_pts, rho=0.5).fit(ds)
-        epoch = StreamingApproxDBSCAN(
-            eps, min_pts, rho=0.5, index=spec, epoch_batched=True
-        ).fit(ds)
-        per_el = StreamingApproxDBSCAN(
-            eps, min_pts, rho=0.5, index=spec, epoch_batched=False
-        ).fit(ds)
+def test_chunk_steps_match_per_element_reference(stream, rho, min_pts, max_chunk):
+    """Small chunks put every pass-1 chunk after the first on the
+    snapshot branch, dense and indexed alike.  ε is a multiple of the
+    lattice step, so lattice streams also tie exactly at ε and r̄."""
+    pts, dim = stream
+    eps = {1: 0.5, 2: 0.75, 5: 1.0}[dim]
+    ds = MetricDataset(pts)
+    with mock.patch.object(streaming, "_MAX_CHUNK", max_chunk):
+        for spec in (None,) + INDEX_SETTINGS:
+            solver = StreamingApproxDBSCAN(eps, min_pts, rho=rho, index=spec)
+            reference = PerElementReference(solver).fit_stream(
+                lambda: iter(pts), metric=ds.metric
+            )
+            _assert_matches_reference(
+                solver.fit(ds), reference, indexed=spec is not None
+            )
 
-        # Bit-identical labels — not up-to-relabeling, *identical*:
-        # all three paths visit arrivals in the same order and must
-        # make the same center/watch/label decisions.
-        np.testing.assert_array_equal(epoch.labels, dense.labels)
-        np.testing.assert_array_equal(epoch.labels, per_el.labels)
 
-        assert epoch.stats["ingest_mode"] == "epoch"
-        assert per_el.stats["ingest_mode"] == "per-element"
-        assert epoch.stats["n_centers"] == per_el.stats["n_centers"]
-        assert epoch.stats["watch_size"] == per_el.stats["watch_size"]
+@pytest.mark.parametrize("spec", (None,) + INDEX_SETTINGS)
+@pytest.mark.parametrize("max_chunk", [4, 4096], ids=["snapshot", "births"])
+def test_argmin_ties_go_to_the_older_center(monkeypatch, spec, max_chunk):
+    """0.5 lies exactly r̄ = ε from the centers 0 and 1.  The older
+    center (0, already core) must win the tie, so 0.5 is not watched;
+    the newer one (1, one hit short of MinPts) would watch it.  The tie
+    falls in the chunk-start snapshot (chunks of 4) or between two
+    births of one chunk."""
+    monkeypatch.setattr(streaming, "_MAX_CHUNK", max_chunk)
+    pts = np.array([[0.0], [0.0], [0.0], [1.0], [0.5]])
+    solver = StreamingApproxDBSCAN(0.5, 3, rho=2.0, index=spec)
+    result = solver.fit(MetricDataset(pts))
+    reference = PerElementReference(solver).fit_stream(lambda: iter(pts))
+    _assert_matches_reference(result, reference, indexed=spec is not None)
+    assert result.stats["watch_size"] == 3  # both centers and the second 0.0
 
-        # Work parity: epoch-batching reshapes the evaluation schedule
-        # but performs exactly the same evaluations.
-        assert _counters(epoch) == _counters(per_el)
-        assert _counters(epoch)["n_range_queries"] > 0
+
+@pytest.mark.parametrize("spec", (None, "auto", "brute", "grid"))
+def test_stream_beyond_one_chunk_matches_reference(spec):
+    """Unpatched chunking: the first 4096 arrivals meet no centers, the
+    rest take the chunk-start snapshot.  (The cover tree takes seconds
+    here; the property above covers its snapshots.)"""
+    pts, _ = make_blobs(
+        n=5000, n_clusters=4, dim=2, std=0.35, spread=9.0,
+        outlier_fraction=0.04, seed=21,
+    )
+    ds = MetricDataset(pts)
+    solver = StreamingApproxDBSCAN(0.7, 6, rho=0.5, index=spec)
+    result = solver.fit(ds)
+    reference = PerElementReference(solver).fit_stream(
+        lambda: iter(pts), metric=ds.metric
+    )
+    _assert_matches_reference(result, reference, indexed=spec is not None)
+    if spec is not None:
+        assert _counters(result)["n_range_queries"] > 0
 
 
 @pytest.mark.parametrize("spec", ("auto", "brute", "covertree"))
 def test_epoch_parity_edit_distance_stream(monkeypatch, spec):
-    """Non-vector payloads take the list-based epoch expansion path."""
+    """Non-vector payloads take the list-based expansion path; short
+    chunks make the string snapshots run too."""
     monkeypatch.setenv(DEFAULT_INDEX_ENV, spec)
+    monkeypatch.setattr(streaming, "_MAX_CHUNK", 16)
     words = _words()
     metric = EditDistanceMetric()
 
     def factory():
         return iter(list(words))
 
-    def run(**kw):
-        return StreamingApproxDBSCAN(
-            2.0, 4, rho=0.5, metric=metric, **kw
-        ).fit_stream(factory, n_hint=len(words))
-
-    dense = run()
-    epoch = run(index=spec, epoch_batched=True)
-    per_el = run(index=spec, epoch_batched=False)
-    np.testing.assert_array_equal(epoch.labels, dense.labels)
-    np.testing.assert_array_equal(epoch.labels, per_el.labels)
-    assert _counters(epoch) == _counters(per_el)
+    for index in (None, spec):
+        solver = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric, index=index)
+        _assert_matches_reference(
+            solver.fit_stream(factory),
+            PerElementReference(solver).fit_stream(factory),
+            indexed=index is not None,
+        )
 
 
 def test_grid_env_preference_falls_back_for_strings(monkeypatch):
     """A process-wide grid preference must not break string streams:
     the registry falls back to the auto policy for metrics grid cannot
-    serve, and the epoch path still matches dense labels."""
+    serve, and the indexed path still matches dense labels."""
     monkeypatch.setenv(DEFAULT_INDEX_ENV, "grid")
     words = _words(n=120, seed=5)
     metric = EditDistanceMetric()
@@ -306,13 +584,11 @@ def test_grid_env_preference_falls_back_for_strings(monkeypatch):
     def factory():
         return iter(list(words))
 
-    dense = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric).fit_stream(
-        factory, n_hint=len(words)
-    )
-    epoch = StreamingApproxDBSCAN(
-        2.0, 4, rho=0.5, metric=metric, index="auto", epoch_batched=True
-    ).fit_stream(factory, n_hint=len(words))
-    np.testing.assert_array_equal(epoch.labels, dense.labels)
+    dense = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric).fit_stream(factory)
+    indexed = StreamingApproxDBSCAN(
+        2.0, 4, rho=0.5, metric=metric, index="auto"
+    ).fit_stream(factory)
+    np.testing.assert_array_equal(indexed.labels, dense.labels)
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,6 @@ from repro.index import (
     NeighborIndex,
     build_index,
 )
-from repro.parallel import ShardedEngine, ShardPlan
 from repro.metricspace import (
     CosineMetric,
     CountingMetric,
@@ -98,8 +97,6 @@ __all__ = [
     "HammingMetric",
     "JaccardMetric",
     "CountingMetric",
-    "ShardPlan",
-    "ShardedEngine",
     "NeighborIndex",
     "BruteForceIndex",
     "GridIndex",

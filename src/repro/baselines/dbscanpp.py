@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.result import ClusteringResult
 from repro.index.base import NeighborIndex
 from repro.index.registry import IndexSpec, build_index
+from repro.kcenter import gonzalez_kcenter
 from repro.metricspace.dataset import MetricDataset
 from repro.obs.registry import CounterScope
 from repro.utils.rng import SeedLike, check_random_state
@@ -223,12 +224,6 @@ class DBSCANPlusPlus:
         dataset: MetricDataset, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Greedy farthest-point (Gonzalez) sample of size ``m``."""
-        n = dataset.n
-        first = int(rng.integers(n))
-        chosen = [first]
-        dist_to_chosen = dataset.distances_from(first)
-        while len(chosen) < m:
-            far = int(np.argmax(dist_to_chosen))
-            chosen.append(far)
-            np.minimum(dist_to_chosen, dataset.distances_from(far), out=dist_to_chosen)
-        return np.sort(np.asarray(chosen, dtype=np.int64))
+        first = int(rng.integers(dataset.n))
+        result = gonzalez_kcenter(dataset, m, first_index=first)
+        return np.sort(np.asarray(result.centers, dtype=np.int64))

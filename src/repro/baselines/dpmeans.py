@@ -15,10 +15,11 @@ from typing import Optional
 import numpy as np
 
 from repro.core.result import ClusteringResult
+from repro.kcenter import gonzalez_kcenter
 from repro.metricspace.dataset import MetricDataset
 from repro.metricspace.counting import unwrap
 from repro.metricspace.euclidean import EuclideanMetric
-from repro.utils.rng import SeedLike, check_random_state
+from repro.utils.rng import SeedLike
 from repro.utils.timer import TimingBreakdown
 
 
@@ -27,16 +28,7 @@ def lambda_from_kcenter(
 ) -> float:
     """The paper's λ heuristic: run a greedy k-center initialization with
     ``k`` centers and return the realized maximum covering distance."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rng = check_random_state(seed)
-    n = dataset.n
-    first = int(rng.integers(n))
-    dist_to_chosen = dataset.distances_from(first)
-    for _ in range(1, min(k, n)):
-        far = int(np.argmax(dist_to_chosen))
-        np.minimum(dist_to_chosen, dataset.distances_from(far), out=dist_to_chosen)
-    return float(dist_to_chosen.max())
+    return gonzalez_kcenter(dataset, k, seed=seed).radius
 
 
 class DPMeans:

@@ -73,20 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "is the paper's Theta(n^2) reference.  For "
                               "streaming, the flag puts all three passes on "
                               "dynamic indexes over the summary stores")
-    cluster.add_argument("--workers", default=None,
-                         help="worker processes for the sharded "
-                              "preprocessing engine (exact/approx): an "
-                              "integer or 'auto' for the CPU count; "
-                              "default defers to REPRO_WORKERS (unset: 1, "
-                              "the plain single-process path)")
-    cluster.add_argument("--shards", type=int, default=None,
-                         help="dataset shard count (default: the resolved "
-                              "worker count); labels depend on the shard "
-                              "plan, never on --workers")
-    cluster.add_argument("--shard-strategy", default="auto",
-                         choices=["auto", "grid", "random"],
-                         help="shard partitioning: grid-cell-aligned "
-                              "(vector metrics) or random (any metric)")
     cluster.add_argument("--json", dest="json_out", default=None,
                          metavar="PATH",
                          help="also write the machine-readable run record "
@@ -136,8 +122,6 @@ def _write_run_record(args, eps, loaded, result, ari, ami) -> None:
             "rho": float(args.rho),
             "index": args.index,
             "seed": int(args.seed),
-            "workers": args.workers,
-            "shards": args.shards,
         },
         "labels": {
             "n": int(labels.size),
@@ -174,17 +158,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         lo, hi = loaded.eps_range
         eps = (lo + hi) / 2.0
         print(f"(using eps={eps:g} from the dataset's suggested range)")
-    shard_kwargs = {
-        "workers": args.workers,
-        "shards": args.shards,
-        "shard_strategy": args.shard_strategy,
-    }
     solvers = {
-        "exact": lambda: MetricDBSCAN(
-            eps, args.min_pts, index=args.index, **shard_kwargs
-        ),
+        "exact": lambda: MetricDBSCAN(eps, args.min_pts, index=args.index),
         "approx": lambda: ApproxMetricDBSCAN(
-            eps, args.min_pts, rho=args.rho, index=args.index, **shard_kwargs
+            eps, args.min_pts, rho=args.rho, index=args.index
         ),
         "streaming": lambda: StreamingApproxDBSCAN(
             eps, args.min_pts, rho=args.rho, metric=loaded.dataset.metric,

@@ -19,7 +19,7 @@ whole run costs ``O(n ((Δ/ρε)^D + z) t_dis)`` (Theorem 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,19 +56,6 @@ class ApproxMetricDBSCAN:
         center index Algorithm 1 maintains and the enlarged merge
         graph of Eq. (13), which reuses that index instance instead of
         thresholding a dense center matrix.
-    workers:
-        Worker-process count for the sharded preprocessing engine
-        (:mod:`repro.parallel`): an integer, ``"auto"`` for the CPU
-        count, or ``None`` to defer to ``REPRO_WORKERS`` (default 1 —
-        the plain single-process path).
-    shards:
-        Number of dataset shards; defaults to the resolved worker
-        count.  Labels depend on the shard *plan*, never on
-        ``workers`` — pin ``shards=`` to compare worker counts on
-        identical output.
-    shard_strategy:
-        ``"grid"`` (cell-aligned, vector metrics), ``"random"``, or
-        ``"auto"``.
 
     Examples
     --------
@@ -87,9 +74,6 @@ class ApproxMetricDBSCAN:
         rho: float = 0.5,
         r_bar: Optional[float] = None,
         index: IndexSpec = None,
-        workers: Union[None, int, str] = None,
-        shards: Optional[int] = None,
-        shard_strategy: str = "auto",
     ) -> None:
         self.eps = check_epsilon(eps)
         self.min_pts = check_min_pts(min_pts)
@@ -104,9 +88,6 @@ class ApproxMetricDBSCAN:
             )
         self.r_bar = float(r_bar)
         self.index = index
-        self.workers = workers
-        self.shards = shards
-        self.shard_strategy = shard_strategy
 
     @staticmethod
     def precompute(
@@ -134,10 +115,15 @@ class ApproxMetricDBSCAN:
         # Per-run counter registry: dataset eval deltas, cascade stats
         # and metric-wrapper counters all fold into ``timings.counters``
         # when the scope closes.
-        parallel_stats: Dict[str, object] = {}
         with CounterScope(timings, dataset=dataset):
             if net is None:
-                net = self._preprocess(dataset, eps, timings, parallel_stats)
+                with timings.phase("gonzalez"):
+                    net = radius_guided_gonzalez(
+                        dataset, self.r_bar, eps_for_counts=eps,
+                        index=self.index,
+                    )
+                    for counter, value in net.counters.items():
+                        timings.count(counter, value)
             else:
                 if net.r_bar > rho * eps / 2.0 + 1e-12:
                     raise ValueError(
@@ -187,51 +173,10 @@ class ApproxMetricDBSCAN:
                 "n_centers": net.n_centers,
                 "summary_size": summary.size,
                 "core_mask_partial": True,
-                **parallel_stats,
             },
         )
 
     # ------------------------------------------------------------------
-
-    def _preprocess(
-        self,
-        dataset: MetricDataset,
-        eps: float,
-        timings: TimingBreakdown,
-        parallel_stats: Dict[str, object],
-    ) -> GonzalezNet:
-        """Algorithm-1 preprocessing: plain, or sharded across workers.
-
-        The sharded path builds the merged net and harvests exact
-        ε-ball counts per shard (:class:`~repro.parallel.ShardedEngine`);
-        everything downstream consumes the net identically.
-        """
-        from repro.parallel import (
-            ShardedEngine, resolve_shards, resolve_workers,
-        )
-
-        workers = resolve_workers(self.workers)
-        n_shards = resolve_shards(self.shards, workers, dataset.n)
-        if n_shards > 1:
-            with ShardedEngine(
-                dataset, workers=workers, n_shards=n_shards,
-                strategy=self.shard_strategy, index=self.index,
-                timings=timings,
-            ) as engine:
-                net = engine.build_net(
-                    self.r_bar,
-                    radius_hint=2.0 * self.r_bar + (1.0 + self.rho) * eps,
-                )
-                engine.harvest_ball_counts(net, eps)
-                parallel_stats.update(engine.stats())
-            return net
-        with timings.phase("gonzalez"):
-            net = radius_guided_gonzalez(
-                dataset, self.r_bar, eps_for_counts=eps, index=self.index
-            )
-            for counter, value in net.counters.items():
-                timings.count(counter, value)
-        return net
 
     def _merge_summary(
         self,

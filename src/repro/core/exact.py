@@ -27,7 +27,7 @@ pass a precomputed net via :meth:`MetricDBSCAN.fit`'s ``net=`` argument.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -90,21 +90,6 @@ class MetricDBSCAN:
         center-center merge graph queries, which reuse that same index
         instance — no dense ``|E|²`` matrix is materialized on any
         path.
-    workers:
-        Worker-process count for the sharded preprocessing engine
-        (:mod:`repro.parallel`): an integer, ``"auto"`` for the CPU
-        count, or ``None`` to defer to ``REPRO_WORKERS`` (default 1).
-        When the resolved shard count exceeds 1, the Gonzalez net and
-        Step (1)'s sparse-sphere ε-tests run per shard; Steps (2)–(3)
-        merge in-process.  The result equals the plain path's
-        clustering up to cluster-id relabeling.
-    shards:
-        Number of dataset shards; defaults to the resolved worker
-        count.  Labels depend on the shard *plan*, never on
-        ``workers``.
-    shard_strategy:
-        ``"grid"`` (cell-aligned, vector metrics), ``"random"``, or
-        ``"auto"``.
 
     Examples
     --------
@@ -124,9 +109,6 @@ class MetricDBSCAN:
         dense_shortcut: bool = True,
         collect_border_memberships: bool = False,
         index: IndexSpec = None,
-        workers: Union[None, int, str] = None,
-        shards: Optional[int] = None,
-        shard_strategy: str = "auto",
     ) -> None:
         self.eps = check_epsilon(eps)
         self.min_pts = check_min_pts(min_pts)
@@ -140,9 +122,6 @@ class MetricDBSCAN:
         self.dense_shortcut = bool(dense_shortcut)
         self.collect_border_memberships = bool(collect_border_memberships)
         self.index = index
-        self.workers = workers
-        self.shards = shards
-        self.shard_strategy = shard_strategy
 
     # ------------------------------------------------------------------
 
@@ -185,13 +164,14 @@ class MetricDBSCAN:
         # process-global cascade stats, cache/counting metric wrappers)
         # and folds the per-run deltas into ``timings.counters`` when
         # the run ends — one merged registry per fit.
-        parallel_stats: Dict[str, object] = {}
-        core_mask: Optional[np.ndarray] = None
         with CounterScope(timings, dataset=dataset):
             if net is None:
-                net, core_mask = self._preprocess(
-                    dataset, eps, timings, parallel_stats
-                )
+                with timings.phase("gonzalez"):
+                    net = radius_guided_gonzalez(
+                        dataset, self.r_bar, index=self.index
+                    )
+                    for counter, value in net.counters.items():
+                        timings.count(counter, value)
             else:
                 if net.r_bar > eps / 2.0 + 1e-12:
                     raise ValueError(
@@ -210,11 +190,8 @@ class MetricDBSCAN:
                 )
                 cover = net.cover_sets()
 
-            if core_mask is None:
-                with timings.phase("label_cores"):
-                    core_mask = self._label_cores(
-                        dataset, net, neighbors, cover
-                    )
+            with timings.phase("label_cores"):
+                core_mask = self._label_cores(dataset, net, neighbors, cover)
 
             with timings.phase("merge"):
                 center_cluster, core_by_center = self._merge_cores(
@@ -234,7 +211,6 @@ class MetricDBSCAN:
             "r_bar": net.r_bar,
             "n_centers": net.n_centers,
             "n_core": int(np.count_nonzero(core_mask)),
-            **parallel_stats,
         }
         if border_memberships is not None:
             stats["border_memberships"] = border_memberships
@@ -244,50 +220,6 @@ class MetricDBSCAN:
             timings=timings,
             stats=stats,
         )
-
-    # ------------------------------------------------------------------
-
-    def _preprocess(
-        self,
-        dataset: MetricDataset,
-        eps: float,
-        timings: TimingBreakdown,
-        parallel_stats: Dict[str, object],
-    ) -> Tuple[GonzalezNet, Optional[np.ndarray]]:
-        """Algorithm-1 preprocessing: plain, or sharded across workers.
-
-        The sharded path additionally runs Step (1) per shard (sparse
-        spheres are shard-local by construction) and returns the
-        finished core mask; the plain path defers core labeling to the
-        usual in-process pass and returns ``None`` for it.
-        """
-        from repro.parallel import (
-            ShardedEngine, resolve_shards, resolve_workers,
-        )
-
-        workers = resolve_workers(self.workers)
-        n_shards = resolve_shards(self.shards, workers, dataset.n)
-        if n_shards > 1:
-            with ShardedEngine(
-                dataset, workers=workers, n_shards=n_shards,
-                strategy=self.shard_strategy, index=self.index,
-                timings=timings,
-            ) as engine:
-                net = engine.build_net(
-                    self.r_bar, radius_hint=2.0 * self.r_bar + eps
-                )
-                core_mask = engine.label_cores(
-                    net, eps, self.min_pts, self.dense_shortcut
-                )
-                parallel_stats.update(engine.stats())
-            return net, core_mask
-        with timings.phase("gonzalez"):
-            net = radius_guided_gonzalez(
-                dataset, self.r_bar, index=self.index
-            )
-            for counter, value in net.counters.items():
-                timings.count(counter, value)
-        return net, None
 
     # ------------------------------------------------------------------
     # Step (1)

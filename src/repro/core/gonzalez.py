@@ -747,8 +747,7 @@ def radius_guided_gonzalez(
     if harvest_counts:
         counts = pruned_ball_counts(
             dataset, centers_arr, center_index, eps_for_counts,
-            points=np.arange(n, dtype=np.intp), assign=center_of,
-            dists=true_dist, position_of=position_of,
+            assign=center_of, dists=true_dist, position_of=position_of,
             track_pairs=track_pairs,
         )
 
@@ -786,20 +785,17 @@ def pruned_ball_counts(
     center_index: NeighborIndex,
     eps: float,
     *,
-    points: np.ndarray,
     assign: np.ndarray,
     dists: np.ndarray,
-    position_of: Optional[np.ndarray] = None,
-    track_pairs=None,
+    position_of: np.ndarray,
+    track_pairs,
 ) -> np.ndarray:
-    """Per-center contributions ``|B(e, ε) ∩ points|`` via cover pruning.
+    """Per-center ball counts ``|B(e, ε) ∩ X|`` via cover pruning.
 
-    ``points``, ``assign`` and ``dists`` are aligned arrays: for each
-    listed point, the *position* (into ``centers_arr``) of a center
-    within ``dists`` of it.  With ``points = arange(n)`` this is the
-    classical harvested ball count of Algorithm 1; the sharded engine
-    calls it per shard (each shard's points against the *merged* center
-    set) and sums the results — ``|B(e, ε) ∩ X| = Σ_s |B(e, ε) ∩ X_s|``.
+    ``assign`` and ``dists`` give, for each point, the *position* (into
+    ``centers_arr``) of its center and the distance to it; every group
+    holds at least its own center.  This is the harvested ball count
+    of Algorithm 1.
 
     Two triangle-inequality facts bound the work per center pair
     ``(k, j)`` with group radius ``g_k = max_{p: assign=k} d(p, e_k)``:
@@ -810,24 +806,14 @@ def pruned_ball_counts(
       within ε of ``e_j`` (count the whole group without evaluating
       anything).
 
-    The annulus pairs come from one range query per *occupied* center
-    against ``center_index`` at that center's own bound ``ε + g_k``
-    (per-query radii) — ``O(|E|·deg)`` pairs, never a dense matrix.
-    Only groups in the annulus between the two bounds are evaluated,
-    with the certified aligned pair kernel over the COO pair list.
+    The annulus pairs come from one range query per center against
+    ``center_index`` at that center's own bound ``ε + g_k`` (per-query
+    radii) — ``O(|E|·deg)`` pairs, never a dense matrix.  Only groups
+    in the annulus between the two bounds are evaluated, with the
+    certified aligned pair kernel over the COO pair list.
     """
     m = len(centers_arr)
     counts = np.zeros(m, dtype=np.int64)
-    points = np.asarray(points, dtype=np.intp)
-    if points.size == 0:
-        return counts
-    if position_of is None:
-        position_of = np.full(dataset.n, -1, dtype=np.int64)
-        position_of[centers_arr] = np.arange(m)
-    if track_pairs is None:
-        def track_pairs(n_pairs, bytes_per_pair=24):
-            return None
-
     order, boundaries = _group_boundaries(assign, m)
     group_sizes = np.diff(boundaries)
     group_radius = np.zeros(m, dtype=np.float64)
@@ -838,24 +824,15 @@ def pruned_ball_counts(
     # can never disagree with the wholesale decision.
     reach_at = (eps + group_radius) * _PRUNE_SLACK
     whole_at = eps * (1.0 - 1e-12) - group_radius
-    # Centers with no assigned points (a shard never touches most of
-    # the merged center set) contribute nothing — skip their queries.
-    qpos = np.flatnonzero(group_sizes > 0)
-    if qpos.size == 0:
-        return counts
-    results = center_index.range_query_batch_csr(
-        centers_arr[qpos], reach_at[qpos]
-    )
-    ks = np.repeat(qpos, results.counts())
+    results = center_index.range_query_batch_csr(centers_arr, reach_at)
+    ks = results.query_rows()
     js = position_of[results.ids]
     d_kj = results.dists
     track_pairs(ks.size)
     whole = d_kj <= whole_at[ks]
     np.add.at(counts, js[whole], group_sizes[ks[whole]])
     ks, js = ks[~whole], js[~whole]
-    pair_point, pair_center = _expand_pairs(
-        points[order], boundaries, ks, js
-    )
+    pair_point, pair_center = _expand_pairs(order, boundaries, ks, js)
     pair_slice = pairs_per_slice(dataset)
     for lo in range(0, pair_point.size, pair_slice):
         sl = slice(lo, lo + pair_slice)

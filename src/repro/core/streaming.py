@@ -93,6 +93,9 @@ StreamFactory = Callable[[], Iterable[Any]]
 #: births' tail scans bounded even when the target set is tiny).
 _MAX_CHUNK = 4096
 
+#: The largest finite float64, the ceiling of a birth threshold.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 def stream_chunks(stream: Iterable[Any], size_fn) -> Iterator[List[Any]]:
     """Slice a stream into lists whose length tracks ``size_fn()``.
@@ -192,6 +195,9 @@ def epoch_births(
     """
     n = len(chunk)
     rows_all = np.asarray(chunk) if metric.is_vector_metric else chunk
+    # An overflowed threshold (a huge r̄) is +inf, which not even the
+    # +inf of "no center yet" exceeds: clamp it so such a row births.
+    red_r = min(red_r, _FLOAT_MAX)
     birth_rows: List[int] = []
     born: List[int] = []
     # Kept as parts and concatenated once, never rescanned per epoch, so
@@ -386,8 +392,8 @@ class StreamingApproxDBSCAN:
     def _pass1(self, stream_factory: StreamFactory, metric: Metric) -> _Net:
         """Pass 1: the net, its detected counts and the watch-list, one
         chunk step at a time.  Pass 1 reads the stream first, so it
-        screens every chunk for NaN/inf coordinates before any state
-        changes."""
+        screens every chunk for NaN/inf or too-large coordinates before
+        any state changes."""
         net = _Net(metric)
         # Pass-1 probes must see every center that could (a) collect an
         # ε-hit or (b) cover the arrival within r̄.
@@ -396,7 +402,7 @@ class StreamingApproxDBSCAN:
             stream_factory(), lambda: rows_per_block(max(1, len(net.centers)))
         ):
             if metric.is_vector_metric:
-                check_finite(chunk, "stream payloads")
+                check_finite(chunk, "stream payloads", metric)
             net.n_seen += len(chunk)
             born = self._pass1_chunk(net, metric, chunk, probe_radius)
             if born and self.index is not None:

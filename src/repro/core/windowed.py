@@ -232,9 +232,10 @@ class _CenterStoreBase:
     # Online maintenance
 
     def _check_payloads(self, payloads: Any, what: str = "stream payloads") -> None:
-        """Reject NaN/inf vector payloads before they touch any state."""
+        """Reject NaN/inf or too-large vector payloads before they touch
+        any state."""
         if self.metric.is_vector_metric:
-            check_finite(payloads, what)
+            check_finite(payloads, what, self.metric)
 
     def insert(self, payload: Any) -> None:
         """Process one stream arrival (``insert_many([payload])``)."""

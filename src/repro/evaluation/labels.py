@@ -1,13 +1,12 @@
 """Label-array equivalence up to cluster-id relabeling.
 
 Cluster ids carry no meaning across runs: the exact solver numbers
-clusters by union-find traversal order, so the single-shard and
-sharded paths (or two different index backends) produce the same
-*partition* under different ids.  :func:`canonical_labels` rewrites a
-labeling into a canonical form — noise stays ``-1``, clusters are
-renumbered ``0, 1, 2, …`` by order of first appearance — and
-:func:`labels_equivalent_up_to_relabeling` compares two labelings by
-comparing their canonical forms.
+clusters by union-find traversal order, so two index backends (or two
+solvers) can produce the same *partition* under different ids.
+:func:`canonical_labels` rewrites a labeling into a canonical form —
+noise stays ``-1``, clusters are renumbered ``0, 1, 2, …`` by order of
+first appearance — and :func:`labels_equivalent_up_to_relabeling`
+compares two labelings by comparing their canonical forms.
 
 This is an *exact* partition check (noise must match point-for-point),
 unlike ARI-style scores which reward near-agreement; use it where the

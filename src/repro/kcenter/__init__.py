@@ -1,26 +1,16 @@
-"""k-center clustering algorithms (the foundation of Section 2).
+"""k-center clustering (the foundation of Section 2).
 
 The paper's radius-guided Gonzalez (Algorithm 1, in
 :mod:`repro.core.gonzalez`) is a variant of classical k-center
-machinery.  This subpackage exposes that machinery as a first-class
-API:
-
-- :func:`gonzalez_kcenter` — the classical 2-approximation (``k``
-  given, radius minimized);
-- :func:`kcenter_with_outliers` — the randomized greedy variant of
-  Ding, Yu & Wang (ESA 2019) that discards up to ``z`` outliers (the
-  pre-processing of the DYW_DBSCAN baseline, Section 3.3);
-- :func:`greedy_net` — an ``r``-net via farthest-point insertion (the
-  radius-guided form, re-exported from the core).
+machinery.  This subpackage holds the classical form,
+:func:`gonzalez_kcenter` — the 2-approximation with ``k`` given and
+the radius minimized — which the DBSCAN++ k-center sample and the
+DP-means λ heuristic both run.
 """
 
-from repro.core.gonzalez import radius_guided_gonzalez as greedy_net
 from repro.kcenter.gonzalez import KCenterResult, gonzalez_kcenter
-from repro.kcenter.outliers import kcenter_with_outliers
 
 __all__ = [
     "gonzalez_kcenter",
     "KCenterResult",
-    "kcenter_with_outliers",
-    "greedy_net",
 ]

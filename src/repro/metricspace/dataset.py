@@ -118,7 +118,7 @@ class MetricDataset:
                 raise ValueError(
                     f"vector data must be 2-dimensional, got shape {arr.shape}"
                 )
-            check_finite(arr, "vector data")
+            check_finite(arr, "vector data", self.metric)
             self._points: Any = arr
             self._n = arr.shape[0]
         else:

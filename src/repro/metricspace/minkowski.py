@@ -6,6 +6,8 @@ inputs for every algorithm in :mod:`repro.core`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.metricspace.base import Metric
@@ -53,7 +55,10 @@ class MinkowskiMetric(Metric):
     # Reduced space: the p-th power of the distance (monotone, no root)
 
     def reduce_threshold(self, threshold: float) -> float:
-        return float(threshold) ** self.p
+        try:
+            return float(threshold) ** self.p
+        except OverflowError:
+            return math.inf
 
     def expand_reduced(self, values):
         return np.asarray(values, dtype=np.float64) ** (1.0 / self.p)

@@ -11,19 +11,10 @@ Three pieces (see the module docstrings for details):
 - :mod:`repro.obs.recorder` / :mod:`repro.obs.diff` — versioned
   ``BENCH_<name>.json`` artifacts and the tolerance-band regression
   diff behind ``python -m repro bench-diff``.
-- :mod:`repro.obs.fold` — merging worker-process breakdowns
-  (span trees + counter registries) into the parent run record for
-  the sharded engine (:mod:`repro.parallel`).
 """
 
 from repro.obs.trace import RunTrace, Span, memory_sampling_enabled
 from repro.obs.registry import REGISTRY, CounterScope, MetricsRegistry
-from repro.obs.fold import (
-    PEAK_COUNTER_KEYS,
-    fold_breakdown,
-    fold_registry,
-    merge_spans,
-)
 from repro.obs.recorder import (
     SCHEMA_VERSION,
     environment_info,
@@ -41,10 +32,6 @@ __all__ = [
     "REGISTRY",
     "CounterScope",
     "MetricsRegistry",
-    "PEAK_COUNTER_KEYS",
-    "fold_breakdown",
-    "fold_registry",
-    "merge_spans",
     "SCHEMA_VERSION",
     "environment_info",
     "load_artifact",

@@ -6,6 +6,7 @@ bodies free of boilerplate.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -42,16 +43,31 @@ def check_rho(rho: float) -> float:
     return value
 
 
-def check_finite(values, what: str) -> None:
-    """Reject NaN and ±inf entries with a ``ValueError``.
+def check_finite(values, what: str, metric) -> None:
+    """Reject NaN, ±inf and too-large entries with a ``ValueError``.
 
     The solvers' distance thresholds and net radii are meaningless for
     non-finite coordinates (an infinite point is never covered, so the
-    net never stops growing), so vector inputs are checked at the
+    net never stops growing), and for coordinates whose reduced
+    distances overflow float64 (every pair then compares as
+    ``inf <= inf``).  One ``max|x|`` pass screens both: ``2·d·max|x|``
+    bounds every Lp distance between two rows and every term of a norm
+    expansion, so the input is accepted only when ``metric`` reduces
+    that bound to a finite value.  Vector inputs are checked at the
     dataset and stream-ingestion boundaries.
     """
-    if not np.isfinite(values).all():
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        return
+    top = float(np.abs(arr).max())  # NaN propagates through the max
+    if not math.isfinite(top):
         raise ValueError(f"{what} must be finite; found NaN or infinity")
+    dim = arr.shape[-1] if arr.ndim else 1
+    if not math.isfinite(metric.reduce_threshold(2.0 * dim * top)):
+        raise ValueError(
+            f"{what} magnitude {top:.3g} is too large: distances under "
+            f"{type(metric).__name__} would overflow float64"
+        )
 
 
 def ensure_labels_array(labels: Sequence[int], n: int | None = None) -> np.ndarray:

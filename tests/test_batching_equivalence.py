@@ -66,13 +66,8 @@ def test_exact_partition_matches_scalar_path(name, pts, eps, min_pts):
 @pytest.mark.parametrize("name,pts,eps,min_pts", _instances(),
                          ids=[i[0] for i in _instances()])
 def test_approx_partition_matches_scalar_path(name, pts, eps, min_pts):
-    # workers=1: under REPRO_WORKERS the vector and scalarized runs
-    # would pick different shard strategies (grid vs random fallback)
-    # and approx core masks are net-dependent.
-    fast = ApproxMetricDBSCAN(eps, min_pts, rho=0.5, workers=1).fit(
-        MetricDataset(pts)
-    )
-    slow = ApproxMetricDBSCAN(eps, min_pts, rho=0.5, workers=1).fit(
+    fast = ApproxMetricDBSCAN(eps, min_pts, rho=0.5).fit(MetricDataset(pts))
+    slow = ApproxMetricDBSCAN(eps, min_pts, rho=0.5).fit(
         MetricDataset(list(pts), ScalarizedEuclidean())
     )
     assert np.array_equal(fast.core_mask, slow.core_mask)

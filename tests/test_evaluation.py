@@ -1,7 +1,8 @@
 """Tests for ARI / AMI / NMI: known values, invariances, and property
 sweeps.  Reference values were cross-checked against scikit-learn's
 implementations (same conventions: noise is an ordinary label, AMI uses
-arithmetic-mean normalization)."""
+arithmetic-mean normalization).  Also covers the label-equivalence
+helpers of :mod:`repro.evaluation.labels`."""
 
 import os
 import subprocess
@@ -15,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 
+from conftest import assert_labels_equivalent
 from repro.evaluation import (
     adjusted_mutual_information,
     adjusted_rand_index,
+    canonical_labels,
     contingency_table,
     entropy,
     expected_mutual_information,
+    labels_equivalent_up_to_relabeling,
     mutual_information,
     normalized_mutual_information,
     rand_index,
@@ -207,3 +211,31 @@ def test_evaluation_and_cli_import_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.0"
+
+
+class TestLabelEquivalence:
+    def test_canonical_form(self):
+        labels = np.array([5, 5, -1, 2, 2, 5, -7])
+        assert canonical_labels(labels).tolist() == [0, 0, -1, 1, 1, 0, -1]
+
+    def test_equivalence_accepts_relabeling(self):
+        a = np.array([0, 0, 1, 1, -1, 2])
+        b = np.array([9, 9, 4, 4, -1, 0])
+        assert labels_equivalent_up_to_relabeling(a, b)
+
+    def test_equivalence_rejects_different_partitions(self):
+        a = np.array([0, 0, 1, 1])
+        assert not labels_equivalent_up_to_relabeling(a, np.array([0, 0, 0, 1]))
+        assert not labels_equivalent_up_to_relabeling(a, np.array([0, 0, 1, -1]))
+        assert not labels_equivalent_up_to_relabeling(a, np.array([0, 0, 1]))
+
+    def test_all_noise(self):
+        assert labels_equivalent_up_to_relabeling(
+            np.array([-1, -1]), np.array([-1, -1])
+        )
+
+    def test_assert_helper_raises_with_diagnostics(self):
+        with pytest.raises(AssertionError, match="not a relabeling"):
+            assert_labels_equivalent(
+                np.array([0, 0, 1]), np.array([0, 1, 1])
+            )

@@ -416,16 +416,11 @@ class TestSolverRegression:
             np.testing.assert_array_equal(g, w)
 
     def test_counters_flow_into_timings(self):
-        # workers=1: the m / m*m query-count identities below describe
-        # the single-process merge graph; sharded runs add per-shard
-        # Step-(1) index queries on top.
         ds = euclidean_dataset(n=250)
-        result = MetricDBSCAN(1.5, 5, index="grid", workers=1).fit(ds)
+        result = MetricDBSCAN(1.5, 5, index="grid").fit(ds)
         assert result.timings.counters["n_range_queries"] > 0
         assert result.timings.counters["n_candidates"] > 0
-        dense = MetricDBSCAN(1.5, 5, index="brute", workers=1).fit(
-            euclidean_dataset(n=250)
-        )
+        dense = MetricDBSCAN(1.5, 5, index="brute").fit(euclidean_dataset(n=250))
         m = dense.stats["n_centers"]
         assert dense.timings.counters["n_range_queries"] == m
         assert dense.timings.counters["n_candidates"] == m * m

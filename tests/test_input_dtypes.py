@@ -1,6 +1,8 @@
 """Input-dtype boundary coercion: float32/int data must cluster
-bit-identically to its float64 cast, and NaN/inf coordinates must be
-rejected where they enter.
+bit-identically to its float64 cast, NaN/inf coordinates and
+coordinates whose distances overflow float64 must be rejected where
+they enter, and an ε whose reduced threshold overflows must still
+cluster.
 
 The engine coerces vector payloads to float64 exactly once, at the
 dataset/store boundary (``MetricDataset.__init__`` / ``PayloadStore``);
@@ -13,14 +15,18 @@ would be rounded twice and these tests would diverge.
 import numpy as np
 import pytest
 
+from conftest import assert_labels_equivalent
+from repro.baselines import OriginalDBSCAN
 from repro.core import (
+    ApproxMetricDBSCAN,
     DecayingApproxDBSCAN,
+    MetricDBSCAN,
     StreamingApproxDBSCAN,
     WindowedApproxDBSCAN,
     approx_metric_dbscan,
     metric_dbscan,
 )
-from repro.metricspace import EuclideanMetric, MetricDataset
+from repro.metricspace import EuclideanMetric, MetricDataset, MinkowskiMetric
 
 BACKENDS = ["auto", "brute", "grid", "covertree"]
 
@@ -163,3 +169,113 @@ def test_rejected_ttl_override_does_not_leak():
         reference.insert(p)
     assert model.memory_points == reference.memory_points
     assert model.n_clusters == reference.n_clusters
+
+
+# ----------------------------------------------------------------------
+# Magnitudes: 50 N(0, 1) points in 3-d, MinPts 3, ρ = 1.  Scaled by s
+# with ε = 0.5·s the truth does not move (4 clusters, 36 noise points),
+# but once reduced distances overflow float64 every pair would compare
+# as ``inf <= inf`` (one cluster, no noise).  Every entry point must
+# either give the s = 1 answer or reject the input with an error naming
+# its magnitude, and accept everything up to |x| ~ 1e150.
+
+ENTRY_POINTS = ("exact", "approx", "dbscan", "streaming", "windowed")
+
+
+def unit_points(n=50, dim=3):
+    return np.random.default_rng(0).normal(size=(n, dim))
+
+
+def run_entry(entry, pts, eps, metric, index):
+    """One entry point's answer on ``pts``: labels for the fits, the
+    cluster count plus every point's prediction for the windowed
+    model."""
+    if entry == "windowed":
+        model = WindowedApproxDBSCAN(
+            eps, 3, rho=1.0, window=100, metric=metric, index=index
+        )
+        model.insert_many(pts)
+        return model.n_clusters, np.array([model.predict(p) for p in pts])
+    if entry == "streaming":
+        solver = StreamingApproxDBSCAN(eps, 3, rho=1.0, metric=metric, index=index)
+        return solver.fit_stream(lambda: iter(pts)).labels
+    solver = {
+        "exact": lambda: MetricDBSCAN(eps, 3, index=index),
+        "approx": lambda: ApproxMetricDBSCAN(eps, 3, rho=1.0, index=index),
+        "dbscan": lambda: OriginalDBSCAN(eps, 3, index=index),
+    }[entry]()
+    return solver.fit(MetricDataset(pts, metric)).labels
+
+
+def assert_same_answer(entry, got, want):
+    if entry == "windowed":
+        assert got[0] == want[0]
+        assert_labels_equivalent(got[1], want[1])
+    else:
+        assert_labels_equivalent(got, want)
+
+
+def check_scaled(entry, index, metric, scale, accepted):
+    """The s = 1 answer, or (unless ``accepted``) a magnitude error."""
+    pts = unit_points()
+    want = run_entry(entry, pts, 0.5, metric, index)
+    try:
+        got = run_entry(entry, pts * scale, 0.5 * scale, metric, index)
+    except ValueError as err:
+        assert not accepted, err
+        assert "magnitude" in str(err), err
+        return
+    assert_same_answer(entry, got, want)
+
+
+@pytest.mark.parametrize(
+    "scale", [1e100, 1e150, 1e153, 1e154, 1e155, 1e160, 1e200]
+)
+@pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_scaled_coordinates(entry, index, scale):
+    check_scaled(entry, index, EuclideanMetric(), scale, accepted=scale <= 1e150)
+
+
+def test_unit_answer_is_the_planted_truth():
+    labels = metric_dbscan(MetricDataset(unit_points()), 0.5, 3).labels
+    assert labels.max() + 1 == 4
+    assert np.count_nonzero(labels < 0) == 36
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e102, 1e103, 1e104, 1e120])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_minkowski_scaled_coordinates(entry, scale):
+    """Minkowski-3 reduces with a cube, so it overflows near 1e103."""
+    check_scaled(entry, None, MinkowskiMetric(3), scale, accepted=scale <= 1e100)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_minkowski_huge_eps(entry):
+    """ε = 1e103 cubes to +inf; every pair is then within ε."""
+    got = run_entry(entry, unit_points(), 1e103, MinkowskiMetric(3), None)
+    if entry == "windowed":
+        n_clusters, got = got
+        assert n_clusters == 1
+    assert np.all(got == got[0]) and got[0] >= 0
+
+
+def test_minkowski_reduce_threshold_overflows_to_inf():
+    assert MinkowskiMetric(3).reduce_threshold(1e103) == np.inf
+
+
+# ----------------------------------------------------------------------
+# A huge ε: every pair of the 50 points is within ε = 1e200, so every
+# solver must return one cluster with no noise.  The streaming and
+# windowed epoch loops must still create centers when the reduced
+# birth threshold overflows to +inf.
+
+
+@pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_huge_eps_is_one_cluster(entry, index):
+    got = run_entry(entry, unit_points(), 1e200, EuclideanMetric(), index)
+    if entry == "windowed":
+        n_clusters, got = got
+        assert n_clusters == 1
+    assert np.all(got == got[0]) and got[0] >= 0

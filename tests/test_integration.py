@@ -90,9 +90,7 @@ class TestDistanceComplexity:
         after_net = ds.metric.count
         MetricDBSCAN(0.6, 10).fit(ds, net=net)
         cold = MetricDataset(pts).with_counting()
-        # workers=1: pool workers count their evals in their own metric
-        # copies, which would understate the cold run's wrapper count.
-        MetricDBSCAN(0.6, 10, workers=1).fit(cold)
+        MetricDBSCAN(0.6, 10).fit(cold)
         reuse_cost = ds.metric.count - after_net
         assert reuse_cost < cold.metric.count
 

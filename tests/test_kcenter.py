@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kcenter import gonzalez_kcenter, greedy_net, kcenter_with_outliers
+from repro.kcenter import gonzalez_kcenter
 from repro.metricspace import EuclideanMetric, MetricDataset
 
 
@@ -61,62 +61,6 @@ class TestGonzalezKCenter:
         ds = blob_ds()
         with pytest.raises(ValueError):
             gonzalez_kcenter(ds, 2, first_index=ds.n)
-
-
-class TestKCenterWithOutliers:
-    def test_outliers_excluded_from_radius(self):
-        """With z matching the planted outliers, a successful run (the
-        algorithm only succeeds with constant probability — the very
-        drawback Section 3.3 highlights) covers the inliers tightly
-        although outliers sit far away."""
-        rng = np.random.default_rng(4)
-        pts = np.vstack([
-            rng.normal(0.0, 0.3, size=(40, 2)),
-            rng.normal([8.0, 0.0], 0.3, size=(40, 2)),
-            np.array([[100.0, 100.0], [-120.0, 50.0]]),
-        ])
-        ds = MetricDataset(pts)
-        radii = [
-            kcenter_with_outliers(ds, k=2, z=2, seed=seed).radius
-            for seed in range(8)
-        ]
-        assert min(radii) < 3.0  # at least one run succeeds
-        best = min(range(8), key=lambda s: radii[s])
-        result = kcenter_with_outliers(ds, k=2, z=2, seed=best)
-        farthest = np.argsort(result.distances)[-2:]
-        assert set(farthest.tolist()) <= {80, 81}
-
-    def test_zero_budget_matches_full_cover(self):
-        ds = blob_ds(5)
-        result = kcenter_with_outliers(ds, k=3, z=0, seed=0)
-        assert result.radius == pytest.approx(float(result.distances.max()))
-
-    def test_z_at_least_n(self):
-        ds = blob_ds(6)
-        result = kcenter_with_outliers(ds, k=2, z=ds.n, seed=0)
-        assert result.radius == 0.0
-
-    def test_randomized_but_seed_deterministic(self):
-        ds = blob_ds(7)
-        a = kcenter_with_outliers(ds, 3, z=5, seed=9)
-        b = kcenter_with_outliers(ds, 3, z=5, seed=9)
-        assert a.centers == b.centers
-
-    def test_validation(self):
-        ds = blob_ds(8)
-        with pytest.raises(ValueError):
-            kcenter_with_outliers(ds, 0, z=1)
-        with pytest.raises(ValueError):
-            kcenter_with_outliers(ds, 1, z=-1)
-        with pytest.raises(ValueError):
-            kcenter_with_outliers(ds, 1, z=1, eta=-0.5)
-
-
-class TestGreedyNetReexport:
-    def test_greedy_net_is_radius_guided_gonzalez(self):
-        ds = blob_ds(9)
-        net = greedy_net(ds, r_bar=1.0)
-        assert net.max_cover_radius() <= 1.0
 
 
 @given(

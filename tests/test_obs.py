@@ -168,10 +168,7 @@ class TestCounterScope:
     def test_counting_metric_namespace(self):
         pts, _ = make_moons(n=200, noise=0.06, seed=0)
         counted = MetricDataset(pts).with_counting()
-        # workers=1: the wrapper-count identity below holds only when
-        # every eval happens in this process (pool workers eval against
-        # their own unpickled metric copies).
-        result = MetricDBSCAN(0.12, 10, workers=1).fit(counted)
+        result = MetricDBSCAN(0.12, 10).fit(counted)
         counters = result.timings.counters
         assert counters["metric/evals"] == counted.metric.count
         registry = result.timings.counter_registry()
@@ -406,94 +403,3 @@ class TestTraceEquivalence:
         assert timings.total == pytest.approx(timings.trace.root.seconds)
         # One merged registry: cascade deltas ride on every run.
         assert any(k.startswith("cascade/") for k in timings.counters)
-
-
-class TestFold:
-    """repro.obs.fold: merging worker breakdowns into a parent record."""
-
-    def test_fold_registry_sums_and_peaks(self):
-        from repro.obs.fold import PEAK_COUNTER_KEYS, fold_registry
-
-        dst = {"distance_evals": 10, "peak_center_matrix_bytes": 100}
-        src = {"distance_evals": 5, "peak_center_matrix_bytes": 70,
-               "n_candidates": 3}
-        out = fold_registry(dst, src)
-        assert out is dst
-        assert dst == {
-            "distance_evals": 15,
-            "peak_center_matrix_bytes": 100,  # max, not sum
-            "n_candidates": 3,
-        }
-        assert "peak_center_matrix_bytes" in PEAK_COUNTER_KEYS
-
-    def test_merge_spans_recurses(self):
-        from repro.obs.fold import merge_spans
-        from repro.obs.trace import Span
-
-        dst = Span("a", seconds=1.0, n_calls=1)
-        dst.child("x").seconds = 0.5
-        src = Span("a", seconds=2.0, n_calls=3,
-                   counters={"distance_evals": 7})
-        src.child("x").seconds = 0.25
-        src.child("y").n_calls = 2
-        merge_spans(dst, src)
-        assert dst.seconds == pytest.approx(3.0)
-        assert dst.n_calls == 4
-        assert dst.counters == {"distance_evals": 7}
-        assert dst.children["x"].seconds == pytest.approx(0.75)
-        assert dst.children["y"].n_calls == 2
-
-    def test_fold_breakdown_grafts_under_open_phase(self):
-        from repro.obs.fold import fold_breakdown
-
-        child = TimingBreakdown()
-        with child.phase("gonzalez"):
-            with child.phase("inner"):
-                pass
-            child.count("distance_evals", 11)
-
-        parent = TimingBreakdown()
-        with parent.phase("gonzalez"):
-            node = fold_breakdown(parent, child, "shard[0]")
-
-        # span grafted under the parent's open phase, label-prefixed at
-        # every depth so flatten() stays 1:1 with the flat phases map
-        gz = parent.trace.root.children["gonzalez"]
-        assert "shard[0]" in gz.children
-        assert node is gz.children["shard[0]"]
-        assert "shard[0]/gonzalez" in node.children
-        assert "shard[0]/inner" in (
-            node.children["shard[0]/gonzalez"].children
-        )
-        flat = parent.trace.flatten()
-        assert set(flat) == set(parent.phases)
-        # flat phases carry the worker's phases under label/ keys
-        assert parent.phases["shard[0]"] == pytest.approx(child.total)
-        assert parent.phases["shard[0]/gonzalez"] == pytest.approx(
-            child.phases["gonzalez"]
-        )
-        # counters fold into both the grafted span and the parent flat map
-        assert node.counters["distance_evals"] == 11
-        assert parent.counters["distance_evals"] == 11
-        # grafted phases never become root phases: total stays wall-true
-        assert "shard[0]" not in parent.root_phases
-        assert parent.total == pytest.approx(
-            parent.root_phases["gonzalez"]
-        )
-
-    def test_fold_breakdown_accumulates_repeated_labels(self):
-        from repro.obs.fold import fold_breakdown
-
-        def one_worker():
-            tb = TimingBreakdown()
-            with tb.phase("work"):
-                tb.count("distance_evals", 2)
-            return tb
-
-        parent = TimingBreakdown()
-        with parent.phase("gonzalez"):
-            fold_breakdown(parent, one_worker(), "shard[0]")
-            fold_breakdown(parent, one_worker(), "shard[0]")
-        assert parent.counters["distance_evals"] == 4
-        gz = parent.trace.root.children["gonzalez"]
-        assert gz.children["shard[0]"].n_calls == 2

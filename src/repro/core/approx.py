@@ -19,14 +19,15 @@ whole run costs ``O(n ((Δ/ρε)^D + z) t_dis)`` (Theorem 3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.flatgroups import FlatGroups, neighbor_center_pairs
+from repro.core.flatgroups import FlatGroups
 from repro.core.gonzalez import GonzalezNet, radius_guided_gonzalez
 from repro.core.result import ClusteringResult
 from repro.core.summary import CoreSummary, build_summary
+from repro.index.csr import CSRQueryResult
 from repro.index.netgraph import net_neighbor_sets
 from repro.index.registry import IndexSpec
 from repro.metricspace.dataset import MetricDataset, pairs_per_slice
@@ -183,7 +184,7 @@ class ApproxMetricDBSCAN:
         dataset: MetricDataset,
         net: GonzalezNet,
         summary: CoreSummary,
-        neighbors: List[np.ndarray],
+        neighbors: CSRQueryResult,
     ) -> np.ndarray:
         """Line 9 of Algorithm 2: connect summary points within
         ``(1+ρ)ε``; returns the dense cluster id of each summary point.
@@ -194,15 +195,16 @@ class ApproxMetricDBSCAN:
         """
         threshold = (1.0 + self.rho) * self.eps
         members = summary.members
-        groups = FlatGroups.from_lists(summary.members_by_center)
+        groups = summary.members_by_center
 
         # COO expansion of the candidate edges: every (center j, neighbor
         # center k) pair fans out to the cartesian product of their
         # summary points; one aligned pair kernel then evaluates all
         # edges at once.  si < t dedupes the symmetric halves before
         # evaluation.
-        center_rep, cand_centers = neighbor_center_pairs(neighbors)
-        rows, cols = groups.cartesian(center_rep, groups, cand_centers)
+        rows, cols = groups.cartesian(
+            neighbors.query_rows(), groups, neighbors.ids
+        )
         forward = rows < cols
         rows, cols = rows[forward], cols[forward]
         pair_slice = pairs_per_slice(dataset)
@@ -220,7 +222,7 @@ class ApproxMetricDBSCAN:
         dataset: MetricDataset,
         net: GonzalezNet,
         summary: CoreSummary,
-        neighbors: List[np.ndarray],
+        neighbors: CSRQueryResult,
         member_cluster: np.ndarray,
     ) -> np.ndarray:
         """Lines 10-20 of Algorithm 2, batched.
@@ -258,10 +260,8 @@ class ApproxMetricDBSCAN:
         point_groups = FlatGroups.from_assignment(
             slow, net.center_of[slow], m
         )
-        summary_groups = FlatGroups.from_lists(summary.members_by_center)
-        center_rep, cand_centers = neighbor_center_pairs(neighbors)
         rows, cols = point_groups.cartesian(
-            center_rep, summary_groups, cand_centers
+            neighbors.query_rows(), summary.members_by_center, neighbors.ids
         )
         if rows.size == 0:
             return labels

@@ -70,43 +70,30 @@ def _net_from_centers(
 
     Assigns every point to its nearest center (one batch distance pass
     per center, ``O(|E| n)`` evaluations — the same order as running
-    Algorithm 1) and harvests the center-center distance matrix from the
-    same passes.
+    Algorithm 1).  The net carries no center index; its merge graphs
+    build one over the centers
+    (:func:`repro.index.netgraph.net_neighbor_sets`).
     """
     centers = [int(c) for c in centers]
     if not centers:
         raise ValueError("center set must be non-empty")
-    n = dataset.n
-    m = len(centers)
-    center_of = np.zeros(n, dtype=np.int64)
+    center_of = np.zeros(dataset.n, dtype=np.int64)
     dist_to_center = dataset.distances_from(centers[0])
-    center_positions = np.asarray(centers, dtype=np.intp)
-    center_distances = np.zeros((m, m), dtype=np.float64)
-    center_distances[0] = dataset.distances_from(centers[0], center_positions)
-    for j in range(1, m):
+    for j in range(1, len(centers)):
         d_new = dataset.distances_from(centers[j])
-        center_distances[j] = d_new[center_positions]
         closer = d_new < dist_to_center
         center_of[closer] = j
         np.minimum(dist_to_center, d_new, out=dist_to_center)
-    # Symmetrize to absorb any metric floating-point jitter.
-    center_distances = np.minimum(center_distances, center_distances.T)
     realized = float(dist_to_center.max())
     if realized > r_bar * (1.0 + 1e-9):
         raise ValueError(
             f"cover-tree net has covering radius {realized:.6g} > r_bar={r_bar:.6g}; "
             "the dataset may violate the cover-tree invariants"
         )
-    # This path materializes the dense matrix by construction (the
-    # assignment passes harvest it for free), so the net reports the
-    # dense footprint honestly and ``net_neighbor_sets`` thresholds it
-    # directly for the brute spec.
     return GonzalezNet(
         dataset=dataset,
         r_bar=float(r_bar),
         centers=centers,
         center_of=center_of,
         dist_to_center=dist_to_center,
-        counters={"peak_center_matrix_bytes": int(m * m * 8)},
-        _center_distances=center_distances,
     )

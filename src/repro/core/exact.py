@@ -27,15 +27,14 @@ pass a precomputed net via :meth:`MetricDBSCAN.fit`'s ``net=`` argument.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.flatgroups import (
-    FlatGroups, neighbor_center_pairs, rectangle_slices,
-)
+from repro.core.flatgroups import FlatGroups, rectangle_slices
 from repro.core.gonzalez import GonzalezNet, radius_guided_gonzalez
 from repro.core.result import ClusteringResult
+from repro.index.csr import CSRQueryResult
 from repro.index.netgraph import net_neighbor_sets
 from repro.index.registry import IndexSpec
 from repro.metricspace.dataset import (
@@ -188,14 +187,14 @@ class MetricDBSCAN:
                 neighbors = net_neighbor_sets(
                     net, 2.0 * net.r_bar + eps, self.index, timings
                 )
-                cover = net.cover_sets()
+                cover = net.cover()
 
             with timings.phase("label_cores"):
                 core_mask = self._label_cores(dataset, net, neighbors, cover)
 
             with timings.phase("merge"):
                 center_cluster, core_by_center = self._merge_cores(
-                    dataset, net, neighbors, cover, core_mask
+                    dataset, net, neighbors, core_mask
                 )
 
             with timings.phase("label_borders"):
@@ -228,33 +227,31 @@ class MetricDBSCAN:
         self,
         dataset: MetricDataset,
         net: GonzalezNet,
-        neighbors: List[np.ndarray],
-        cover: List[np.ndarray],
+        neighbors: CSRQueryResult,
+        cover: FlatGroups,
     ) -> np.ndarray:
         """Label core points with the dense/sparse sphere split.
 
         Sparse spheres are tested with one many-to-many block per
         sphere (rows = sphere members, columns = the Lemma-2 candidate
-        set) instead of one batch call per point.
+        set) instead of one batch call per point.  The candidate sets
+        of all sparse spheres are composed in one pass over the center
+        graph.
         """
-        n = dataset.n
-        core_mask = np.zeros(n, dtype=bool)
-        sizes = np.array([len(c) for c in cover], dtype=np.int64)
         if self.dense_shortcut:
-            dense = sizes >= self.min_pts
+            dense = cover.sizes >= self.min_pts
         else:
             dense = np.zeros(net.n_centers, dtype=bool)
-        for j in np.flatnonzero(dense):
-            core_mask[cover[j]] = True
-        for j in np.flatnonzero(~dense):
+        # Every point of a dense sphere is core (its diameter is <= ε).
+        core_mask = dense[net.center_of]
+        sparse =np.flatnonzero(~dense & (cover.sizes > 0))
+        candidate_sets = cover.expand(neighbors, sparse)
+        for r, j in enumerate(sparse):
             members = cover[j]
-            if len(members) == 0:
-                continue
-            candidates = np.concatenate([cover[k] for k in neighbors[j]])
             # Threshold-only count: the certified mixed-precision
             # cascade decides ``<= eps`` without materializing float64
             # distances (uncertain pairs are rescued exactly).
-            mask = dataset.cross_certified(members, candidates, self.eps)
+            mask = dataset.cross_certified(members, candidate_sets[r], self.eps)
             counts = np.count_nonzero(mask, axis=1)
             core_mask[members[counts >= self.min_pts]] = True
         return core_mask
@@ -266,8 +263,7 @@ class MetricDBSCAN:
         self,
         dataset: MetricDataset,
         net: GonzalezNet,
-        neighbors: List[np.ndarray],
-        cover: List[np.ndarray],
+        neighbors: CSRQueryResult,
         core_mask: np.ndarray,
     ) -> tuple:
         """Merge core points into clusters; returns per-center cluster ids.
@@ -282,16 +278,14 @@ class MetricDBSCAN:
         (center_cluster, core_by_center):
             ``center_cluster[j]`` is the dense cluster id of center
             position ``j`` (``-1`` when the center has no core points);
-            ``core_by_center[j]`` is the array of core point indices in
-            ``C_{e_j}`` (the paper's ``C̃_e``).
+            ``core_by_center`` groups the core point indices of each
+            ``C_{e_j}`` (the paper's ``C̃_e``), ascending.
         """
         m = net.n_centers
-        core_by_center: List[np.ndarray] = [
-            members[core_mask[members]] for members in cover
-        ]
-        groups = FlatGroups.from_lists(core_by_center)
+        core = np.flatnonzero(core_mask)
+        groups = FlatGroups.from_assignment(core, net.center_of[core], m)
         occupied = groups.sizes > 0
-        src, dst = neighbor_center_pairs(neighbors)
+        src, dst = neighbors.query_rows(), neighbors.ids
         keep = (src < dst) & occupied[src] & occupied[dst]
         src, dst = src[keep], dst[keep]
 
@@ -313,7 +307,7 @@ class MetricDBSCAN:
 
         center_cluster = np.full(m, -1, dtype=np.int64)
         center_cluster[occupied] = first_seen_labels(roots[occupied])
-        return center_cluster, core_by_center
+        return center_cluster, groups
 
     def _any_core_pair_within(
         self,
@@ -362,9 +356,9 @@ class MetricDBSCAN:
         self,
         dataset: MetricDataset,
         net: GonzalezNet,
-        neighbors: List[np.ndarray],
+        neighbors: CSRQueryResult,
         core_mask: np.ndarray,
-        core_by_center: List[np.ndarray],
+        core_by_center: FlatGroups,
         center_cluster: np.ndarray,
     ):
         """Assign final labels: core via their center's cluster, border
@@ -389,21 +383,16 @@ class MetricDBSCAN:
         noncore = np.flatnonzero(~core_mask)
         if noncore.size == 0:
             return labels, memberships
-        assign = net.center_of[noncore]
-        order = np.argsort(assign, kind="stable")
-        boundaries = np.searchsorted(
-            assign[order], np.arange(net.n_centers + 1)
+        spheres = FlatGroups.from_assignment(
+            noncore, net.center_of[noncore], net.n_centers
         )
-        for j in range(net.n_centers):
-            lo, hi = boundaries[j], boundaries[j + 1]
-            if lo == hi:
+        rows = np.flatnonzero(spheres.sizes > 0)
+        candidate_sets = core_by_center.expand(neighbors, rows)
+        for r, j in enumerate(rows):
+            candidates = candidate_sets[r]
+            if candidates.size == 0:
                 continue
-            cand_lists = [core_by_center[k] for k in neighbors[j]]
-            cand_lists = [c for c in cand_lists if len(c) > 0]
-            if not cand_lists:
-                continue
-            candidates = np.concatenate(cand_lists)
-            group = noncore[order[lo:hi]]
+            group = spheres[j]
             block = dataset.cross(group, candidates, reduced=True)
             amin = block.argmin(axis=1)
             dmin = block[np.arange(block.shape[0]), amin]

@@ -1,23 +1,39 @@
 """Flat ragged groups and their pairwise expansions.
 
-The batch solvers hold per-center groups of points (core points per
-cover set, summary points per center) and evaluate candidate pairs
-between the groups of neighboring centers.  Flattening the groups into
-one array plus offsets turns every such expansion into a few vectorized
-index computations followed by one aligned pair-kernel call, instead of
-one Python-level block per center pair.
+The batch solvers hold per-center groups of points (the cover sets,
+core points per cover set, summary points per center) and evaluate
+candidate pairs between the groups of neighboring centers.  Flattening
+the groups into one array plus offsets turns every such expansion into
+a few vectorized index computations followed by one aligned pair-kernel
+call, instead of one Python-level block per center pair.  The center
+graph the groups are composed with is the CSR answer of
+:func:`repro.index.netgraph.net_neighbor_sets`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
+
+from repro.index.csr import CSRQueryResult
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The flat positions ``[starts[k], starts[k] + lengths[k])`` for
+    every ``k``, concatenated in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 class FlatGroups:
     """Ragged groups (e.g. summary points per center) flattened for
-    vectorized cartesian-product expansion."""
+    vectorized cartesian-product expansion.
+
+    Group ``j`` is ``flat[starts[j] : starts[j] + sizes[j]]``; indexing
+    the object with ``j`` returns that slice.
+    """
 
     def __init__(self, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
         self.flat = flat
@@ -25,22 +41,33 @@ class FlatGroups:
         self.sizes = sizes
 
     @classmethod
-    def from_lists(cls, lists) -> "FlatGroups":
-        sizes = np.asarray([len(x) for x in lists], dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-        if sizes.sum():
-            flat = np.concatenate(
-                [np.asarray(x, dtype=np.int64) for x in lists if len(x)]
-            )
-        else:
-            flat = np.empty(0, dtype=np.int64)
-        return cls(flat, starts, sizes)
-
-    @classmethod
     def from_assignment(cls, items: np.ndarray, assign: np.ndarray, m: int):
+        """Group ``items`` by ``assign`` (values in ``[0, m)``); each
+        group keeps the items' order."""
         order = np.argsort(assign, kind="stable")
         boundaries = np.searchsorted(assign[order], np.arange(m + 1))
         return cls(items[order], boundaries[:-1], np.diff(boundaries))
+
+    def __getitem__(self, j) -> np.ndarray:
+        lo = self.starts[j]
+        return self.flat[lo : lo + self.sizes[j]]
+
+    def take(self, groups: np.ndarray) -> "FlatGroups":
+        """The groups ``groups`` (repeats allowed), re-flattened in that
+        order."""
+        sizes = self.sizes[groups]
+        flat = self.flat[_concat_ranges(self.starts[groups], sizes)]
+        return FlatGroups(flat, np.cumsum(sizes) - sizes, sizes)
+
+    def expand(self, graph: CSRQueryResult, rows: np.ndarray) -> "FlatGroups":
+        """One group per entry of ``rows``: the members of every group
+        that row of ``graph`` lists, concatenated in the row's order."""
+        lo = graph.offsets[rows]
+        counts = graph.offsets[rows + 1] - lo
+        listed = self.take(graph.ids[_concat_ranges(lo, counts)])
+        # A row's members end where its last listed group ends.
+        ends = np.r_[0, np.cumsum(listed.sizes)][np.r_[0, np.cumsum(counts)]]
+        return FlatGroups(listed.flat, ends[:-1], np.diff(ends))
 
     def cartesian(
         self,
@@ -63,20 +90,6 @@ class FlatGroups:
         rows = self.flat[self.starts[src_groups][pair_of] + local // b_rep]
         cols = other.flat[other.starts[tgt_groups][pair_of] + local % b_rep]
         return rows, cols
-
-
-def neighbor_center_pairs(neighbors: List[np.ndarray]):
-    """Flatten the enlarged neighbor lists into aligned (center,
-    neighbor-center) pair arrays."""
-    m = len(neighbors)
-    center_rep = np.repeat(
-        np.arange(m), [len(neighbors[j]) for j in range(m)]
-    )
-    if m and center_rep.size:
-        cand = np.concatenate([np.asarray(neighbors[j]) for j in range(m)])
-    else:
-        cand = np.empty(0, dtype=np.int64)
-    return center_rep, cand.astype(np.int64)
 
 
 def rectangle_slices(

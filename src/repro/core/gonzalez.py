@@ -44,12 +44,9 @@ batched distance engine instead:
 
 Incremental center index
 ------------------------
-Earlier revisions harvested a dense ``(|E|, |E|)`` center-distance
-matrix as a by-product — quadratic memory that ROADMAP.md flagged as
-*the* blocker for GIST/DEEP1B-scale nets.  The loop now maintains a
-**dynamic** :class:`~repro.index.base.NeighborIndex` over the growing
-center set instead (``insert_batch`` after every round), and every
-center-center question becomes a range query against it:
+The loop maintains a **dynamic** :class:`~repro.index.base.NeighborIndex`
+over the growing center set (``insert_batch`` after every round), and
+every center-center question becomes a range query against it:
 
 - the round flush's Feder–Greene pair pruning queries each pre-flush
   center that still owns active points at its *own* radius ``2·(max
@@ -63,12 +60,13 @@ center-center question becomes a range query against it:
   (:func:`repro.index.netgraph.net_neighbor_sets`) reuse the very same
   index instance — no second build.
 
-Peak center-structure memory therefore scales with the *realized*
-neighbor degree, ``O(|E|·deg)``, never ``O(|E|²)``; the run reports it
-as the ``peak_center_matrix_bytes`` counter (surfaced through
-``TimingBreakdown.counters``).  The dense matrix remains available as
-the lazily computed :attr:`GonzalezNet.center_distances` property for
-tests and small-scale inspection, but no solver path materializes it.
+Each of these answers is a CSR batch, and the point groups it fans out
+to (the cover sets, :meth:`GonzalezNet.cover`) are one
+:class:`~repro.core.flatgroups.FlatGroups`.  Peak center-structure
+memory therefore scales with the *realized* neighbor degree,
+``O(|E|·deg)``, never ``O(|E|²)``; the run reports it as the
+``peak_center_matrix_bytes`` counter (surfaced through
+``TimingBreakdown.counters``).
 
 The optional **ε-ball counts** ``|B(e, ε) ∩ X|`` per center are still
 harvested when requested; Algorithm 2 uses them to classify centers as
@@ -83,6 +81,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.flatgroups import FlatGroups
 from repro.index.base import NeighborIndex
 from repro.index.registry import (
     IndexSpec,
@@ -136,8 +135,7 @@ class GonzalezNet:
         ``|B(e, ε) ∩ X|`` for each center (only if requested).
     counters:
         Construction instrumentation: ``peak_center_matrix_bytes``
-        (peak bytes of center-pair working set — the ``O(|E|·deg)``
-        replacement of the old dense ``|E|²·8`` matrix),
+        (peak bytes of the ``O(|E|·deg)`` center-pair working set),
         ``net_range_queries`` / ``net_candidates`` (index work spent
         inside the loop), and ``net_build_evals`` for tree backends.
     iterations:
@@ -154,21 +152,13 @@ class GonzalezNet:
     ball_counts: Optional[np.ndarray] = None
     counters: Dict[str, int] = field(default_factory=dict)
     _center_distances: Optional[np.ndarray] = field(default=None, repr=False)
-    _cover_sets: Optional[List[np.ndarray]] = field(default=None, repr=False)
+    _cover: Optional[FlatGroups] = field(default=None, repr=False)
     _position_of: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_centers(self) -> int:
         """``|E|``."""
         return len(self.centers)
-
-    @property
-    def has_dense_center_matrix(self) -> bool:
-        """Whether the dense center matrix is *already* materialized
-        (cover-tree nets, or after a :attr:`center_distances` access).
-        Consumers use this to pick the free dense threshold scan over
-        re-querying; nothing should materialize the matrix to get it."""
-        return self._center_distances is not None
 
     @property
     def center_distances(self) -> np.ndarray:
@@ -201,48 +191,18 @@ class GonzalezNet:
         """Iterations executed by Algorithm 1 (== ``|E|``)."""
         return len(self.centers)
 
-    def cover_sets(self) -> List[np.ndarray]:
-        """The cover sets ``C_e``: point indices assigned to each center.
+    def cover(self) -> FlatGroups:
+        """The cover sets ``C_e``: group ``j`` holds the point indices
+        assigned to center position ``j``, ascending.
 
         Computed lazily from ``center_of`` and cached.  Every point
         belongs to exactly one cover set, and ``C_e ⊆ B(e, r̄)``.
         """
-        if self._cover_sets is None:
-            order = np.argsort(self.center_of, kind="stable")
-            sorted_assign = self.center_of[order]
-            boundaries = np.searchsorted(
-                sorted_assign, np.arange(self.n_centers + 1)
+        if self._cover is None:
+            self._cover = FlatGroups.from_assignment(
+                np.arange(self.dataset.n), self.center_of, self.n_centers
             )
-            self._cover_sets = [
-                order[boundaries[j] : boundaries[j + 1]]
-                for j in range(self.n_centers)
-            ]
-        return self._cover_sets
-
-    def neighbor_centers(self, threshold: float) -> List[np.ndarray]:
-        """Neighbor ball-center sets at a distance ``threshold``.
-
-        For each center position ``j``, returns the positions of centers
-        ``e`` with ``dis(e, e_j) <= threshold`` (including ``j`` itself).
-        With ``threshold = 2r̄ + ε`` this is the paper's ``A_p`` of
-        Eq. (1) for every ``p`` with ``c_p = e_j``; Algorithm 2 uses the
-        enlarged ``threshold = 4r̄ + ε`` of Eq. (13).
-
-        Answered with sparse range queries through :attr:`index` when
-        the net carries one (nothing quadratic is materialized); nets
-        without an index — or with the dense matrix already in hand —
-        threshold that matrix directly.
-        """
-        if threshold < 0:
-            raise ValueError(f"threshold must be non-negative, got {threshold}")
-        m = self.n_centers
-        if self.index is not None and not self.has_dense_center_matrix:
-            from repro.index.netgraph import center_neighbor_sets
-
-            return center_neighbor_sets(self, float(threshold), self.index)
-        rows, cols = np.nonzero(self.center_distances <= threshold)
-        split = np.searchsorted(rows, np.arange(m + 1))
-        return [cols[split[j] : split[j + 1]] for j in range(m)]
+        return self._cover
 
     def ball_count_for(self, eps: float) -> np.ndarray:
         """``|B(e, ε) ∩ X|`` for each center.
@@ -277,7 +237,7 @@ class GonzalezNet:
         m = self.n_centers
         if m < 2:
             return False
-        if self.index is not None and not self.has_dense_center_matrix:
+        if self.index is not None:
             results = self.index.range_query_batch_csr(
                 np.asarray(self.centers, dtype=np.intp),
                 self.r_bar,
@@ -288,17 +248,6 @@ class GonzalezNet:
             return bool((results.counts() > 1).any())
         off_diag = self.center_distances[~np.eye(m, dtype=bool)]
         return bool(off_diag.min() <= self.r_bar)
-
-
-def _group_boundaries(assign: np.ndarray, m: int):
-    """Stable grouping of positions by assigned center: returns
-    ``(order, boundaries)`` with group ``j`` at
-    ``order[boundaries[j]:boundaries[j+1]]``."""
-    order = np.argsort(assign, kind="stable")
-    boundaries = np.searchsorted(assign[order], np.arange(m + 1))
-    return order, boundaries
-
-
 
 
 def _lazy_sequential_picks(
@@ -348,38 +297,6 @@ def _lazy_sequential_picks(
         picks.append(pos)
         synced[pos] = len(picks)
     return picks
-
-
-def _expand_pairs(order, boundaries, ks, js, vals=None):
-    """Expand center-pair adjacency into a COO point-center pair list.
-
-    For every adjacent center pair ``(k, j)``, emits the members of
-    group ``k`` (positions into ``order``'s domain) paired with center
-    ``j``.  Fully vectorized; returns ``(points, centers)`` arrays of
-    equal length — plus ``vals`` repeated per emitted member when a
-    per-pair value array (e.g. the pair's center-center distance) is
-    supplied.
-    """
-    starts = boundaries[ks]
-    lengths = boundaries[ks + 1] - starts
-    nonempty = lengths > 0
-    starts, lengths, js = starts[nonempty], lengths[nonempty], js[nonempty]
-    if vals is not None:
-        vals = np.asarray(vals)[nonempty]
-    if lengths.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        if vals is not None:
-            return empty, empty, np.empty(0, dtype=np.float64)
-        return empty, empty
-    ends = np.cumsum(lengths)
-    flat = (
-        np.arange(ends[-1])
-        - np.repeat(ends - lengths, lengths)
-        + np.repeat(starts, lengths)
-    )
-    if vals is not None:
-        return order[flat], np.repeat(js, lengths), np.repeat(vals, lengths)
-    return order[flat], np.repeat(js, lengths)
 
 
 def radius_guided_gonzalez(
@@ -560,13 +477,16 @@ def radius_guided_gonzalez(
             affected = np.zeros(base, dtype=bool)
             affected[es] = True
             sub_active = active[affected[act_assign]]
-            order, boundaries = _group_boundaries(center_of[sub_active], base)
-            pair_pos, pair_new, pair_d = _expand_pairs(
-                order, boundaries, es, js_new, vals=d_ce
-            )
-            pair_point = sub_active[pair_pos]
-            # Per-point tightening of the group-level bound: pair_d is
+            # Each (old group, new center) pair fans out to the group's
+            # members.
+            groups = FlatGroups.from_assignment(
+                sub_active, center_of[sub_active], base
+            ).take(es)
+            pair_point = groups.flat
+            pair_new = np.repeat(js_new, groups.sizes)
+            # Per-point tightening of the group-level bound: d_ce is
             # dis(new center, the point's current center).
+            pair_d = np.repeat(d_ce, groups.sizes)
             keep = pair_d < 2.0 * true_dist[pair_point] * _PRUNE_SLACK
             pair_point, pair_new = pair_point[keep], pair_new[keep]
             if pair_point.size:
@@ -694,7 +614,6 @@ def radius_guided_gonzalez(
     covered = red_dist <= red_r
     cov_idx = np.flatnonzero(covered)
     if m > 1 and cov_idx.size:
-        order, boundaries = _group_boundaries(center_of[cov_idx], m)
         results = center_index.range_query_batch_csr(
             centers_arr, 2.0 * r_bar * _PRUNE_SLACK, with_distances=False
         )
@@ -703,9 +622,10 @@ def radius_guided_gonzalez(
         self_hit = ks != js
         ks, js = ks[self_hit], js[self_hit]
         track_pairs(ks.size, bytes_per_pair=16)
-        pair_pos, pair_center = _expand_pairs(order, boundaries, ks, js)
-        if pair_pos.size:
-            pair_point = cov_idx[pair_pos]
+        groups = FlatGroups.from_assignment(cov_idx, center_of[cov_idx], m).take(ks)
+        pair_point = groups.flat
+        pair_center = np.repeat(js, groups.sizes)
+        if pair_point.size:
             total = pair_point.size
             pair_slice = pairs_per_slice(dataset)
             best = red_dist.copy()
@@ -814,8 +734,7 @@ def pruned_ball_counts(
     """
     m = len(centers_arr)
     counts = np.zeros(m, dtype=np.int64)
-    order, boundaries = _group_boundaries(assign, m)
-    group_sizes = np.diff(boundaries)
+    groups = FlatGroups.from_assignment(np.arange(assign.size), assign, m)
     group_radius = np.zeros(m, dtype=np.float64)
     np.maximum.at(group_radius, assign, dists)
 
@@ -830,9 +749,10 @@ def pruned_ball_counts(
     d_kj = results.dists
     track_pairs(ks.size)
     whole = d_kj <= whole_at[ks]
-    np.add.at(counts, js[whole], group_sizes[ks[whole]])
-    ks, js = ks[~whole], js[~whole]
-    pair_point, pair_center = _expand_pairs(order, boundaries, ks, js)
+    np.add.at(counts, js[whole], groups.sizes[ks[whole]])
+    annulus = groups.take(ks[~whole])
+    pair_point = annulus.flat
+    pair_center = np.repeat(js[~whole], annulus.sizes)
     pair_slice = pairs_per_slice(dataset)
     for lo in range(0, pair_point.size, pair_slice):
         sl = slice(lo, lo + pair_slice)

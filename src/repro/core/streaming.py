@@ -353,8 +353,8 @@ class StreamingApproxDBSCAN:
         stream_factory:
             Zero-argument callable producing a *fresh* iterable over the
             same payload sequence each time it is called (three calls
-            total).  A later pass that reads a different number of
-            points raises ``ValueError``.
+            total).  An empty stream, or a later pass that reads a
+            different number of points, raises ``ValueError``.
         metric:
             Override of the solver's metric for this run (used by
             :meth:`fit` to honor the dataset's own — possibly counting —
@@ -414,6 +414,9 @@ class StreamingApproxDBSCAN:
                     net.index.insert_batch(
                         np.arange(net.index.n_stored, len(net.centers))
                     )
+        if net.n_seen == 0:
+            # The batch entry points reject an empty input the same way.
+            raise ValueError("the stream must hold at least one point")
         return net
 
     def _pass1_chunk(

@@ -10,18 +10,21 @@ walks the centers of a ``r̄ = ρε/2`` Gonzalez net:
 - a **non-core center** has ``|C_e| < MinPts`` members (Lemma 8 with
   ``ρ <= 2``), each of which is individually tested for core-ness (the
   candidate set again bounded by Lemma 2) and added to ``S*`` if core.
+
+The candidate sets are composed from the net's cover sets and the CSR
+center graph in one pass, and the summary's per-center grouping is one
+:class:`~repro.core.flatgroups.FlatGroups`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
+from repro.core.flatgroups import FlatGroups
 from repro.core.gonzalez import GonzalezNet
-from repro.index.netgraph import net_neighbor_sets
-from repro.index.registry import IndexSpec
+from repro.index.csr import CSRQueryResult
 from repro.metricspace.dataset import MetricDataset
 
 
@@ -32,7 +35,8 @@ class CoreSummary:
     Attributes
     ----------
     members:
-        Point indices of ``S*`` in deterministic order.
+        Point indices of ``S*``, grouped by center position and
+        ascending within a center.
     member_position:
         ``member_position[p]`` is the position of point ``p`` inside
         ``members`` (``-1`` when ``p ∉ S*``).
@@ -44,15 +48,15 @@ class CoreSummary:
         core center are never tested, so this mask is a subset of the
         true core set — exactly the information Algorithm 2 has.
     members_by_center:
-        For each center position, positions (into ``members``) of the
-        summary points whose assigned center it is.
+        Group ``j`` holds the positions (into ``members``) of the
+        summary points whose assigned center is center position ``j``.
     """
 
     members: np.ndarray
     member_position: np.ndarray
     center_is_core: np.ndarray
     known_core_mask: np.ndarray
-    members_by_center: List[List[int]]
+    members_by_center: FlatGroups
 
     @property
     def size(self) -> int:
@@ -65,8 +69,7 @@ def build_summary(
     net: GonzalezNet,
     eps: float,
     min_pts: int,
-    neighbors: Optional[List[np.ndarray]] = None,
-    index: IndexSpec = None,
+    neighbors: CSRQueryResult,
 ) -> CoreSummary:
     """Construct ``S*`` per Algorithm 2 (lines 2--8).
 
@@ -79,18 +82,10 @@ def build_summary(
     eps, min_pts:
         The DBSCAN parameters.
     neighbors:
-        Neighbor ball-center sets ``A_e`` computed at a threshold of at
-        least ``2 r̄ + ε`` so the Lemma-2 candidate bound applies —
-        produced by sparse range queries through a :mod:`repro.index`
-        backend (:func:`repro.index.netgraph.net_neighbor_sets`, which
-        reuses the incremental index the net already carries) or by
-        thresholding a dense center matrix; both yield the same sorted
-        position lists.  ``None`` computes them here through ``index``
-        (the process-default backend when that is ``None`` too), so a
-        standalone summary build never needs anything quadratic.
-    index:
-        Backend spec for the ``neighbors=None`` path; ignored when
-        ``neighbors`` is given.
+        The center graph of neighbor ball-center sets ``A_e``
+        (:func:`repro.index.netgraph.net_neighbor_sets`) at a threshold
+        of at least ``2 r̄ + ε``, so the Lemma-2 candidate bound
+        applies.
 
     Notes
     -----
@@ -98,50 +93,42 @@ def build_summary(
     tests only happen inside sparse cover sets, whose sizes are below
     ``MinPts``.
     """
-    if neighbors is None:
-        neighbors = net_neighbor_sets(net, 2.0 * net.r_bar + eps, index)
-    cover = net.cover_sets()
-    counts = net.ball_count_for(eps)
-    center_is_core = counts >= min_pts
+    cover = net.cover()
+    centers = np.asarray(net.centers, dtype=np.int64)
+    center_is_core = net.ball_count_for(eps) >= min_pts
+    m = net.n_centers
 
-    n = dataset.n
-    known_core = np.zeros(n, dtype=bool)
-    members: List[int] = []
-    members_by_center: List[List[int]] = [[] for _ in range(net.n_centers)]
-
-    for j in range(net.n_centers):
-        if center_is_core[j]:
-            center_point = net.centers[j]
-            known_core[center_point] = True
-            members_by_center[j].append(len(members))
-            members.append(center_point)
-            continue
-        # The center itself is already classified by the harvested ball
-        # counts (it is not core here), so only the other sphere members
-        # need testing — which skips singleton spheres entirely.
+    known_core = np.zeros(dataset.n, dtype=bool)
+    known_core[centers[center_is_core]] = True
+    # The center itself is already classified by the harvested ball
+    # counts (it is not core here), so only the other sphere members
+    # need testing — which skips singleton spheres entirely.
+    others = cover.sizes - (net.center_of[centers] == np.arange(m))
+    sparse = np.flatnonzero(~center_is_core & (others > 0))
+    candidate_sets = cover.expand(neighbors, sparse)
+    for r, j in enumerate(sparse):
         sphere = cover[j]
-        sphere = sphere[sphere != net.centers[j]]
-        if len(sphere) == 0:
-            continue
+        sphere = sphere[sphere != centers[j]]
         # One certified decision block per sparse sphere (|sphere| <
         # MinPts rows, Lemma 8) instead of a per-point scan — the
         # core test needs only ``<= eps`` verdicts, so it rides the
         # mixed-precision cascade.
-        candidates = np.concatenate([cover[k] for k in neighbors[j]])
-        mask = dataset.cross_certified(sphere, candidates, eps)
-        core_rows = np.count_nonzero(mask, axis=1) >= min_pts
-        for p in sphere[core_rows]:
-            known_core[p] = True
-            members_by_center[j].append(len(members))
-            members.append(int(p))
+        mask = dataset.cross_certified(sphere, candidate_sets[r], eps)
+        known_core[sphere[np.count_nonzero(mask, axis=1) >= min_pts]] = True
 
-    members_arr = np.asarray(members, dtype=np.int64)
-    member_position = np.full(n, -1, dtype=np.int64)
-    member_position[members_arr] = np.arange(len(members))
+    # S* is exactly the proven core points: a core center stands alone
+    # for its cover set, whose other points are never tested.
+    proven = np.flatnonzero(known_core)
+    by_center = FlatGroups.from_assignment(proven, net.center_of[proven], m)
+    members = by_center.flat
+    member_position = np.full(dataset.n, -1, dtype=np.int64)
+    member_position[members] = np.arange(members.size)
     return CoreSummary(
-        members=members_arr,
+        members=members,
         member_position=member_position,
         center_is_core=center_is_core,
         known_core_mask=known_core,
-        members_by_center=members_by_center,
+        members_by_center=FlatGroups(
+            np.arange(members.size), by_center.starts, by_center.sizes
+        ),
     )

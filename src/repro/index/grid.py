@@ -72,7 +72,7 @@ from repro.index.base import (
 from repro.index.csr import csr_from_parts, in_sorted
 from repro.metricspace.base import Metric
 from repro.metricspace.counting import unwrap
-from repro.metricspace.cosine import CosineMetric
+from repro.metricspace.cosine import CosineMetric, unit_rows
 from repro.metricspace.dataset import (
     CERTIFIED_BYTES_PER_ENTRY,
     IndexArray,
@@ -213,14 +213,11 @@ class _GridView:
         )
 
     def coords(self, payloads: np.ndarray) -> np.ndarray:
+        if self._chord:
+            return unit_rows(payloads)
         arr = np.asarray(payloads, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        if self._chord:
-            norms = np.linalg.norm(arr, axis=1)
-            if np.any(norms == 0.0):
-                raise ValueError("angular grid view undefined for the zero vector")
-            arr = arr / norms[:, None]
         return arr
 
     def view_radius(self, radius):

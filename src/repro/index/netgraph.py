@@ -2,36 +2,40 @@
 
 The exact and approximate solvers both need, per center ``e_j``, the
 set of centers within a threshold (the paper's neighbor ball-center
-sets ``A_p`` of Eq. (1) / Eq. (13)).  Algorithm 1 now maintains an
+sets ``A_p`` of Eq. (1) / Eq. (13)).  Algorithm 1 maintains an
 incremental :class:`~repro.index.base.NeighborIndex` over its center
 set as it runs, so :func:`net_neighbor_sets` answers the merge graph
 by **reusing that very index** whenever the caller's spec resolves to
-the same backend — no second build, no dense ``|E|²`` matrix anywhere.
-Nets assembled without an index (the cover-tree extraction path) keep
-the free dense-threshold scan when they already carry the matrix;
-otherwise a fresh backend is built over the centers.
+the same backend: no second build, no dense ``|E|²`` matrix.  Nets
+assembled without an index (the cover-tree extraction path) get a
+fresh backend built over their centers.
+
+The answer is one :class:`~repro.index.csr.CSRQueryResult` in
+center-position space: row ``j`` lists the positions of the centers
+within the threshold of ``e_j``, ascending.  The solvers read it as it
+is, with no per-center lists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.index.base import NeighborIndex
+from repro.index.csr import CSRQueryResult
 from repro.index.registry import IndexSpec, build_index, resolve_index_name
 from repro.utils.timer import TimingBreakdown
 
 
 def center_neighbor_sets(
     net, threshold: float, index: NeighborIndex
-) -> List[np.ndarray]:
+) -> CSRQueryResult:
     """Neighbor ball-center sets via sparse range queries.
 
-    ``index`` must be built over exactly ``net.centers``.  Returns, for
-    each center position ``j``, the sorted positions of centers within
-    ``threshold`` of ``e_j`` (including ``j``) — the same structure as
-    ``GonzalezNet.neighbor_centers``.
+    ``index`` must be built over exactly ``net.centers``.  Returns the
+    center graph: row ``j`` holds the ascending positions of the
+    centers within ``threshold`` of ``e_j`` (``j`` included).
 
     The queries ask for membership only (``with_distances=False``), so
     brute/grid backends answer them through the certified
@@ -39,21 +43,14 @@ def center_neighbor_sets(
     rescue of the uncertain band (see :mod:`repro.metricspace.precision`).
     """
     centers = np.asarray(net.centers, dtype=np.intp)
-    positions_of = getattr(net, "positions_of", None)
-    if positions_of is not None:
-        position_of = positions_of()  # cached on GonzalezNet
-    else:
-        position_of = np.full(net.dataset.n, -1, dtype=np.int64)
-        position_of[centers] = np.arange(len(centers))
     csr = index.range_query_batch_csr(centers, threshold, with_distances=False)
     # Global ids map to center positions in insertion (not id) order,
-    # so re-sort within each row to match the dense np.nonzero scan
-    # order — one flat lexsort over (row, position) instead of a
-    # per-row Python loop.
-    mapped = position_of[csr.ids]
-    rows = csr.query_rows()
-    order = np.lexsort((mapped, rows))
-    return np.split(mapped[order], csr.offsets[1:-1])
+    # so re-sort within each row: rows are already grouped, and one
+    # sort of the unique key row·|E| + position orders each row.
+    row_base = csr.query_rows() * len(centers)
+    keys = row_base + net.positions_of()[csr.ids]
+    keys.sort()
+    return CSRQueryResult(csr.offsets, keys - row_base)
 
 
 def net_neighbor_sets(
@@ -61,7 +58,7 @@ def net_neighbor_sets(
     threshold: float,
     spec: IndexSpec,
     timings: Optional[TimingBreakdown] = None,
-) -> List[np.ndarray]:
+) -> CSRQueryResult:
     """Merge-graph neighbor sets through the configured index backend.
 
     Resolution order: an explicit :class:`NeighborIndex` instance spec
@@ -69,34 +66,25 @@ def net_neighbor_sets(
     reuses whatever incremental index the net carries (building
     *anything* would be a second build the carried index makes
     redundant); an explicit backend name reuses the carried index only
-    when it matches, and otherwise builds as requested; nets holding a
-    materialized dense matrix (cover-tree extraction) answer ``brute``
-    by thresholding it for free.  Index counter *deltas* flow into
-    ``timings`` so ``TimingBreakdown.counters`` stays comparable
-    across backends and phases.
+    when it matches, and otherwise builds as requested.  Index counter
+    *deltas* flow into ``timings`` so ``TimingBreakdown.counters`` stays
+    comparable across backends and phases.
     """
+    if threshold < 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
     dataset = net.dataset
-    m = net.n_centers
-    net_index = getattr(net, "index", None)
+    net_index = net.index
     if isinstance(spec, NeighborIndex):
-        index: Optional[NeighborIndex] = build_index(
+        index = build_index(
             spec, dataset, indices=net.centers, radius_hint=threshold
         )
     else:
-        name = resolve_index_name(spec, dataset, m)
+        name = resolve_index_name(spec, dataset, net.n_centers)
         deferred = spec is None or (
             isinstance(spec, str) and spec.strip().lower() == "auto"
         )
         if net_index is not None and (deferred or net_index.name == name):
             index = net_index
-        elif name == "brute" and getattr(net, "has_dense_center_matrix", False):
-            # The matrix is already in hand: thresholding it *is* the
-            # brute-force answer, with zero extra evaluations.
-            neighbors = net.neighbor_centers(threshold)
-            if timings is not None:
-                timings.count("n_range_queries", m)
-                timings.count("n_candidates", m * m)
-            return neighbors
         else:
             index = build_index(
                 spec if not (spec is None or isinstance(spec, str)) else name,

@@ -21,18 +21,33 @@ from repro.metricspace import precision
 from repro.metricspace.precision import band_halfwidth_factor, cascade_engaged
 
 
+def _pow2_scaled(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with each row (last axis) multiplied by the power of two
+    that brings its max-abs entry into ``[0.5, 1)``.
+
+    Only exponents change, so the scaling is exact, and the squares
+    inside a norm then neither overflow nor underflow: a row normalizes
+    to the same unit vector at any finite magnitude, bit for bit.
+    """
+    _, exponent = np.frexp(np.max(np.abs(arr), axis=-1, keepdims=True))
+    return np.ldexp(arr, -exponent)
+
+
 def _safe_unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+    v = _pow2_scaled(np.asarray(v, dtype=np.float64))
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("angular distance is undefined for the zero vector")
     return v / norm
 
 
-def _safe_unit_rows(batch: np.ndarray) -> np.ndarray:
+def unit_rows(batch: np.ndarray) -> np.ndarray:
+    """The rows of ``batch`` (a 1-d input is one row) scaled to unit
+    Euclidean norm; zero rows are rejected."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch.reshape(1, -1)
+    batch = _pow2_scaled(batch)
     norms = np.linalg.norm(batch, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("angular distance is undefined for the zero vector")
@@ -72,7 +87,7 @@ class CosineMetric(Metric):
 
     def reduced_distance_many(self, a: np.ndarray, batch: np.ndarray) -> np.ndarray:
         ua = _safe_unit(a)
-        cos = np.clip(_safe_unit_rows(batch) @ ua, -1.0, 1.0)
+        cos = np.clip(unit_rows(batch) @ ua, -1.0, 1.0)
         return -cos
 
     def pair_distances(self, a_batch: np.ndarray, b_batch: np.ndarray) -> np.ndarray:
@@ -84,15 +99,15 @@ class CosineMetric(Metric):
         self, a_batch: np.ndarray, b_batch: np.ndarray
     ) -> np.ndarray:
         cos = np.einsum(
-            "ij,ij->i", _safe_unit_rows(a_batch), _safe_unit_rows(b_batch)
+            "ij,ij->i", unit_rows(a_batch), unit_rows(b_batch)
         )
         np.clip(cos, -1.0, 1.0, out=cos)
         cos *= -1.0
         return cos
 
     def reduced_cross(self, queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        uq = _safe_unit_rows(queries)
-        ut = _safe_unit_rows(targets)
+        uq = unit_rows(queries)
+        ut = unit_rows(targets)
         if uq.shape[0] == 0 or ut.shape[0] == 0:
             return np.empty((uq.shape[0], ut.shape[0]), dtype=np.float64)
         cos = uq @ ut.T
@@ -118,8 +133,8 @@ class CosineMetric(Metric):
             precision.stats.n_f64_blocks += 1
             return self.reduced_cross(queries, targets) <= red_thr
         precision.stats.n_f32_blocks += 1
-        uq = _safe_unit_rows(queries)
-        ut = _safe_unit_rows(targets)
+        uq = unit_rows(queries)
+        ut = unit_rows(targets)
         neg_cos = uq.astype(np.float32) @ ut.astype(np.float32).T
         neg_cos *= np.float32(-1.0)
         band = band_halfwidth_factor(uq.shape[1])

@@ -17,6 +17,7 @@ from repro.core import (
     build_summary,
     radius_guided_gonzalez,
 )
+from repro.index import net_neighbor_sets
 from repro.metricspace import MetricDataset
 
 from conftest import same_cluster_pairs
@@ -78,15 +79,14 @@ class TestSummary:
         ds = random_instance(seed)
         r_bar = rho * eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar, eps_for_counts=eps)
-        neighbors = net.neighbor_centers(2.0 * r_bar + (1.0 + rho) * eps)
+        neighbors = net_neighbor_sets(net, 2.0 * r_bar + (1.0 + rho) * eps, None)
         return ds, net, build_summary(ds, net, eps, min_pts, neighbors)
 
     def test_lemma8_summary_per_cover_set(self):
         """Lemma 8: |C_e ∩ S*| <= MinPts for every center."""
         min_pts = 5
         ds, net, summary = self.make_summary(min_pts=min_pts)
-        for members in summary.members_by_center:
-            assert len(members) <= min_pts
+        assert summary.members_by_center.sizes.max() <= min_pts
 
     def test_summary_members_are_core(self):
         """Every summary point must be a true (ε, MinPts) core point."""
@@ -114,7 +114,7 @@ class TestSummary:
         eps, min_pts, rho = 0.5, 5, 0.5
         r_bar = rho * eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar, eps_for_counts=eps)
-        neighbors = net.neighbor_centers(2.0 * r_bar + (1.0 + rho) * eps)
+        neighbors = net_neighbor_sets(net, 2.0 * r_bar + (1.0 + rho) * eps, None)
         summary = build_summary(ds, net, eps, min_pts, neighbors)
         n_core = int(OriginalDBSCAN(eps, min_pts).fit(ds).core_mask.sum())
         assert summary.size < n_core / 4

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import MetricDBSCAN
 from repro.core import exact as exact_module
+from repro.core.flatgroups import FlatGroups
 from repro.core.gonzalez import radius_guided_gonzalez
 from repro.covertree.tree import CoverTree
 from repro.datasets import make_blobs, make_moons
@@ -30,10 +31,11 @@ BACKENDS = ["auto", "brute", "grid", "covertree"]
 PRODUCTION_MERGE = MetricDBSCAN._merge_cores
 
 
-def cover_tree_merge_cores(self, dataset, net, neighbors, cover, core_mask):
+def cover_tree_merge_cores(self, dataset, net, neighbors, core_mask):
     """Reference Step (2): per-center cover trees answer the BCP test."""
     m = net.n_centers
-    core_by_center = [members[core_mask[members]] for members in cover]
+    cover = net.cover()
+    core_by_center = [cover[j][core_mask[cover[j]]] for j in range(m)]
     occupied = [j for j in range(m) if len(core_by_center[j]) > 0]
     uf = UnionFind(m)
     trees = {}
@@ -56,7 +58,7 @@ def cover_tree_merge_cores(self, dataset, net, neighbors, cover, core_mask):
         return False
 
     for j in occupied:
-        for k in neighbors[j]:
+        for k in neighbors.row(j)[0]:
             k = int(k)
             if k <= j or len(core_by_center[k]) == 0 or uf.connected(j, k):
                 continue
@@ -66,7 +68,8 @@ def cover_tree_merge_cores(self, dataset, net, neighbors, cover, core_mask):
     labels = uf.component_labels(occupied)
     for j in occupied:
         center_cluster[j] = labels[j]
-    return center_cluster, core_by_center
+    core = np.flatnonzero(core_mask)
+    return center_cluster, FlatGroups.from_assignment(core, net.center_of[core], m)
 
 
 def fit_with(merge, dataset, eps, min_pts):
@@ -152,9 +155,8 @@ def step2_inputs(dataset, eps, min_pts):
     solver = MetricDBSCAN(eps, min_pts)
     net = radius_guided_gonzalez(dataset, solver.r_bar)
     neighbors = net_neighbor_sets(net, 2.0 * net.r_bar + eps, None)
-    cover = net.cover_sets()
-    core_mask = solver._label_cores(dataset, net, neighbors, cover)
-    return solver, (dataset, net, neighbors, cover, core_mask)
+    core_mask = solver._label_cores(dataset, net, neighbors, net.cover())
+    return solver, (dataset, net, neighbors, core_mask)
 
 
 def pair_certified_sizes(monkeypatch):

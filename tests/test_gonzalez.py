@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import radius_guided_gonzalez
+from repro.index import net_neighbor_sets
 from repro.metricspace import EditDistanceMetric, EuclideanMetric, MetricDataset
 
 
@@ -66,15 +67,17 @@ class TestNetProperties:
     def test_cover_sets_partition(self):
         ds = make_ds(2)
         net = radius_guided_gonzalez(ds, r_bar=0.4)
-        cover = net.cover_sets()
-        all_points = np.concatenate(cover)
-        assert sorted(all_points.tolist()) == list(range(ds.n))
+        cover = net.cover()
+        assert cover.sizes.size == net.n_centers
+        assert sorted(cover.flat.tolist()) == list(range(ds.n))
 
     def test_cover_set_within_r_bar(self):
         ds = make_ds(3)
         net = radius_guided_gonzalez(ds, r_bar=0.4)
-        for j, members in enumerate(net.cover_sets()):
-            center = net.centers[j]
+        cover = net.cover()
+        for j, center in enumerate(net.centers):
+            members = cover[j]
+            assert np.all(net.center_of[members] == j)
             d = ds.distances_from(center, members)
             assert np.all(d <= 0.4 + 1e-12)
 
@@ -127,8 +130,11 @@ class TestHarvestedByproducts:
         ds = make_ds(11)
         net = radius_guided_gonzalez(ds, r_bar=0.5)
         threshold = 2.0
-        neighbors = net.neighbor_centers(threshold)
-        for j, neigh in enumerate(neighbors):
+        neighbors = net_neighbor_sets(net, threshold, None)
+        assert neighbors.n_queries == net.n_centers
+        for j in range(net.n_centers):
+            neigh = neighbors.row(j)[0]
+            assert np.all(np.diff(neigh) > 0)  # ascending positions
             assert j in neigh  # self at distance 0
             for k in range(net.n_centers):
                 within = net.center_distances[j, k] <= threshold
@@ -138,7 +144,7 @@ class TestHarvestedByproducts:
         ds = make_ds(12)
         net = radius_guided_gonzalez(ds, r_bar=0.5)
         with pytest.raises(ValueError):
-            net.neighbor_centers(-1.0)
+            net_neighbor_sets(net, -1.0, None)
 
     def test_harvested_ball_counts_exact(self):
         ds = make_ds(13)
@@ -163,13 +169,13 @@ class TestHarvestedByproducts:
         eps = 1.2
         r_bar = eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar=r_bar)
-        neighbors = net.neighbor_centers(2.0 * r_bar + eps)
-        cover = net.cover_sets()
+        neighbors = net_neighbor_sets(net, 2.0 * r_bar + eps, None)
+        cover = net.cover()
         for p in range(0, ds.n, 7):
             ball = set(np.flatnonzero(ds.distances_from(p) <= eps).tolist())
             j = int(net.center_of[p])
             candidates = set(
-                int(x) for k in neighbors[j] for x in cover[int(k)]
+                int(x) for k in neighbors.row(j)[0] for x in cover[int(k)]
             )
             assert ball <= candidates
 

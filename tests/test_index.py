@@ -409,11 +409,11 @@ class TestSolverRegression:
         ds = euclidean_dataset(n=250)
         net = radius_guided_gonzalez(ds, 0.4)
         threshold = 2.0 * net.r_bar + 1.5
-        want = net.neighbor_centers(threshold)
+        within = net.center_distances <= threshold
         got = net_neighbor_sets(net, threshold, backend)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        assert got.n_queries == net.n_centers
+        for j in range(net.n_centers):
+            np.testing.assert_array_equal(got.row(j)[0], np.flatnonzero(within[j]))
 
     def test_counters_flow_into_timings(self):
         ds = euclidean_dataset(n=250)

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import StreamingApproxDBSCAN
 from repro.core.gonzalez import radius_guided_gonzalez
-from repro.core.summary import build_summary
 from repro.core.windowed import WindowedApproxDBSCAN
 from repro.covertree.tree import BULK_BUILD_MIN, CoverTree
 from repro.datasets import make_blobs
@@ -29,6 +28,7 @@ from repro.index import (
     GridIndex,
     build_dynamic_index,
     build_index,
+    net_neighbor_sets,
 )
 from repro.index.registry import DEFAULT_INDEX_ENV
 from repro.metricspace import EditDistanceMetric, MetricDataset
@@ -333,7 +333,7 @@ class TestGonzalezIndexBacked:
         net = radius_guided_gonzalez(ds, 0.8)
         assert net.index is not None
         assert net.index.n_stored == net.n_centers
-        assert not net.has_dense_center_matrix
+        assert net._center_distances is None
         # Construction instrumentation present and sane.
         assert net.counters["net_range_queries"] > 0
         assert net.counters["peak_center_matrix_bytes"] > 0
@@ -373,8 +373,6 @@ class TestGonzalezIndexBacked:
         # |E| <= AUTO_BRUTE_MAX resolves 'brute', but building anything
         # would be a second build — the carried index must be reused
         # and the merge graph must not cost ~|E|² fresh evaluations.
-        from repro.index import net_neighbor_sets
-
         rng = np.random.default_rng(12)
         pts = rng.uniform(0.0, 60.0, size=(5000, 2))
         ds = MetricDataset(pts)
@@ -383,12 +381,12 @@ class TestGonzalezIndexBacked:
         assert m <= 2048 and net.index.name == "grid"
         evals0 = ds.n_cross_evals
         neighbors = net_neighbor_sets(net, 2.0 * net.r_bar + 1.0, "auto")
-        assert len(neighbors) == m
+        assert neighbors.n_queries == m
         assert ds.n_cross_evals - evals0 < m * m / 4
         # An explicit mismatching name still builds what was asked.
         explicit = net_neighbor_sets(net, 2.0 * net.r_bar + 1.0, "brute")
-        for a, b in zip(neighbors, explicit):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(neighbors.offsets, explicit.offsets)
+        np.testing.assert_array_equal(neighbors.ids, explicit.ids)
 
     def test_peak_counter_scales_with_degree_not_m_squared(self):
         # Many centers, sparse neighborhoods: the pair working set must
@@ -411,21 +409,20 @@ class TestGonzalezIndexBacked:
                 assert net.center_distances[i, j] == pytest.approx(
                     ds.distance(net.centers[i], net.centers[j]), abs=1e-9
                 )
-        assert net.has_dense_center_matrix  # cached after access
+        assert net.center_distances is net.center_distances  # cached
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_neighbor_centers_match_dense_threshold(self, backend):
         ds = blob_dataset(n=400)
         net = radius_guided_gonzalez(ds, 0.7, index=backend)
         threshold = 2.0 * net.r_bar + 1.1
-        via_index = net.neighbor_centers(threshold)
+        via_index = net_neighbor_sets(net, threshold, None)  # the carried index
         dense = net.center_distances  # materializes the matrix
         rows, cols = np.nonzero(dense <= threshold)
-        split = np.searchsorted(rows, np.arange(net.n_centers + 1))
-        for j in range(net.n_centers):
-            np.testing.assert_array_equal(
-                via_index[j], cols[split[j] : split[j + 1]]
-            )
+        np.testing.assert_array_equal(
+            via_index.offsets, np.searchsorted(rows, np.arange(net.n_centers + 1))
+        )
+        np.testing.assert_array_equal(via_index.ids, cols)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_net_outputs_backend_independent(self, backend):
@@ -437,20 +434,6 @@ class TestGonzalezIndexBacked:
         np.testing.assert_array_equal(want.ball_counts, got.ball_counts)
         np.testing.assert_allclose(
             want.dist_to_center, got.dist_to_center, atol=1e-9
-        )
-
-    def test_summary_builds_without_explicit_neighbors(self):
-        ds = blob_dataset(n=300, seed=3)
-        eps, min_pts, rho = 1.2, 5, 0.5
-        net = radius_guided_gonzalez(ds, rho * eps / 2.0, eps_for_counts=eps)
-        explicit = build_summary(
-            ds, net, eps, min_pts,
-            net.neighbor_centers(2.0 * net.r_bar + eps),
-        )
-        implicit = build_summary(ds, net, eps, min_pts)
-        np.testing.assert_array_equal(explicit.members, implicit.members)
-        np.testing.assert_array_equal(
-            explicit.known_core_mask, implicit.known_core_mask
         )
 
 

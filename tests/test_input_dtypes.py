@@ -26,7 +26,9 @@ from repro.core import (
     approx_metric_dbscan,
     metric_dbscan,
 )
-from repro.metricspace import EuclideanMetric, MetricDataset, MinkowskiMetric
+from repro.metricspace import (
+    CosineMetric, EuclideanMetric, MetricDataset, MinkowskiMetric,
+)
 
 BACKENDS = ["auto", "brute", "grid", "covertree"]
 
@@ -178,6 +180,13 @@ def test_rejected_ttl_override_does_not_leak():
 # as ``inf <= inf`` (one cluster, no noise).  Every entry point must
 # either give the s = 1 answer or reject the input with an error naming
 # its magnitude, and accept everything up to |x| ~ 1e150.
+#
+# The angular distance does not see the scale at all (ε = 0.3 at every
+# s), so cosine data must give the s = 1 answer at any finite
+# magnitude.  Row norms used to overflow from 2^512 (exact and approx
+# hung, the others returned all noise) and underflow to zero at 2^-565
+# (every entry point rejected a "zero vector").  Power-of-two scales
+# keep the scaled input exact.
 
 ENTRY_POINTS = ("exact", "approx", "dbscan", "streaming", "windowed")
 
@@ -218,9 +227,13 @@ def assert_same_answer(entry, got, want):
 def check_scaled(entry, index, metric, scale, accepted):
     """The s = 1 answer, or (unless ``accepted``) a magnitude error."""
     pts = unit_points()
-    want = run_entry(entry, pts, 0.5, metric, index)
+    if isinstance(metric, CosineMetric):
+        eps, scaled_eps = 0.3, 0.3
+    else:
+        eps, scaled_eps = 0.5, 0.5 * scale
+    want = run_entry(entry, pts, eps, metric, index)
     try:
-        got = run_entry(entry, pts * scale, 0.5 * scale, metric, index)
+        got = run_entry(entry, pts * scale, scaled_eps, metric, index)
     except ValueError as err:
         assert not accepted, err
         assert "magnitude" in str(err), err
@@ -228,13 +241,20 @@ def check_scaled(entry, index, metric, scale, accepted):
     assert_same_answer(entry, got, want)
 
 
-@pytest.mark.parametrize(
-    "scale", [1e100, 1e150, 1e153, 1e154, 1e155, 1e160, 1e200]
-)
+SCALES = [
+    pytest.param(EuclideanMetric(), scale, scale <= 1e150, id=f"{scale:g}")
+    for scale in (1e100, 1e150, 1e153, 1e154, 1e155, 1e160, 1e200)
+] + [
+    pytest.param(CosineMetric(), 2.0**k, True, id=f"cosine-2^{k}")
+    for k in (-565, -532, 500, 512, 1000)
+]
+
+
+@pytest.mark.parametrize("metric,scale,accepted", SCALES)
 @pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_scaled_coordinates(entry, index, scale):
-    check_scaled(entry, index, EuclideanMetric(), scale, accepted=scale <= 1e150)
+def test_scaled_coordinates(entry, index, metric, scale, accepted):
+    check_scaled(entry, index, metric, scale, accepted)
 
 
 def test_unit_answer_is_the_planted_truth():

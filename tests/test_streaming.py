@@ -159,6 +159,15 @@ class TestStreamLengthChecks:
         )
         assert (result.n_clusters, result.n_noise) == (3, 15)
 
+    @pytest.mark.parametrize("index", [None, "brute", "grid", "covertree"])
+    def test_empty_stream_raises(self, index):
+        """An empty stream is rejected like an empty batch input."""
+        with pytest.raises(ValueError, match="at least one point"):
+            MetricDataset(np.zeros((0, 2)))
+        solver = StreamingApproxDBSCAN(0.5, 5, rho=0.5, index=index)
+        with pytest.raises(ValueError, match="at least one point"):
+            solver.fit_stream(lambda: iter([]))
+
     MESSAGES = {
         "shared-iterator": "pass 1 read 300 points, pass 2 read 0",
         "shorter-pass-2": "pass 1 read 300 points, pass 2 read 293",

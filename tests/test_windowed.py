@@ -36,6 +36,15 @@ class TestStationary:
         assert model.predict(np.array([0.0, 0.0])) == -1
         assert model.n_clusters == 0
 
+    @pytest.mark.parametrize("index", [None, "auto"])
+    def test_empty_batch_is_a_no_op(self, index):
+        """Unlike an empty ``fit_stream``, an empty ingest batch is not
+        an error: the model simply stays as it was."""
+        model = WindowedApproxDBSCAN(1.0, 5, rho=0.5, window=100, index=index)
+        model.insert_many(np.zeros((0, 2)))
+        assert model.n_seen == 0 and model.n_clusters == 0
+        assert model.predict(np.array([0.0, 0.0])) == -1
+
 
 class TestDeletionAndDrift:
     def test_abandoned_region_is_forgotten(self):

@@ -111,7 +111,6 @@ class ApproxMetricDBSCAN:
         """Cluster ``dataset``; returns a ρ-approximate DBSCAN labeling."""
         timings = TimingBreakdown()
         eps, rho = self.eps, self.rho
-        n = dataset.n
 
         # Per-run counter registry: dataset eval deltas, cascade stats
         # and metric-wrapper counters all fold into ``timings.counters``
@@ -131,7 +130,7 @@ class ApproxMetricDBSCAN:
                         f"precomputed net has r_bar={net.r_bar} > rho*eps/2="
                         f"{rho * eps / 2.0}; rebuild with a smaller r_bar"
                     )
-                if net.dataset.n != n:
+                if not net.dataset.same_space(dataset):
                     raise ValueError(
                         "precomputed net was built on a different dataset"
                     )

@@ -153,11 +153,11 @@ class MetricDBSCAN:
             The input metric space.
         net:
             Optional precomputed Gonzalez net (must satisfy
-            ``net.r_bar <= eps/2`` and be built on the same dataset).
+            ``net.r_bar <= eps/2`` and be built on the same payloads
+            under the same metric, see :meth:`MetricDataset.same_space`).
         """
         timings = TimingBreakdown()
         eps = self.eps
-        n = dataset.n
 
         # The scope snapshots every counter source (dataset evals, the
         # process-global cascade stats, cache/counting metric wrappers)
@@ -177,7 +177,7 @@ class MetricDBSCAN:
                         f"precomputed net has r_bar={net.r_bar} > eps/2={eps / 2.0}; "
                         "rebuild with a smaller r_bar (Remark 5 requires r_bar <= eps/2)"
                     )
-                if net.dataset.n != n:
+                if not net.dataset.same_space(dataset):
                     raise ValueError(
                         "precomputed net was built on a different dataset"
                     )

@@ -26,27 +26,27 @@ batched distance engine instead:
   selection may break them differently (any choice yields a valid
   ``r̄``-net with the same covering/packing guarantees).
 - **round batching** — centers are selected in rounds of up to
-  ``round_size``.  Within a round, the next pick is certified using only
-  the current top-``k`` candidates (everything outside the top-``k`` has
-  a stale distance that can only shrink, so it cannot overtake the
-  certified bound); the accumulated round centers are then applied to
-  the whole active set with *one* many-to-many ``cross`` block instead
-  of one scan per center.
+  ``round_size``.  Each in-round pick is the argmax over the current
+  top-``k`` candidates (everything outside the top-``k`` has a stale
+  distance that can only shrink, so it cannot overtake the certified
+  bound); the round's centers then reach the active set through one
+  pair-pruned flush (see below) instead of one scan per center.
 - **reduced space** — all comparisons, minima and argminima run on the
   metric's monotone surrogate (squared distances for Euclidean), so hot
   blocks skip the ``sqrt`` entirely.
-- **net-pruned by-products** — the nearest-center assignment of covered
-  points is refined against only the centers within ``2r̄`` of their
-  covering center, and the harvested ε-ball counts scan only the cover
-  sets of centers within ``ε + r̄`` (both bounds are pure
-  triangle-inequality facts), instead of rescanning all ``n`` points
-  per center.
+- **net-pruned by-products** — the nearest-center assignment of
+  covered non-center points is refined against only the centers within
+  ``2r̄`` of their covering center (a center is its own nearest
+  center), and the harvested ε-ball counts scan only the cover sets of
+  centers within ``ε + r̄`` (both bounds are pure triangle-inequality
+  facts), instead of rescanning all ``n`` points per center.
 
 Incremental center index
 ------------------------
 The loop maintains a **dynamic** :class:`~repro.index.base.NeighborIndex`
-over the growing center set (``insert_batch`` after every round), and
-every center-center question becomes a range query against it:
+over the growing center set (``insert_batch`` after every round).  The
+round flush probes a throwaway index instead; every later
+center-center question is a range query against the dynamic one:
 
 - the round flush's Feder–Greene pair pruning queries each pre-flush
   center that still owns active points at its *own* radius ``2·(max
@@ -54,7 +54,8 @@ every center-center question becomes a range query against it:
   round's pending centers — per-query radii, so one wide outlier
   group cannot inflate every other group's query, and every harvested
   pair is a certified (old center, new center) steal candidate;
-- the final nearest-center refinement queries all centers at ``2r̄``;
+- the final nearest-center refinement queries, at ``2r̄``, the centers
+  that own covered non-center points;
 - the harvested ε-ball counts query at ``ε + max group radius``;
 - the exact/approx merge graphs
   (:func:`repro.index.netgraph.net_neighbor_sets`) reuse the very same
@@ -75,7 +76,6 @@ core points without extra work (Lemma 10).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -95,11 +95,6 @@ from repro.utils.validation import check_epsilon
 #: Centers selected per batched round; bounds the size of the in-round
 #: candidate working set between consecutive pair-list flushes.
 DEFAULT_ROUND_SIZE = 256
-
-#: Candidate-set size at which the in-round sequential pick switches
-#: from the eager argmax loop (O(k) per pick) to the lazy priority
-#: queue (O(log k) per pick plus per-candidate refreshes).
-LAZY_PICK_MIN = 64
 
 #: Relative slack applied to triangle-inequality pruning radii so a
 #: float rounding wobble can only *add* candidates, never drop one.
@@ -248,55 +243,6 @@ class GonzalezNet:
             return bool((results.counts() > 1).any())
         off_diag = self.center_distances[~np.eye(m, dtype=bool)]
         return bool(off_diag.min() <= self.r_bar)
-
-
-def _lazy_sequential_picks(
-    cand: np.ndarray,
-    top_cross: np.ndarray,
-    red_r: float,
-    bound: float,
-    budget: float,
-) -> List[int]:
-    """In-round farthest-first picks via a lazy priority queue.
-
-    Cached candidate distances are *upper bounds* (picks only shrink
-    them), so a candidate is refreshed only when it surfaces at the top
-    of the max-heap: fold in the picks made since its last sync, and if
-    its value survives unchanged it is certified as the true farthest
-    candidate — the classic lazy-greedy argument.  A pick therefore
-    costs ``O(log k)`` heap work plus one refresh, instead of the eager
-    loop's ``O(k)`` argmax + full update.
-
-    The produced pick sequence is *identical* to the eager loop's,
-    including exact-tie breaking: the heap orders by ``(-value,
-    position)``, matching ``np.argmax``'s first-maximum rule on the
-    fully-updated array.
-
-    ``cand`` is mutated (lazily synced); callers must not reuse it as
-    an up-to-date distance array afterwards.
-    """
-    heap = [(-v, i) for i, v in enumerate(cand.tolist())]
-    heapq.heapify(heap)
-    synced = np.zeros(cand.size, dtype=np.int64)
-    picks: List[int] = []
-    while heap and len(picks) < budget:
-        neg_v, pos = heapq.heappop(heap)
-        v = -neg_v
-        if v > cand[pos]:
-            continue  # stale duplicate; a fresher entry is in the heap
-        n_picks = len(picks)
-        if synced[pos] < n_picks:
-            fresh = min(float(cand[pos]), float(top_cross[picks[synced[pos]:], pos].min()))
-            synced[pos] = n_picks
-            if fresh < v:
-                cand[pos] = fresh
-                heapq.heappush(heap, (-fresh, pos))
-                continue
-        if v <= red_r or v < bound:
-            break
-        picks.append(pos)
-        synced[pos] = len(picks)
-    return picks
 
 
 def radius_guided_gonzalez(
@@ -529,60 +475,22 @@ def radius_guided_gonzalez(
         # All candidate-candidate distances up front: the in-round picks
         # then touch no distance kernel at all.
         top_cross = dataset.cross(top_idx, top_idx, reduced=True)
+        # A pick's own entry is d(e, e) = 0 by the metric axioms; pinning
+        # it keeps cancellation jitter from re-picking the same point.
+        np.fill_diagonal(top_cross, metric.reduce_threshold(0.0))
 
+        # Farthest-first picks; argmax breaks ties by the first
+        # maximum, as the textbook traversal does.
         round_centers: List[int] = []
-        # Batch-greedy waves: in descending candidate order, the picks
-        # are exactly the sequential greedy picks as long as no earlier
-        # pick reduces a later candidate (checked against top_cross), so
-        # each whole prefix is certified in one vectorized step.  Rounds
-        # full of mutually distant candidates (scattered outliers)
-        # collapse to a few waves; interacting picks fall through to the
-        # sequential loop below.
-        kk = cand.size
-        while True:
-            order_desc = np.argsort(-cand, kind="stable")
-            sorted_cand = cand[order_desc]
-            mutual = top_cross[np.ix_(order_desc, order_desc)]
-            reduces = mutual < sorted_cand[None, :]
-            np.fill_diagonal(reduces, False)
-            stop = (sorted_cand <= red_r) | (sorted_cand < bound)
-            if kk > 1:
-                cum = np.logical_or.accumulate(reduces, axis=0)
-                stop[1:] |= cum[np.arange(kk - 1), np.arange(1, kk)]
-            prefix = int(np.argmax(stop)) if bool(stop.any()) else kk
-            if max_centers is not None:
-                prefix = min(prefix, max_centers - len(centers) - len(round_centers))
-            if prefix <= 0:
+        budget = np.inf if max_centers is None else max_centers - len(centers)
+        while budget > 0:
+            best = int(np.argmax(cand))
+            best_val = float(cand[best])
+            if best_val <= red_r or best_val < bound:
                 break
-            picks = order_desc[:prefix]
-            round_centers.extend(int(top_idx[p]) for p in picks)
-            np.minimum(cand, top_cross[picks].min(axis=0), out=cand)
-            # Re-certifying pays for itself only on sizable waves.
-            if prefix < 16:
-                break
-
-        budget = (
-            np.inf
-            if max_centers is None
-            else max_centers - len(centers) - len(round_centers)
-        )
-        if cand.size >= LAZY_PICK_MIN:
-            # Interacting tail of the round: lazy-priority-queue picks
-            # (see _lazy_sequential_picks) instead of one O(k) argmax +
-            # full distance update per pick.
-            round_centers.extend(
-                int(top_idx[p])
-                for p in _lazy_sequential_picks(cand, top_cross, red_r, bound, budget)
-            )
-        else:
-            while budget > 0:
-                best = int(np.argmax(cand))
-                best_val = float(cand[best])
-                if best_val <= red_r or best_val < bound:
-                    break
-                round_centers.append(int(top_idx[best]))
-                budget -= 1
-                np.minimum(cand, top_cross[best], out=cand)
+            round_centers.append(int(top_idx[best]))
+            budget -= 1
+            np.minimum(cand, top_cross[best], out=cand)
         round_cap = int(
             np.clip(4 * len(round_centers), min(8, round_size), round_size)
         )
@@ -605,19 +513,22 @@ def radius_guided_gonzalez(
     m = len(centers)
     centers_arr = np.asarray(centers, dtype=np.intp)
 
-    # Refine covered points to their *nearest* center: the frozen
-    # assignment is within r̄, so any closer center must lie within 2r̄
-    # of it.  The candidate (point, center) pairs come from one range
-    # query per center against the finished index (O(|E|·deg) pairs)
-    # and are evaluated with one aligned pair kernel — no per-group
-    # Python loop, no dense adjacency.
-    covered = red_dist <= red_r
-    cov_idx = np.flatnonzero(covered)
+    # Refine covered non-center points to their *nearest* center (the
+    # centers' own rows are pinned below): the frozen assignment is
+    # within r̄, so any closer center must lie within 2r̄ of it.  The
+    # candidate (point, center) pairs come from one range query per
+    # center that owns such a point, against the finished index
+    # (O(|E|·deg) pairs), and are evaluated with one aligned pair
+    # kernel — no per-group Python loop, no dense adjacency.
+    cov_idx = np.flatnonzero(red_dist <= red_r)
+    cov_idx = cov_idx[position_of[cov_idx] < 0]
     if m > 1 and cov_idx.size:
+        owners = np.unique(center_of[cov_idx])
         results = center_index.range_query_batch_csr(
-            centers_arr, 2.0 * r_bar * _PRUNE_SLACK, with_distances=False
+            centers_arr[owners], 2.0 * r_bar * _PRUNE_SLACK,
+            with_distances=False,
         )
-        ks = results.query_rows()
+        ks = owners[results.query_rows()]
         js = position_of[results.ids]
         self_hit = ks != js
         ks, js = ks[self_hit], js[self_hit]

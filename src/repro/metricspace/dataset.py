@@ -14,7 +14,7 @@ from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.metricspace.base import Metric
-from repro.metricspace.counting import CountingMetric
+from repro.metricspace.counting import CountingMetric, unwrap
 from repro.metricspace.euclidean import EuclideanMetric
 from repro.utils.validation import check_finite
 
@@ -388,8 +388,32 @@ class MetricDataset:
         counted._adaptive_block_bytes = self._adaptive_block_bytes
         return counted
 
+    def same_space(self, other: "MetricDataset") -> bool:
+        """Whether ``other`` holds the same payloads under the same
+        metric: this dataset, a view sharing its payloads (such as
+        :meth:`with_counting`), or an equal copy.  A structure built on
+        one (a precomputed net) is then valid on the other.
+        """
+        if other.n != self.n or not _same_metric(self.metric, other.metric):
+            return False
+        mine, theirs = self.points, other.points
+        if self.metric.is_vector_metric:
+            return mine is theirs or bool(np.array_equal(mine, theirs))
+        return all(a is b or np.array_equal(a, b) for a, b in zip(mine, theirs))
+
     def __repr__(self) -> str:
         return f"MetricDataset(n={self._n}, metric={type(self.metric).__name__})"
+
+
+def _same_metric(a: Metric, b: Metric) -> bool:
+    """Same distance function: counting wrappers are looked through,
+    then the classes and their parameters must agree."""
+    a, b = unwrap(a), unwrap(b)
+    return a is b or (
+        type(a) is type(b)
+        and vars(a).keys() == vars(b).keys()
+        and all(np.array_equal(v, vars(b)[k]) for k, v in vars(a).items())
+    )
 
 
 class PayloadStore:

@@ -18,7 +18,7 @@ from repro.core import (
     radius_guided_gonzalez,
 )
 from repro.index import net_neighbor_sets
-from repro.metricspace import MetricDataset
+from repro.metricspace import MetricDataset, MinkowskiMetric
 
 from conftest import same_cluster_pairs
 
@@ -149,6 +149,20 @@ class TestConfiguration:
         net = ApproxMetricDBSCAN.precompute(ds, r_bar=1.0)
         with pytest.raises(ValueError):
             ApproxMetricDBSCAN(0.5, 5, rho=0.5).fit(ds, net=net)
+
+    def test_net_from_other_dataset_rejected(self):
+        """Same size is not enough: the net must cover the same points
+        under the same metric."""
+        rng = np.random.default_rng(53)
+        own = MetricDataset(rng.normal(size=(300, 2)))
+        shifted = MetricDataset(rng.normal(size=(300, 2)) + 50.0)
+        net = ApproxMetricDBSCAN.precompute(own, r_bar=0.25)
+        with pytest.raises(ValueError, match="different dataset"):
+            ApproxMetricDBSCAN(0.5, 5, rho=1.0).fit(shifted, net=net)
+        l1 = MetricDataset(own.points, MinkowskiMetric(1.0))
+        net = ApproxMetricDBSCAN.precompute(l1, r_bar=0.25)
+        with pytest.raises(ValueError, match="different dataset"):
+            ApproxMetricDBSCAN(0.5, 5, rho=1.0).fit(own, net=net)
 
     def test_convenience_function(self, tiny_line):
         result = approx_metric_dbscan(tiny_line, 0.5, 3, rho=0.5)

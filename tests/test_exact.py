@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import OriginalDBSCAN
 from repro.core import MetricDBSCAN, metric_dbscan
-from repro.metricspace import EditDistanceMetric, MetricDataset
+from repro.metricspace import EditDistanceMetric, MetricDataset, MinkowskiMetric
 
 from conftest import core_partition
 
@@ -149,6 +149,32 @@ class TestPrecomputedNet:
         net = MetricDBSCAN.precompute(other, r_bar=0.1)
         with pytest.raises(ValueError):
             MetricDBSCAN(0.5, 5).fit(ds, net=net)
+        # Same size, other points: a net over shifted copies of other
+        # draws used to pass the size check and mislabel.
+        rng = np.random.default_rng(303)
+        own = MetricDataset(rng.normal(size=(300, 2)))
+        shifted = MetricDataset(rng.normal(size=(300, 2)) + 50.0)
+        net = MetricDBSCAN.precompute(own, r_bar=0.25)
+        with pytest.raises(ValueError, match="different dataset"):
+            MetricDBSCAN(0.5, 5).fit(shifted, net=net)
+        # Same points, another metric.
+        l1 = MetricDataset(own.points, MinkowskiMetric(1.0))
+        net = MetricDBSCAN.precompute(l1, r_bar=0.25)
+        with pytest.raises(ValueError, match="different dataset"):
+            MetricDBSCAN(0.5, 5).fit(own, net=net)
+
+    def test_net_on_view_or_equal_copy_accepted(self):
+        """A counting view shares the net's payloads and an equal copy
+        holds the same ones; both reuse the net unchanged."""
+        ds = random_instance(305)
+        net = MetricDBSCAN.precompute(ds, r_bar=0.25)
+        fresh = MetricDBSCAN(0.5, 5).fit(ds)
+        for view in (ds.with_counting(), MetricDataset(ds.points.copy())):
+            reused = MetricDBSCAN(0.5, 5).fit(view, net=net)
+            np.testing.assert_array_equal(reused.labels, fresh.labels)
+        counted = MetricDBSCAN.precompute(ds.with_counting(), r_bar=0.25)
+        reused = MetricDBSCAN(0.5, 5).fit(ds, net=counted)
+        np.testing.assert_array_equal(reused.labels, fresh.labels)
 
     def test_reused_net_skips_gonzalez_time(self):
         ds = random_instance(304)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import radius_guided_gonzalez
+from repro.datasets import make_blobs
 from repro.index import net_neighbor_sets
+from repro.kcenter import gonzalez_kcenter
 from repro.metricspace import EditDistanceMetric, EuclideanMetric, MetricDataset
 
 
@@ -18,30 +20,44 @@ def make_ds(seed=0, n=150):
     return MetricDataset(pts)
 
 
-class TestLazyPick:
-    """The lazy-priority-queue in-round pick must reproduce the eager
-    argmax loop's center sequence exactly (including tie-breaking)."""
+def blob_ds(n, dim, seed=0):
+    pts, _ = make_blobs(
+        n=n, n_clusters=8, dim=dim, std=0.5, spread=30.0,
+        outlier_fraction=0.05, seed=seed,
+    )
+    return MetricDataset(pts)
 
-    @pytest.mark.parametrize("r_bar", [0.05, 0.3, 1.5])
-    def test_lazy_matches_eager(self, monkeypatch, r_bar):
-        import repro.core.gonzalez as gz
 
-        ds = make_ds(seed=5, n=400)
-        monkeypatch.setattr(gz, "LAZY_PICK_MIN", 10**9)
-        eager = gz.radius_guided_gonzalez(ds, r_bar, eps_for_counts=0.4)
-        monkeypatch.setattr(gz, "LAZY_PICK_MIN", 1)
-        lazy = gz.radius_guided_gonzalez(ds, r_bar, eps_for_counts=0.4)
-        assert eager.centers == lazy.centers
-        np.testing.assert_array_equal(eager.center_of, lazy.center_of)
-        np.testing.assert_array_equal(eager.ball_counts, lazy.ball_counts)
+#: (dataset, r̄) pairs in general position: two tight blobs at three
+#: scales, 2-d blobs with outliers (a grid-served center index), and
+#: 16-d blobs at r̄ = ε/2 where |E| = 1,173 of 1,200 and rounds hold
+#: up to 256 interacting candidates.
+TRAVERSAL_CASES = {
+    "two-blobs-0.05": (lambda: make_ds(seed=5, n=400), 0.05),
+    "two-blobs-0.3": (lambda: make_ds(seed=5, n=400), 0.3),
+    "two-blobs-1.5": (lambda: make_ds(seed=5, n=400), 1.5),
+    "blobs-d2": (lambda: blob_ds(3000, 2), 0.45),
+    "blobs-d16": (lambda: blob_ds(1200, 16), 0.45 * np.sqrt(32.0)),
+}
 
-    def test_lazy_respects_max_centers(self, monkeypatch):
-        import repro.core.gonzalez as gz
 
-        ds = make_ds(seed=6, n=300)
-        monkeypatch.setattr(gz, "LAZY_PICK_MIN", 1)
-        net = gz.radius_guided_gonzalez(ds, 0.01, max_centers=17)
-        assert net.n_centers == 17
+class TestTextbookTraversal:
+    """Algorithm 1 is the textbook farthest-first traversal stopped at
+    the first covering radius <= r̄: the batched rounds, the pruned
+    flushes and the refinement change none of its picks."""
+
+    @pytest.mark.parametrize("case", list(TRAVERSAL_CASES))
+    def test_matches_farthest_first(self, case):
+        make, r_bar = TRAVERSAL_CASES[case]
+        ds = make()
+        net = radius_guided_gonzalez(ds, r_bar)
+        k = net.n_centers
+        ref = gonzalez_kcenter(ds, k=k, first_index=0)
+        assert net.centers == ref.centers
+        np.testing.assert_array_equal(net.center_of, ref.assignment)
+        assert ref.radius <= r_bar
+        if k > 1:
+            assert gonzalez_kcenter(ds, k=k - 1, first_index=0).radius > r_bar
 
 
 class TestNetProperties:
@@ -57,12 +73,34 @@ class TestNetProperties:
         assert not net.packing_violated()
 
     def test_assignment_is_nearest_center(self):
-        ds = make_ds(1)
-        net = radius_guided_gonzalez(ds, r_bar=0.7)
-        centers = np.asarray(net.centers)
-        for p in range(ds.n):
-            d = ds.distances_from(p, centers)
-            assert net.dist_to_center[p] == pytest.approx(float(d.min()))
+        """Every point is assigned to its nearest center, and on ties
+        to the earliest-inserted one.  Beside two blobs, the inputs are
+        full of ties: an integer lattice, rounded Gaussians, and 16-d
+        points with exact duplicates where nearly every point is a
+        center."""
+        rng = np.random.default_rng(1)
+        lattice = np.stack(
+            np.meshgrid(np.arange(12.0), np.arange(12.0)), -1
+        ).reshape(-1, 2)
+        rounded = np.round(2.0 * rng.normal(size=(400, 3)))
+        gauss = rng.normal(size=(300, 16))
+        duplicated = np.vstack([gauss, gauss[rng.choice(300, 60, replace=False)]])
+        cases = [(make_ds(1), 0.7)] + [
+            (MetricDataset(pts), r_bar)
+            for pts, radii in (
+                (lattice, (1.5, 2.5)),
+                (rounded, (1.5, 2.2)),
+                (duplicated, (2.0, 3.0)),
+            )
+            for r_bar in radii
+        ]
+        for ds, r_bar in cases:
+            net = radius_guided_gonzalez(ds, r_bar=r_bar)
+            centers = np.asarray(net.centers)
+            for p in range(ds.n):
+                d = ds.distances_from(p, centers)
+                assert net.dist_to_center[p] == pytest.approx(float(d.min()))
+                assert net.center_of[p] == np.flatnonzero(d == d.min())[0]
 
     def test_cover_sets_partition(self):
         ds = make_ds(2)
@@ -110,9 +148,9 @@ class TestNetProperties:
             radius_guided_gonzalez(ds, r_bar=0.5, first_index=ds.n)
 
     def test_max_centers_cap(self):
-        ds = make_ds(9)
-        net = radius_guided_gonzalez(ds, r_bar=1e-9, max_centers=5)
-        assert net.n_centers == 5
+        for ds, r_bar, cap in ((make_ds(9), 1e-9, 5), (make_ds(6, n=300), 0.01, 17)):
+            net = radius_guided_gonzalez(ds, r_bar=r_bar, max_centers=cap)
+            assert net.n_centers == cap
 
 
 class TestHarvestedByproducts:

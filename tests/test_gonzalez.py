@@ -59,6 +59,16 @@ class TestTextbookTraversal:
         if k > 1:
             assert gonzalez_kcenter(ds, k=k - 1, first_index=0).radius > r_bar
 
+    def test_max_centers_truncates_traversal(self):
+        """With r̄ far below the data's spacing, ``max_centers`` stops the
+        net before r̄ is reached: it is the traversal's first 17 picks."""
+        ds = make_ds(seed=6, n=300)
+        net = radius_guided_gonzalez(ds, 0.01, max_centers=17)
+        ref = gonzalez_kcenter(ds, k=17, first_index=0)
+        assert net.n_centers == 17
+        assert net.centers == ref.centers
+        np.testing.assert_array_equal(net.center_of, ref.assignment)
+
 
 class TestNetProperties:
     def test_covering(self):
@@ -148,9 +158,9 @@ class TestNetProperties:
             radius_guided_gonzalez(ds, r_bar=0.5, first_index=ds.n)
 
     def test_max_centers_cap(self):
-        for ds, r_bar, cap in ((make_ds(9), 1e-9, 5), (make_ds(6, n=300), 0.01, 17)):
-            net = radius_guided_gonzalez(ds, r_bar=r_bar, max_centers=cap)
-            assert net.n_centers == cap
+        ds = make_ds(9)
+        net = radius_guided_gonzalez(ds, r_bar=1e-9, max_centers=5)
+        assert net.n_centers == 5
 
 
 class TestHarvestedByproducts:

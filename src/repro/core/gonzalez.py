@@ -85,7 +85,6 @@ from repro.core.flatgroups import FlatGroups
 from repro.index.base import NeighborIndex
 from repro.index.registry import (
     IndexSpec,
-    build_dynamic_index,
     build_index,
     resolve_grown_index_name,
 )
@@ -348,7 +347,7 @@ def radius_guided_gonzalez(
         index_spec = resolve_grown_index_name(
             index, dataset, n, radius_hint=hint
         )
-    center_index = build_dynamic_index(
+    center_index = build_index(
         index_spec, dataset, indices=[first_index], radius_hint=hint
     )
     # The round flush probes each round's pending centers through a

@@ -71,7 +71,7 @@ import numpy as np
 from repro.core.result import ClusteringResult
 from repro.index.base import NeighborIndex
 from repro.index.csr import CSRQueryResult, segment_argmin
-from repro.index.registry import IndexSpec, build_dynamic_index, build_index
+from repro.index.registry import IndexSpec, build_index
 from repro.metricspace.base import Metric
 from repro.metricspace.dataset import (
     CERTIFIED_BYTES_PER_ENTRY,
@@ -407,7 +407,7 @@ class StreamingApproxDBSCAN:
             born = self._pass1_chunk(net, metric, chunk, probe_radius)
             if born and self.index is not None:
                 if net.index is None:
-                    net.index = build_dynamic_index(
+                    net.index = build_index(
                         self.index, net.centers, radius_hint=probe_radius
                     )
                 else:

@@ -6,8 +6,8 @@ follow-ups for the streaming algorithm.  This module implements
 principled forgetting variants on top of the same net machinery:
 
 - :class:`WindowedApproxDBSCAN` — bucketed sliding window.  The stream
-  is divided into **buckets** of ``window / n_buckets`` points; only
-  the buckets covering the most recent ``window`` points are live.
+  is divided into **buckets** of ``window // n_buckets`` points; only
+  the ``n_buckets`` most recent buckets are live.
   Every live center keeps its ε-ball count **per contributing bucket**,
   so when a bucket expires its contribution is subtracted exactly —
   deletion never rescans the stream.
@@ -19,14 +19,12 @@ principled forgetting variants on top of the same net machinery:
 Both share the :class:`_CenterStoreBase` slot store: centers live in
 recyclable slots of a :class:`~repro.metricspace.dataset.GrowingMetricDataset`
 so an optional :mod:`repro.index` backend can answer every arrival /
-predict / cluster-refresh probe as a range query.  Eviction uses the
-backends' **native deletion** (``delete_batch``) by default — one batch
-removal per expiry, zero full-index rebuilds; pass
-``evict_rebuild=True`` to A/B against the rebuild-on-expiry strategy
-(clustering output is bit-identical either way).  Slots whose ids are
-still tombstoned inside a :class:`~repro.index.base.DynamicIndexWrapper`
-are quarantined, not recycled, until the wrapper compacts: recycling
-would overwrite a payload the wrapped structure still references.
+predict / cluster-refresh probe as a range query.  Eviction removes the
+expired centers with one ``delete_batch`` per expiry.  The cover tree
+keeps deleted ids as tombstones until it rebuilds
+(:attr:`~repro.index.covertree.CoverTreeIndex.tombstones`); their slots
+are quarantined, not recycled, until then, because recycling would
+overwrite a payload the tree still references.
 
 **Epoch ingestion.**  Arrivals are ingested a chunk at a time with the
 loop streaming pass 1 runs (:func:`repro.core.streaming.epoch_births`).
@@ -80,7 +78,7 @@ import numpy as np
 from repro.core.streaming import epoch_births, probe_reduced, stream_chunks
 from repro.index.base import NeighborIndex
 from repro.index.csr import in_sorted, segment_argmin
-from repro.index.registry import IndexSpec, build_dynamic_index
+from repro.index.registry import IndexSpec, build_index
 from repro.metricspace.base import Metric
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
 from repro.metricspace.euclidean import EuclideanMetric
@@ -145,8 +143,8 @@ class _CenterStoreBase:
     life cycle), ``_register_hits`` (a chunk's ε-hits as arrays in
     arrival order) and ``_core_mask``.  Everything else — the ε/r̄
     arrival decision, slot recycling with tombstone quarantine,
-    delete-vs-rebuild eviction and the ``(1+ρ)ε`` core-center merge —
-    lives here and is byte-identical across policies.
+    index eviction and the ``(1+ρ)ε`` core-center merge — lives here
+    and is byte-identical across policies.
     """
 
     def __init__(
@@ -156,7 +154,6 @@ class _CenterStoreBase:
         rho: float,
         metric: Optional[Metric],
         index: IndexSpec,
-        evict_rebuild: bool,
     ) -> None:
         self.eps = check_epsilon(eps)
         self.min_pts = check_min_pts(min_pts)
@@ -173,17 +170,13 @@ class _CenterStoreBase:
         self._alive = np.zeros(16, dtype=bool)  # per slot
         self._n_live = 0
         self._free_slots: List[int] = []
-        #: Released slots whose ids a DynamicIndexWrapper still holds as
-        #: tombstones; recycled only once the wrapper compacts.
+        #: Released slots whose ids the cover tree still holds as
+        #: tombstones; recycled only once it rebuilds.
         self._quarantined: List[int] = []
         self.index = index
         self._index: Optional[NeighborIndex] = None
         self._probe_radius = max(self.eps, self.r_bar)
-        self.evict_rebuild = bool(evict_rebuild)
-        #: Full index rebuilds performed by eviction (A/B strategy
-        #: counter: stays 0 on the default delete path).
-        self.n_evict_rebuilds = 0
-        #: Native ``delete_batch`` evictions performed.
+        #: ``delete_batch`` evictions performed.
         self.n_evict_deletes = 0
         self._n_seen = 0
         # The cluster view, cached at refresh: core slots ascending,
@@ -328,19 +321,18 @@ class _CenterStoreBase:
         resolves the spec on a single center, exactly as an index grown
         one center at a time."""
         if self._index is None:
-            self._index = build_dynamic_index(
+            self._index = build_index(
                 self.index, self._store, indices=born[:1],
                 radius_hint=self._probe_radius,
-                deletes=not self.evict_rebuild,
             )
             born = born[1:]
         if born.size:
             self._index.insert_batch(born)
 
     def _release_slots(self, slots: List[int]) -> None:
-        """Forget the centers in ``slots``: mark dead, evict from the
-        index (native ``delete_batch`` or rebuild per
-        ``evict_rebuild``), and queue the slots for recycling."""
+        """Forget the centers in ``slots``: mark dead, evict them from
+        the index with one ``delete_batch``, and queue the slots for
+        recycling."""
         if not slots:
             return
         dead = np.asarray(slots, dtype=np.intp)
@@ -351,28 +343,16 @@ class _CenterStoreBase:
             self._free_slots.extend(slots)
             return
         with self.timings.phase("evict_index"):
-            if self.evict_rebuild:
-                alive = self._alive_slots()
-                if alive.size:
-                    self._index = build_dynamic_index(
-                        self.index, self._store, indices=alive,
-                        radius_hint=self._probe_radius,
-                    )
-                    self.n_evict_rebuilds += 1
-                else:
-                    self._index = None
-                self._free_slots.extend(slots)
-            else:
-                self._index.delete_batch(np.sort(dead))
-                self.n_evict_deletes += 1
-                if self._index.n_stored == 0:
-                    self._index = None
-                self._quarantined.extend(slots)
-                self._reclaim_quarantined()
+            self._index.delete_batch(np.sort(dead))
+            self.n_evict_deletes += 1
+            if self._index.n_stored == 0:
+                self._index = None
+            self._quarantined.extend(slots)
+            self._reclaim_quarantined()
 
     def _reclaim_quarantined(self) -> None:
-        """Move quarantined slots whose ids no wrapper tombstone holds
-        anymore onto the free list."""
+        """Move quarantined slots whose ids the index no longer holds
+        as tombstones onto the free list."""
         if not self._quarantined:
             return
         tombs = (
@@ -501,24 +481,22 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
     window:
         Number of most-recent points the clustering reflects.
     n_buckets:
-        Window granularity; expiry happens a bucket at a time, so the
-        effective window length varies in
-        ``[window - window/n_buckets, window]``.
+        Window granularity; expiry happens a bucket at a time.  With
+        buckets of ``b = window // n_buckets`` arrivals the model holds
+        between ``(n_buckets - 1)·b + 1`` and ``n_buckets·b`` of the
+        most recent arrivals, so ``window`` itself is reached only when
+        ``n_buckets`` divides it (window 100 with 8 buckets holds 85 to
+        96).
     metric:
         Distance function over payloads (Euclidean default).
     index:
-        Optional :mod:`repro.index` backend spec.  When set, a dynamic
-        index over the live-center store answers every arrival /
-        predict / cluster-refresh probe as a range query: each chunk's
-        new centers are inserted with one ``insert_batch``, and bucket
-        expiry evicts the expired slots with one native
-        ``delete_batch`` — no rebuild.  Clustering output is identical
-        to the dense-scan path.
-    evict_rebuild:
-        A/B switch: ``True`` restores the rebuild-on-expiry eviction
-        strategy (one full index rebuild over the survivors per expired
-        bucket).  Labels are bit-identical either way;
-        ``n_evict_rebuilds`` / ``n_evict_deletes`` count what ran.
+        Optional :mod:`repro.index` backend spec.  When set, an index
+        over the live-center store answers every arrival / predict /
+        cluster-refresh probe as a range query: each chunk's new
+        centers are inserted with one ``insert_batch``, and bucket
+        expiry evicts the expired slots with one ``delete_batch``
+        (``n_evict_deletes`` counts them).  Clustering output is
+        identical to the dense-scan path.
 
     Examples
     --------
@@ -539,9 +517,8 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
         n_buckets: int = 8,
         metric: Optional[Metric] = None,
         index: IndexSpec = None,
-        evict_rebuild: bool = False,
     ) -> None:
-        super().__init__(eps, min_pts, rho, metric, index, evict_rebuild)
+        super().__init__(eps, min_pts, rho, metric, index)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if n_buckets < 1 or n_buckets > window:
@@ -624,8 +601,7 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
       ``prune_weight`` are forgotten every ``prune_interval`` arrivals.
 
     Both policies share the windowed model's slot store and optional
-    neighbor index, including native ``delete_batch`` eviction
-    (``evict_rebuild=True`` for the rebuild A/B).
+    neighbor index, including ``delete_batch`` eviction.
     """
 
     def __init__(
@@ -640,9 +616,8 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
         prune_interval: Optional[int] = None,
         metric: Optional[Metric] = None,
         index: IndexSpec = None,
-        evict_rebuild: bool = False,
     ) -> None:
-        super().__init__(eps, min_pts, rho, metric, index, evict_rebuild)
+        super().__init__(eps, min_pts, rho, metric, index)
         if (ttl is None) == (decay is None):
             raise ValueError("exactly one of ttl / decay must be set")
         if ttl is not None:

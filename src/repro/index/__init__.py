@@ -9,7 +9,7 @@ selected by name through :func:`build_index` (``auto`` policy, or the
 :mod:`repro.index.base` for the interface contract.
 """
 
-from repro.index.base import DynamicIndexWrapper, NeighborIndex, QueryResult
+from repro.index.base import NeighborIndex, QueryResult
 from repro.index.brute import BruteForceIndex
 from repro.index.csr import CSRQueryResult, csr_from_rows, segment_argmin
 from repro.index.covertree import CoverTreeIndex
@@ -23,7 +23,6 @@ from repro.index.registry import (
     INDEX_REGISTRY,
     IndexSpec,
     available_backends,
-    build_dynamic_index,
     build_index,
     default_index_name,
     register_index,
@@ -37,7 +36,6 @@ __all__ = [
     "CSRQueryResult",
     "csr_from_rows",
     "segment_argmin",
-    "DynamicIndexWrapper",
     "BruteForceIndex",
     "GridIndex",
     "CoverTreeIndex",
@@ -50,7 +48,6 @@ __all__ = [
     "GRID_PROBE_MAX_RATIO",
     "GRID_PROBE_QUERIES",
     "available_backends",
-    "build_dynamic_index",
     "build_index",
     "default_index_name",
     "register_index",

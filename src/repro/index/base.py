@@ -57,43 +57,30 @@ Contract
 
 Dynamic indexes
 ---------------
-Backends with ``supports_insert = True`` accept :meth:`insert` /
-:meth:`insert_batch` after :meth:`build`, growing the stored set
-without a rebuild: the brute backend appends to its block store, the
-grid appends the new points' cell rows, and the cover tree uses its
-native insert.  An index grown by inserts answers every query exactly
-as one built fresh over the union (the incremental-equivalence
-suite in ``tests/test_index_dynamic.py`` pins this per backend).
-Backends that cannot insert are served by :class:`DynamicIndexWrapper`,
-which buffers inserts and lazily rebuilds its inner backend before the
-next query.  This is what lets Algorithm 1 maintain one incremental
-index over its growing center set instead of materializing the dense
-``|E|²`` center matrix, and lets the streaming/windowed solvers index
-their summary as it grows.
+Every backend accepts :meth:`insert` / :meth:`insert_batch` and
+:meth:`delete` / :meth:`delete_batch` after :meth:`build`, growing and
+shrinking the stored set without a full rebuild: the brute backend
+appends rows to (or drops them from) its block store, the grid adds or
+drops the ids' cell rows, and the cover tree inserts natively and
+tombstones deletions (see :class:`~repro.index.covertree.CoverTreeIndex`).
+An index that has seen inserts and deletions answers every query
+exactly as one built fresh over its stored set
+(``tests/test_index_dynamic.py`` and ``tests/test_index_deletion.py``
+pin this per backend).  This is what lets Algorithm 1 maintain one
+incremental index over its growing center set instead of materializing
+the dense ``|E|²`` center matrix, lets the streaming solver index its
+summary as it grows, and lets the windowed models evict expired
+centers.  Deleting every stored point is allowed: the emptied index
+answers all queries with zero hits and accepts inserts again.
 
-Deletion is the other half of the lifecycle: backends with
-``supports_delete = True`` accept :meth:`delete` / :meth:`delete_batch`
-after :meth:`build`, shrinking the stored set without a rebuild — the
-brute backend drops rows from its (sorted) block store, the grid drops
-the ids' stored cell rows.  An index that has seen deletions answers
-every query exactly as one built fresh over the survivors
-(``tests/test_index_deletion.py`` pins this per backend).  Backends
-without native removal (the cover tree would need re-parenting) go
-through :class:`DynamicIndexWrapper`, which *tombstones* deleted ids —
-masking them out of the inner backend's answers — and compacts (one
-inner rebuild) only when the live fraction drops below
-:attr:`DynamicIndexWrapper.compact_live_fraction`.
-
-Two contract points deletion adds:
-
-- at :meth:`delete_batch` time a deleted id's payload must still be
-  the payload it was *indexed* with — backends may locate points by
-  cached structure built from it (cover tree), so callers that recycle
-  payload slots (the windowed solver) must delete first and overwrite
-  after;
-- re-inserting an id the wrapper holds as a tombstone forces an inner
-  rebuild before the next query: the inner structure still references
-  the id, and its payload may have changed.
+Deletion adds one contract point: a deleted id's payload must still be
+the payload it was *indexed* with at :meth:`delete_batch` time, because
+backends may locate points by cached structure built from it.  The
+cover tree keeps deleted ids in its tree until its next rebuild, so a
+caller that recycles payload slots (the windowed models) deletes first
+and overwrites an id only once it is no longer listed in
+:attr:`CoverTreeIndex.tombstones <repro.index.covertree.CoverTreeIndex.tombstones>`,
+or re-inserts it before the next query.
 """
 
 from __future__ import annotations
@@ -122,16 +109,6 @@ class NeighborIndex(ABC):
 
     #: Registry name of the backend (set by subclasses).
     name: str = "abstract"
-
-    #: Whether the backend implements :meth:`_insert` (native dynamic
-    #: growth).  Backends without it still work behind
-    #: :class:`DynamicIndexWrapper`.
-    supports_insert: bool = False
-
-    #: Whether the backend implements :meth:`_delete` (native point
-    #: removal).  Backends without it get tombstone-based deletion
-    #: behind :class:`DynamicIndexWrapper`.
-    supports_delete: bool = False
 
     def __init__(self) -> None:
         self.dataset: Optional[MetricDataset] = None
@@ -204,7 +181,7 @@ class NeighborIndex(ABC):
         self.insert_batch(np.asarray([index], dtype=np.intp))
 
     def insert_batch(self, indices: IndexArray) -> None:
-        """Add dataset points to a built index without rebuilding.
+        """Add dataset points to a built index in place.
 
         ``indices`` are global dataset indices, none of which may
         already be stored.  After the call the index answers
@@ -226,18 +203,13 @@ class NeighborIndex(ABC):
             raise ValueError("insert_batch received out-of-range point indices")
         if in_sorted(self.stored, order).any():
             raise ValueError("insert_batch received already-stored point indices")
-        if not self.supports_insert:
-            raise NotImplementedError(
-                f"{type(self).__name__} cannot insert; wrap it in "
-                "DynamicIndexWrapper for rebuild-on-insert semantics"
-            )
         self.stored = np.concatenate([self.stored, new])
         self._insert(new)
 
+    @abstractmethod
     def _insert(self, new: np.ndarray) -> None:
         """Backend hook: extend the structure with the points ``new``
         (already appended to ``self.stored``)."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Dynamic shrinkage
@@ -247,7 +219,7 @@ class NeighborIndex(ABC):
         self.delete_batch(np.asarray([index], dtype=np.intp))
 
     def delete_batch(self, indices: IndexArray) -> None:
-        """Remove dataset points from a built index without rebuilding.
+        """Remove dataset points from a built index in place.
 
         ``indices`` are global dataset indices, all of which must be
         currently stored (duplicates rejected).  After the call the
@@ -265,11 +237,6 @@ class NeighborIndex(ABC):
         order = np.sort(drop)
         if _has_duplicates(order):
             raise ValueError("delete_batch received duplicate point indices")
-        if not self.supports_delete:
-            raise NotImplementedError(
-                f"{type(self).__name__} cannot delete; wrap it in "
-                "DynamicIndexWrapper for tombstone semantics"
-            )
         dead = in_sorted(self.stored, order)
         if int(dead.sum()) != drop.size:
             raise ValueError("delete_batch received point indices not stored")
@@ -278,10 +245,10 @@ class NeighborIndex(ABC):
         self.stored = self.stored[~dead]
         self._delete(drop)
 
+    @abstractmethod
     def _delete(self, removed: np.ndarray) -> None:
         """Backend hook: drop the points ``removed`` (already compacted
         out of ``self.stored``) from the structure."""
-        raise NotImplementedError
 
     def spawn(self) -> "NeighborIndex":
         """An unbuilt sibling carrying this backend's configuration.
@@ -479,230 +446,3 @@ def check_k(k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return k
-
-
-class DynamicIndexWrapper(NeighborIndex):
-    """Insert/delete semantics for any backend via rebuilds + tombstones.
-
-    Wraps an (unbuilt) backend instance.  Inserts forward natively when
-    the inner backend can grow; otherwise they only buffer, and the
-    inner index is rebuilt over the full stored set lazily before the
-    next query.  With the solvers' batch-inserts-then-query-phases
-    access pattern that amortizes to one rebuild per phase, which is
-    the best a static structure can do.
-
-    Deletes are **tombstones**: the removed ids stay in the inner
-    structure (no re-parenting) but are masked out of every answer —
-    CSR results through :meth:`~repro.index.csr.CSRQueryResult.without_ids`,
-    kNN by over-fetching ``k + #tombstones``.  When the live fraction
-    ``n_stored / inner.n_stored`` drops below
-    :attr:`compact_live_fraction` the wrapper schedules a compaction
-    (one lazy inner rebuild over the survivors), so the masking
-    overhead stays bounded.  Re-inserting a tombstoned id also forces a
-    rebuild: the inner structure still references it and the payload
-    may have been recycled.
-
-    The wrapper reports the *inner* backend's registry ``name`` so
-    spec-resolution reuse checks (``net_neighbor_sets``) see through
-    it, and folds the inner counters across rebuilds so instrumentation
-    accumulates like a native dynamic backend's.
-    """
-
-    supports_insert = True
-    supports_delete = True
-
-    #: Compaction threshold: schedule an inner rebuild when fewer than
-    #: this fraction of the inner backend's stored points are live.
-    compact_live_fraction = 0.5
-
-    def __init__(
-        self,
-        inner: NeighborIndex,
-        compact_live_fraction: Optional[float] = None,
-    ) -> None:
-        super().__init__()
-        if isinstance(inner, DynamicIndexWrapper):
-            raise TypeError("refusing to wrap a DynamicIndexWrapper in another")
-        if compact_live_fraction is not None:
-            if not 0.0 <= compact_live_fraction <= 1.0:
-                raise ValueError(
-                    "compact_live_fraction must be in [0, 1], got "
-                    f"{compact_live_fraction}"
-                )
-            self.compact_live_fraction = float(compact_live_fraction)
-        self.inner = inner
-        self.name = inner.name
-        self._pending = False
-        self._tombstones = np.empty(0, dtype=np.intp)
-        self.n_compactions = 0
-        self._folded_queries = 0
-        self._folded_candidates = 0
-
-    @property
-    def tombstones(self) -> np.ndarray:
-        """Deleted ids still present in the inner structure.  Callers
-        that recycle payload slots must not overwrite these until a
-        compaction clears them (the windowed solver quarantines them)."""
-        return self._tombstones
-
-    def _build(self) -> None:
-        self.inner.build(
-            self.dataset, indices=self.stored, radius_hint=self.radius_hint
-        )
-        self._pending = False
-        self._tombstones = np.empty(0, dtype=np.intp)
-        self._folded_queries = 0
-        self._folded_candidates = 0
-
-    def _insert(self, new: np.ndarray) -> None:
-        if in_sorted(new, self._tombstones).any():
-            # The inner structure still holds this id (with its old
-            # payload); only a rebuild restores consistency.
-            self._pending = True
-            return
-        if self._pending or not self.inner.supports_insert:
-            self._pending = True
-            return
-        self.inner.insert_batch(new)
-
-    def _delete(self, removed: np.ndarray) -> None:
-        if self._pending:
-            # The inner index is stale anyway; the lazy rebuild over
-            # ``self.stored`` (which no longer holds ``removed``)
-            # covers the deletion too.
-            return
-        self._tombstones = np.union1d(self._tombstones, removed)
-        if self.n_stored < self.compact_live_fraction * self.inner.n_stored:
-            self._pending = True
-            self.n_compactions += 1
-
-    def _fresh(self) -> NeighborIndex:
-        if self._pending and self.n_stored > 0:
-            # Inner builds zero their counters; fold before rebuilding.
-            self._folded_queries += self.inner.n_range_queries
-            self._folded_candidates += self.inner.n_candidates
-            self.inner.build(
-                self.dataset, indices=self.stored, radius_hint=self.radius_hint
-            )
-            self._pending = False
-            self._tombstones = np.empty(0, dtype=np.intp)
-        return self.inner
-
-    def _sync(self) -> None:
-        self.n_range_queries = self._folded_queries + self.inner.n_range_queries
-        self.n_candidates = self._folded_candidates + self.inner.n_candidates
-
-    def _mask_rows(self, rows: List[QueryResult]) -> List[QueryResult]:
-        """Filter tombstoned ids out of a tuple-list answer."""
-        if self._tombstones.size == 0:
-            return rows
-        out: List[QueryResult] = []
-        for ids, dists in rows:
-            keep = ~np.isin(ids, self._tombstones)
-            if keep.all():
-                out.append((ids, dists))
-            else:
-                out.append(
-                    (ids[keep], None if dists is None else dists[keep])
-                )
-        return out
-
-    def _count_empty(self, n_queries: int) -> None:
-        """Account queries answered by the deleted-to-empty guard (the
-        inner index is never consulted, so fold directly)."""
-        self._folded_queries += int(n_queries)
-        self._sync()
-
-    def range_query_batch(
-        self, queries: IndexArray, radius: float, with_distances: bool = True
-    ) -> List[QueryResult]:
-        if self.n_stored == 0:
-            self._count_empty(len(queries))
-            return CSRQueryResult.empty(len(queries), with_distances).tolist()
-        out = self._fresh().range_query_batch(
-            queries, radius, with_distances=with_distances
-        )
-        self._sync()
-        return self._mask_rows(out)
-
-    def range_query_points(
-        self, payloads: Sequence, radius: float, with_distances: bool = True
-    ) -> List[QueryResult]:
-        if self.n_stored == 0:
-            self._count_empty(len(payloads))
-            return CSRQueryResult.empty(len(payloads), with_distances).tolist()
-        out = self._fresh().range_query_points(
-            payloads, radius, with_distances=with_distances
-        )
-        self._sync()
-        return self._mask_rows(out)
-
-    def range_query_batch_csr(
-        self, queries: IndexArray, radius, with_distances: bool = True
-    ) -> CSRQueryResult:
-        if self.n_stored == 0:
-            self._count_empty(len(queries))
-            return CSRQueryResult.empty(len(queries), with_distances)
-        out = self._fresh().range_query_batch_csr(
-            queries, radius, with_distances=with_distances
-        )
-        self._sync()
-        return out.without_ids(self._tombstones)
-
-    def range_query_points_csr(
-        self, payloads: Sequence, radius, with_distances: bool = True
-    ) -> CSRQueryResult:
-        if self.n_stored == 0:
-            self._count_empty(len(payloads))
-            return CSRQueryResult.empty(len(payloads), with_distances)
-        out = self._fresh().range_query_points_csr(
-            payloads, radius, with_distances=with_distances
-        )
-        self._sync()
-        return out.without_ids(self._tombstones)
-
-    def knn(self, query: int, k: int) -> QueryResult:
-        if self.n_stored == 0:
-            self._count_empty(1)
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        k = check_k(k)
-        # Over-fetch so the answer survives tombstone masking: every
-        # masked hit could displace a live one.
-        fetch = k + int(self._tombstones.size)
-        ids, dists = self._fresh().knn(query, fetch)
-        self._sync()
-        if self._tombstones.size:
-            keep = ~np.isin(ids, self._tombstones)
-            ids, dists = ids[keep], dists[keep]
-        return ids[:k], dists[:k]
-
-    def counters(self) -> Dict[str, int]:
-        self._sync()
-        out = self.inner.counters()
-        out["n_range_queries"] = int(self.n_range_queries)
-        out["n_candidates"] = int(self.n_candidates)
-        return out
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self._folded_queries = 0
-        self._folded_candidates = 0
-        inner = getattr(self, "inner", None)
-        if inner is not None:
-            inner.reset_counters()
-
-    def spawn(self) -> "NeighborIndex":
-        # Not super().spawn(): that resets counters on the shallow
-        # copy while it still shares ``inner`` with the original,
-        # wiping the live wrapper's counts.  Swap in the spawned inner
-        # first, then reset the clone only.
-        clone = copy.copy(self)
-        clone.inner = self.inner.spawn()
-        clone.dataset = None
-        clone.stored = None
-        clone.radius_hint = None
-        clone._pending = False
-        clone._tombstones = np.empty(0, dtype=np.intp)
-        clone.n_compactions = 0
-        clone.reset_counters()
-        return clone

@@ -36,8 +36,6 @@ class BruteForceIndex(NeighborIndex):
     """Linear-scan neighbor index over the batched distance engine."""
 
     name = "brute"
-    supports_insert = True
-    supports_delete = True
 
     def _build(self) -> None:
         # Nothing to precompute: the stored index array *is* the

@@ -17,11 +17,22 @@ The CSR batch entry points (``range_query_batch_csr`` /
 the tree traverses one query at a time regardless, so concatenating the
 tuple-list answer costs nothing extra and keeps the consumer-facing
 format uniform across backends.
+
+Deletion uses tombstones.  Removing a node would mean re-parenting its
+subtree under the covering and separation invariants, and first-in,
+first-out expiry (the windowed models) removes the oldest points, which
+sit at the top of the tree.  A deleted id therefore stays in the tree,
+listed in :attr:`CoverTreeIndex.tombstones`, and every answer masks it
+out; kNN over-fetches ``k + #tombstones``.  The tree is rebuilt over the
+stored points before the next query once fewer than
+:attr:`CoverTreeIndex.COMPACT_LIVE_FRACTION` of its points are live, or
+once a tombstoned id is re-inserted (the tree still holds it, with a
+payload that may since have changed).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,21 +44,22 @@ from repro.index.base import (
     check_radii,
     check_radius,
 )
+from repro.index.csr import in_sorted
 from repro.metricspace.dataset import IndexArray
+
+
+def _empty() -> QueryResult:
+    return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
 
 
 class CoverTreeIndex(NeighborIndex):
     """Neighbor index over a cover tree; works for any metric."""
 
     name = "covertree"
-    supports_insert = True
-    #: No native removal: deleting a tree node would mean re-parenting
-    #: its subtree under the covering/separation invariants.  Deletion
-    #: consumers get this backend behind
-    #: :class:`~repro.index.base.DynamicIndexWrapper`, which tombstones
-    #: deleted ids and compacts with a periodic rebuild instead
-    #: (``build_dynamic_index(..., deletes=True)`` wraps automatically).
-    supports_delete = False
+
+    #: Rebuild the tree before the next query once fewer than this
+    #: fraction of its points are live (the rest being tombstones).
+    COMPACT_LIVE_FRACTION = 0.5
 
     def _build(self) -> None:
         # Insertion in ascending index order keeps construction
@@ -55,15 +67,44 @@ class CoverTreeIndex(NeighborIndex):
         # builds take the level-batched bulk construction (one
         # ``Metric.cross`` call per sibling pick instead of per-node
         # Python candidate juggling); queries are exact either way.
-        self.tree = CoverTree(self.dataset, indices=self.stored, bulk=None)
+        self.tree = CoverTree(self.dataset, indices=np.sort(self.stored), bulk=None)
         self.n_build_evals = self.tree.n_distance_evals
+        #: Deleted ids the tree still holds (sorted).  Their payloads
+        #: must not change until a rebuild clears them or they are
+        #: re-inserted; the windowed models quarantine their slots.
+        self.tombstones = np.empty(0, dtype=np.intp)
+        #: Whether the tree must be rebuilt before the next query.
+        self._stale = False
 
     def _insert(self, new: np.ndarray) -> None:
+        if self._stale or in_sorted(new, self.tombstones).any():
+            # The tree still holds a tombstoned id with its old payload
+            # (or is stale already): the rebuild before the next query
+            # takes ``new`` in with the rest of the stored set.
+            self._stale = True
+            return
         before = self.tree.n_distance_evals
         for idx in new:
             self.tree.insert(int(idx))
         # Insert evaluations are construction cost, not query cost.
         self.n_build_evals += self.tree.n_distance_evals - before
+
+    def _delete(self, removed: np.ndarray) -> None:
+        if self._stale:
+            return  # the pending rebuild leaves ``removed`` out anyway
+        self.tombstones = np.union1d(self.tombstones, removed)
+        live = self.n_stored
+        if live < self.COMPACT_LIVE_FRACTION * (live + self.tombstones.size):
+            self._stale = True
+
+    def _live_tree(self) -> Optional[CoverTree]:
+        """The tree, rebuilt over the stored points first when stale;
+        ``None`` once every stored point has been deleted."""
+        if self.n_stored == 0:
+            return None
+        if self._stale:
+            self._build()
+        return self.tree
 
     def counters(self) -> dict:
         """Query counters plus the construction cost — the tree's
@@ -73,12 +114,26 @@ class CoverTreeIndex(NeighborIndex):
         out["n_build_evals"] = int(getattr(self, "n_build_evals", 0))
         return out
 
-    def _finish(self, hits: List, evals_before: int) -> QueryResult:
-        self.n_candidates += self.tree.n_distance_evals - evals_before
-        if not hits:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+    def _live(self, hits: List) -> QueryResult:
+        """The ``(index, distance)`` hits of a tree query as arrays, with
+        tombstoned ids masked out."""
         ids = np.asarray([i for i, _ in hits], dtype=np.intp)
         dists = np.asarray([d for _, d in hits], dtype=np.float64)
+        if self.tombstones.size:
+            keep = ~in_sorted(ids, self.tombstones)
+            ids, dists = ids[keep], dists[keep]
+        return ids, dists
+
+    def _query(self, payload, radius: float) -> QueryResult:
+        """One range query by payload: live hits sorted by index."""
+        tree = self._live_tree()
+        self.n_range_queries += 1
+        if tree is None:
+            return _empty()
+        before = tree.n_distance_evals
+        hits = tree.range_query(payload, radius)
+        self.n_candidates += tree.n_distance_evals - before
+        ids, dists = self._live(hits)
         order = np.argsort(ids, kind="stable")
         return ids[order], dists[order]
 
@@ -88,11 +143,7 @@ class CoverTreeIndex(NeighborIndex):
         # The tree traversal computes true distances anyway, so
         # with_distances costs nothing here and is ignored.
         dataset = self._require_built()
-        radius = check_radius(radius)
-        before = self.tree.n_distance_evals
-        hits = self.tree.range_query(dataset.point(int(query)), radius)
-        self.n_range_queries += 1
-        return self._finish(hits, before)
+        return self._query(dataset.point(int(query)), check_radius(radius))
 
     def range_query_batch(
         self, queries: IndexArray, radius, with_distances: bool = True
@@ -113,26 +164,22 @@ class CoverTreeIndex(NeighborIndex):
         # The tree queries by payload natively.
         self._require_built()
         radius = check_radii(radius, len(payloads))
-        per_query = isinstance(radius, np.ndarray)
-        out: List[QueryResult] = []
-        for pos, payload in enumerate(payloads):
-            r = float(radius[pos]) if per_query else radius
-            before = self.tree.n_distance_evals
-            hits = self.tree.range_query(payload, r)
-            self.n_range_queries += 1
-            out.append(self._finish(hits, before))
-        return out
+        if isinstance(radius, np.ndarray):
+            return [self._query(p, float(r)) for p, r in zip(payloads, radius)]
+        return [self._query(p, radius) for p in payloads]
 
     def knn(self, query: int, k: int) -> QueryResult:
         dataset = self._require_built()
         k = check_k(k)
-        before = self.tree.n_distance_evals
-        hits = self.tree.knn(dataset.point(int(query)), k)
+        tree = self._live_tree()
         self.n_range_queries += 1
-        self.n_candidates += self.tree.n_distance_evals - before
-        if not hits:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+        if tree is None:
+            return _empty()
+        before = tree.n_distance_evals
+        # Over-fetch so the answer survives tombstone masking: every
+        # masked hit could displace a live one.
+        hits = tree.knn(dataset.point(int(query)), k + self.tombstones.size)
+        self.n_candidates += tree.n_distance_evals - before
         # CoverTree.knn already sorts by (distance, index).
-        ids = np.asarray([i for i, _ in hits], dtype=np.intp)
-        dists = np.asarray([d for _, d in hits], dtype=np.float64)
-        return ids, dists
+        ids, dists = self._live(hits)
+        return ids[:k], dists[:k]

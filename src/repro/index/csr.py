@@ -105,34 +105,6 @@ class CSRQueryResult:
         """The tuple-list view (one ``(ids, dists)`` pair per query)."""
         return [self.row(i) for i in range(self.n_queries)]
 
-    def without_ids(self, drop) -> "CSRQueryResult":
-        """A copy with every hit on an id in ``drop`` masked out.
-
-        Row count and order are preserved; offsets are recomputed from
-        the surviving hits.  Dropping ids keeps the within-row
-        ascending order intact, so the result still satisfies the
-        interface contract.  This is how tombstone-based deletion
-        (:class:`~repro.index.base.DynamicIndexWrapper`) filters dead
-        points out of its inner backend's answers.  Returns ``self``
-        unchanged when nothing matches.
-        """
-        drop = np.asarray(drop, dtype=np.intp)
-        if drop.size == 0 or self.ids.size == 0:
-            return self
-        keep = ~np.isin(self.ids, drop)
-        if keep.all():
-            return self
-        counts = np.bincount(
-            self.query_rows()[keep], minlength=self.n_queries
-        )
-        offsets = np.zeros(self.n_queries + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        return CSRQueryResult(
-            offsets,
-            self.ids[keep],
-            None if self.dists is None else self.dists[keep],
-        )
-
     def __len__(self) -> int:
         return self.n_queries
 

@@ -248,8 +248,6 @@ class GridIndex(NeighborIndex):
     """
 
     name = "grid"
-    supports_insert = True
-    supports_delete = True
 
     def __init__(
         self, cell_width: Optional[float] = None, max_grid_dims: int = 3

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Type, Union
 
 import numpy as np
 
-from repro.index.base import DynamicIndexWrapper, NeighborIndex
+from repro.index.base import NeighborIndex
 from repro.index.brute import BruteForceIndex
 from repro.index.covertree import CoverTreeIndex
 from repro.index.grid import GridIndex
@@ -172,6 +172,13 @@ def build_index(
     the grid, a few sampled range queries validate that the projected
     lattice actually prunes; degenerate grids (isotropic
     high-dimensional data) fall back to the brute backend.
+
+    Every backend grows and shrinks in place
+    (:meth:`~repro.index.base.NeighborIndex.insert_batch`,
+    :meth:`~repro.index.base.NeighborIndex.delete_batch`), so the
+    callers that maintain an index incrementally (the Gonzalez center
+    index, the streaming summary, the windowed eviction path) build
+    through here too.
     """
     if isinstance(spec, NeighborIndex):
         return spec.build(dataset, indices=indices, radius_hint=radius_hint)
@@ -233,43 +240,3 @@ def resolve_grown_index_name(
         if _probe_grid_degenerate(probe):
             name = "brute"
     return name
-
-
-def build_dynamic_index(
-    spec: IndexSpec,
-    dataset: MetricDataset,
-    indices: Optional[IndexArray] = None,
-    radius_hint: Optional[float] = None,
-    deletes: bool = False,
-) -> NeighborIndex:
-    """Like :func:`build_index`, but the result is guaranteed to accept
-    :meth:`~repro.index.base.NeighborIndex.insert_batch` — and, with
-    ``deletes=True``, :meth:`~repro.index.base.NeighborIndex.delete_batch`.
-
-    The built-in backends all insert natively; a registered backend
-    without insert support is wrapped in
-    :class:`~repro.index.base.DynamicIndexWrapper` (buffer inserts,
-    rebuild lazily before the next query).  With ``deletes=True``,
-    backends without native removal (the cover tree) are wrapped too:
-    the wrapper tombstones deleted ids and compacts periodically, while
-    still forwarding inserts to the inner backend's native path.
-    Callers that grow an index incrementally — the Gonzalez round loop,
-    the streaming summary, the windowed eviction path — go through
-    here.
-    """
-    if isinstance(spec, NeighborIndex):
-        instance: Optional[NeighborIndex] = spec
-    elif isinstance(spec, type) and issubclass(spec, NeighborIndex):
-        instance = spec()
-    else:
-        # Name/auto specs: delegate (keeping the auto-grid probe) when
-        # the resolved backend natively supports everything asked for,
-        # and instantiate for wrapping otherwise.
-        name = resolve_index_name(spec, dataset, dataset.n if indices is None else len(indices))
-        cls = INDEX_REGISTRY[name]
-        if cls.supports_insert and (not deletes or cls.supports_delete):
-            return build_index(spec, dataset, indices=indices, radius_hint=radius_hint)
-        instance = cls()
-    if not instance.supports_insert or (deletes and not instance.supports_delete):
-        instance = DynamicIndexWrapper(instance)
-    return instance.build(dataset, indices=indices, radius_hint=radius_hint)

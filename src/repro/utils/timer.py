@@ -165,26 +165,6 @@ class TimingBreakdown:
             return 0.0
         return self.phases.get(name, 0.0) / total
 
-    def merge(self, other: "TimingBreakdown") -> None:
-        """Accumulate another breakdown's phases and counters into this one."""
-        has_roots = bool(self.root_phases) or bool(
-            getattr(other, "root_phases", None)
-        )
-        if has_roots and not self.root_phases and self.phases:
-            # This side was populated by hand: promote its flat phases
-            # to root level so ``total`` keeps covering them.
-            self.root_phases.update(self.phases)
-        for name, seconds in other.phases.items():
-            self.phases[name] = self.phases.get(name, 0.0) + seconds
-        if has_roots:
-            other_roots = getattr(other, "root_phases", None) or other.phases
-            for name, seconds in other_roots.items():
-                self.root_phases[name] = (
-                    self.root_phases.get(name, 0.0) + seconds
-                )
-        for name, amount in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + amount
-
     def counter_registry(self) -> Dict[str, Dict[str, int]]:
         """The merged counter registry, grouped by namespace.
 

@@ -2,12 +2,12 @@
 
 The load-bearing contract mirrors the insertion discipline: an index
 that has had points removed via ``delete_batch`` must answer every
-query exactly as one built fresh over the survivors — for the native
-backends (brute row compaction, grid cell removal) and for the
-tombstone wrapper the cover tree rides in.  On top sit the windowed
-eviction A/B (native-delete expiry produces labels bit-identical to
-rebuild-on-expiry, with zero full rebuilds on the delete path) and the
-TTL / decay forgetting policies of :class:`DecayingApproxDBSCAN`.
+query exactly as one built fresh over the survivors — brute row
+compaction, grid cell removal and the cover tree's tombstones alike,
+also when deleted ids come back with recycled payloads.  On top sit
+the windowed eviction parity (every index setting gives the view of
+the index-free model) and the TTL / decay forgetting policies of
+:class:`DecayingApproxDBSCAN`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import pytest
 
 from repro.core.windowed import DecayingApproxDBSCAN, WindowedApproxDBSCAN
 from repro.datasets import make_blobs
-from repro.index import build_index, build_dynamic_index
-from repro.index.base import CSRQueryResult, DynamicIndexWrapper
-from repro.metricspace import MetricDataset
+from repro.index import build_index
+from repro.metricspace import EditDistanceMetric, MetricDataset
+from repro.metricspace.dataset import GrowingMetricDataset
 
 BACKENDS = ["brute", "grid", "covertree"]
 #: Every ``REPRO_DEFAULT_INDEX`` setting the CI matrix exercises.
@@ -74,9 +74,7 @@ class TestDeletedEqualsFresh:
     def test_out_of_order_delete_matches_fresh(self, dataset, backend):
         rng = np.random.default_rng(7)
         drop = rng.permutation(dataset.n)[:90]  # unsorted ids
-        index = build_dynamic_index(
-            backend, dataset, radius_hint=1.5, deletes=True
-        )
+        index = build_index(backend, dataset, radius_hint=1.5)
         index.delete_batch(drop)
         survivors = np.setdiff1d(np.arange(dataset.n), drop)
         assert index.n_stored == survivors.size
@@ -86,9 +84,7 @@ class TestDeletedEqualsFresh:
     def test_delete_then_reinsert_matches_full(self, dataset, backend):
         rng = np.random.default_rng(8)
         drop = rng.permutation(dataset.n)[:60]
-        index = build_dynamic_index(
-            backend, dataset, radius_hint=1.5, deletes=True
-        )
+        index = build_index(backend, dataset, radius_hint=1.5)
         index.delete_batch(drop)
         index.insert_batch(drop)
         assert index.n_stored == dataset.n
@@ -97,9 +93,8 @@ class TestDeletedEqualsFresh:
 
     def test_interleaved_rounds_match_fresh(self, dataset, backend):
         rng = np.random.default_rng(9)
-        index = build_dynamic_index(
-            backend, dataset, indices=np.arange(150),
-            radius_hint=1.5, deletes=True,
+        index = build_index(
+            backend, dataset, indices=np.arange(150), radius_hint=1.5
         )
         stored = set(range(150))
         for round_seed in range(4):
@@ -118,9 +113,8 @@ class TestDeletedEqualsFresh:
         _assert_matches_fresh(index, fresh, dataset.n)
 
     def test_delete_to_empty_then_insert(self, dataset, backend):
-        index = build_dynamic_index(
-            backend, dataset, indices=np.arange(40),
-            radius_hint=1.5, deletes=True,
+        index = build_index(
+            backend, dataset, indices=np.arange(40), radius_hint=1.5
         )
         index.delete_batch(np.arange(40))
         assert index.n_stored == 0
@@ -132,6 +126,34 @@ class TestDeletedEqualsFresh:
         index.insert_batch([5, 1, 3])
         ids, _ = index.range_query(1, 1e9)
         np.testing.assert_array_equal(ids, [1, 3, 5])
+
+    def test_recycled_payloads_match_fresh(self, dataset, backend):
+        """Deleted ids whose payloads are overwritten and re-inserted
+        (the windowed models' slot recycling) answer like a fresh
+        build over the new payloads."""
+        rng = np.random.default_rng(10)
+        vectors = np.asarray(dataset.points)
+        rounds = [(GrowingMetricDataset(), list(vectors), list(-vectors[:75]))]
+        if backend != "grid":  # the grid serves vector metrics only
+            words = [
+                "".join(rng.choice(list("abcd"), size=int(rng.integers(2, 9))))
+                for _ in range(160)
+            ]
+            rounds.append(
+                (GrowingMetricDataset(EditDistanceMetric()), words[:120], words[120:])
+            )
+        for store, payloads, replacements in rounds:
+            store.extend(payloads)
+            # A quarter of the ids: the cover tree keeps them as
+            # tombstones (more than half of its points stay live).
+            recycled = rng.permutation(store.n)[: store.n // 4]
+            index = build_index(backend, store, radius_hint=1.5)
+            index.delete_batch(recycled)
+            for slot, payload in zip(recycled, replacements):
+                store.set(int(slot), payload)
+            index.insert_batch(recycled)
+            fresh = build_index(backend, store, radius_hint=1.5)
+            _assert_matches_fresh(index, fresh, store.n)
 
 
 class TestValidation:
@@ -153,57 +175,38 @@ class TestValidation:
         with pytest.raises(ValueError, match="not stored"):
             index.delete_batch([5, 250])
 
-    def test_backend_without_native_delete_raises(self, dataset):
-        index = build_index("covertree", dataset, indices=np.arange(50))
-        assert not index.supports_delete
-        with pytest.raises(NotImplementedError, match="DynamicIndexWrapper"):
-            index.delete(3)
-
     def test_empty_delete_is_noop(self, dataset):
         index = build_index("brute", dataset, radius_hint=1.5)
         index.delete_batch(np.empty(0, dtype=np.intp))
         assert index.n_stored == dataset.n
 
 
-class TestTombstoneWrapper:
-    def test_wrapping_and_native_paths(self, dataset):
-        wrapped = build_dynamic_index(
-            "covertree", dataset, indices=np.arange(60),
-            radius_hint=1.5, deletes=True,
-        )
-        assert isinstance(wrapped, DynamicIndexWrapper)
-        native = build_dynamic_index(
-            "grid", dataset, indices=np.arange(60),
-            radius_hint=1.5, deletes=True,
-        )
-        assert not isinstance(native, DynamicIndexWrapper)
-
+class TestCoverTreeTombstones:
     def test_tombstones_visible_until_compaction(self, dataset):
-        index = build_dynamic_index(
-            "covertree", dataset, indices=np.arange(100),
-            radius_hint=1.5, deletes=True,
+        index = build_index(
+            "covertree", dataset, indices=np.arange(100), radius_hint=1.5
         )
         index.delete_batch(np.arange(0, 100, 3))  # 34 of 100: above half
         assert index.tombstones.size == 34
-        assert index.n_compactions == 0
         ids, _ = index.range_query(1, 1e9)
         assert not np.isin(ids, np.arange(0, 100, 3)).any()
+        # Masked, not rebuilt: the tree still holds the deleted ids.
+        assert index.tombstones.size == 34
+        assert index.tree.size == 100
 
     def test_compaction_below_live_fraction(self, dataset):
-        index = build_dynamic_index(
-            "covertree", dataset, indices=np.arange(100),
-            radius_hint=1.5, deletes=True,
+        index = build_index(
+            "covertree", dataset, indices=np.arange(100), radius_hint=1.5
         )
         index.delete_batch(np.arange(60))  # live fraction 0.4 < 0.5
-        assert index.n_compactions == 1
-        index.range_query(70, 1.0)  # lazy rebuild happens on query
+        assert index.tombstones.size == 60  # the rebuild waits for a query
+        index.range_query(70, 1.0)
         assert index.tombstones.size == 0
-        assert index.inner.n_stored == 40
+        assert index.tree.size == 40
 
     def test_knn_overfetches_past_tombstones(self, dataset):
-        index = build_dynamic_index(
-            "covertree", dataset, indices=np.arange(80),
-            radius_hint=1.5, deletes=True,
+        index = build_index(
+            "covertree", dataset, indices=np.arange(80), radius_hint=1.5
         )
         wi, wd = build_index(
             "covertree", dataset, indices=np.arange(40, 80)
@@ -214,64 +217,43 @@ class TestTombstoneWrapper:
         np.testing.assert_allclose(gd, wd)
 
 
-class TestWithoutIds:
-    def _csr(self):
-        return CSRQueryResult(
-            np.array([0, 2, 2, 5], dtype=np.intp),
-            np.array([1, 5, 2, 5, 9], dtype=np.intp),
-            np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-        )
-
-    def test_filters_rows_and_recomputes_offsets(self):
-        out = self._csr().without_ids(np.array([5]))
-        np.testing.assert_array_equal(out.offsets, [0, 1, 1, 3])
-        np.testing.assert_array_equal(out.ids, [1, 2, 9])
-        np.testing.assert_allclose(out.dists, [0.1, 0.3, 0.5])
-
-    def test_no_match_returns_self(self):
-        csr = self._csr()
-        assert csr.without_ids(np.array([42])) is csr
-        assert csr.without_ids(np.empty(0, dtype=np.intp)) is csr
-
-    def test_drop_everything(self):
-        out = self._csr().without_ids(np.array([1, 2, 5, 9]))
-        np.testing.assert_array_equal(out.offsets, [0, 0, 0, 0])
-        assert out.ids.size == 0
-
-
 @pytest.mark.parametrize("setting", INDEX_SETTINGS)
 class TestWindowedEvictionParity:
-    """Bucket expiry via native deletion ≡ rebuild-on-expiry, under
-    every ``REPRO_DEFAULT_INDEX`` setting the CI matrix runs."""
+    """Every ``REPRO_DEFAULT_INDEX`` setting the CI matrix runs gives
+    the windowed, TTL and decay views of the index-free model."""
 
-    def _run(self, setting, evict_rebuild):
+    MODELS = {
+        "windowed": lambda index: WindowedApproxDBSCAN(
+            1.2, 5, rho=0.5, window=200, n_buckets=5, index=index
+        ),
+        "ttl": lambda index: DecayingApproxDBSCAN(
+            1.2, 5, rho=0.5, ttl=150, index=index
+        ),
+        "decay": lambda index: DecayingApproxDBSCAN(
+            1.2, 5, rho=0.5, decay=0.03, index=index
+        ),
+    }
+
+    def _run(self, model):
         rng = np.random.default_rng(17)
         stream = [rng.normal([step / 40.0, 0.0], 0.25) for step in range(500)]
-        model = WindowedApproxDBSCAN(
-            1.2, 5, rho=0.5, window=200, n_buckets=5,
-            index=setting, evict_rebuild=evict_rebuild,
-        )
         model.insert_many(stream)
         queries = [np.array([x, 0.0]) for x in np.linspace(-2.0, 14.0, 12)]
         labels = [model.predict(q) for q in queries]
         return model, (labels, model.n_clusters, model.n_live_centers)
 
-    def test_delete_path_matches_rebuild_path(self, monkeypatch, setting):
+    def test_indexed_matches_dense_model(self, monkeypatch, setting):
         monkeypatch.setenv("REPRO_DEFAULT_INDEX", setting)
-        deleter, got = self._run(setting, evict_rebuild=False)
-        rebuilder, want = self._run(setting, evict_rebuild=True)
-        assert got == want
-        # The tentpole guarantee: expiry on the default path performs
-        # zero full-index rebuilds — one batch delete per bucket.
-        assert deleter.n_evict_rebuilds == 0
-        assert deleter.n_evict_deletes > 0
-        assert rebuilder.n_evict_deletes == 0
-        assert rebuilder.n_evict_rebuilds > 0
-        assert "evict_index" in deleter.timings.phases
+        for make in self.MODELS.values():
+            indexed, got = self._run(make(setting))
+            _, want = self._run(make(None))
+            assert got == want
+            assert indexed.n_evict_deletes > 0
+            assert "evict_index" in indexed.timings.phases
 
     def test_index_tracks_live_centers(self, monkeypatch, setting):
         monkeypatch.setenv("REPRO_DEFAULT_INDEX", setting)
-        model, _ = self._run(setting, evict_rebuild=False)
+        model, _ = self._run(self.MODELS["windowed"](setting))
         assert model._index is not None
         assert model._index.n_stored == model.n_live_centers
 
@@ -330,7 +312,6 @@ class TestDecayingTTL:
         model.insert_many(stream)
         assert model.predict(np.array([-1.5, 0.0])) == -1  # decayed away
         assert model.predict(np.array([11.0, 0.0])) >= 0  # current region
-        assert model.n_evict_rebuilds == 0
 
     def test_decay_indexed_matches_dense(self):
         stream = self._stream(350)

@@ -4,8 +4,7 @@ The load-bearing contract is *incremental equivalence*: an index grown
 via ``insert_batch`` must answer ``range_query``/``knn`` exactly as one
 built fresh over the union, for every backend — the Gonzalez loop, the
 streaming passes and the windowed maintenance all rely on it.  On top
-sit the rebuild-fallback wrapper, the auto-policy grid probe, the grid
-kNN ring-delta cache, the bulk cover-tree build, and the solver-level
+sit the auto-policy grid probe, the grid kNN ring-delta cache, the bulk cover-tree build, and the solver-level
 regressions: Algorithm 1 materializes no dense ``|E|²`` matrix on any
 path, and streaming/windowed labels with ``index=`` match the
 dense-scan path bit for bit.
@@ -24,9 +23,7 @@ from repro.datasets import make_blobs
 from repro.index import (
     BruteForceIndex,
     CoverTreeIndex,
-    DynamicIndexWrapper,
     GridIndex,
-    build_dynamic_index,
     build_index,
     net_neighbor_sets,
 )
@@ -125,76 +122,6 @@ class TestIncrementalEquivalence:
                 [pts[i] for i in range(0, 200, 17)], 2.0
             )
             assert_query_equal(by_payload, by_index, atol=1e-6)
-
-
-class TestDynamicWrapper:
-    """Rebuild-fallback for backends without native insert."""
-
-    class _FrozenGrid(GridIndex):
-        """A grid stripped of its native insert (test double)."""
-
-        supports_insert = False
-
-        def _insert(self, new):  # pragma: no cover - must never run
-            raise AssertionError("wrapper must not call _insert")
-
-    def test_wrapper_rebuilds_lazily(self):
-        ds = blob_dataset(n=150)
-        inner = self._FrozenGrid()
-        wrapped = DynamicIndexWrapper(inner).build(
-            ds, indices=np.arange(100), radius_hint=1.5
-        )
-        assert wrapped.supports_insert
-        assert wrapped.name == "grid"  # sees through to the inner backend
-        wrapped.insert_batch(np.arange(100, 150))
-        fresh = GridIndex().build(ds, radius_hint=1.5)
-        assert_query_equal(
-            wrapped.range_query_batch(np.arange(150), 1.5),
-            fresh.range_query_batch(np.arange(150), 1.5),
-        )
-
-    def test_wrapper_counters_accumulate_across_rebuilds(self):
-        ds = blob_dataset(n=120)
-        wrapped = DynamicIndexWrapper(self._FrozenGrid()).build(
-            ds, indices=np.arange(60), radius_hint=1.5
-        )
-        wrapped.range_query_batch(np.arange(10), 1.5)
-        wrapped.insert_batch(np.arange(60, 120))
-        wrapped.range_query_batch(np.arange(10), 1.5)
-        counts = wrapped.counters()
-        assert counts["n_range_queries"] == 20
-        assert counts["n_candidates"] > 0
-
-    def test_unwrapped_insert_raises(self):
-        ds = blob_dataset(n=40)
-        idx = self._FrozenGrid().build(ds, indices=np.arange(30), radius_hint=1.0)
-        with pytest.raises(NotImplementedError, match="DynamicIndexWrapper"):
-            idx.insert(35)
-
-    def test_build_dynamic_index_wraps_only_when_needed(self):
-        ds = blob_dataset(n=50)
-        native = build_dynamic_index("grid", ds, radius_hint=1.0)
-        assert isinstance(native, GridIndex)
-        wrapped = build_dynamic_index(self._FrozenGrid(), ds, radius_hint=1.0)
-        assert isinstance(wrapped, DynamicIndexWrapper)
-        wrapped.insert_batch([])  # built and insertable
-
-    def test_double_wrap_rejected(self):
-        with pytest.raises(TypeError):
-            DynamicIndexWrapper(DynamicIndexWrapper(GridIndex()))
-
-    def test_spawn_leaves_original_counters_intact(self):
-        ds = blob_dataset(n=80)
-        wrapped = DynamicIndexWrapper(self._FrozenGrid()).build(
-            ds, radius_hint=1.5
-        )
-        wrapped.range_query_batch(np.arange(10), 1.5)
-        before = wrapped.counters()
-        assert before["n_range_queries"] == 10
-        sibling = wrapped.spawn()
-        assert wrapped.counters() == before
-        assert sibling.dataset is None
-        assert sibling.counters()["n_range_queries"] == 0
 
 
 class TestGridKnnRingCache:
@@ -526,7 +453,7 @@ class TestGrowingDataset:
         for _ in range(10):
             ds.append(rng.normal(size=3))
         assert ds.n == 10
-        idx = build_dynamic_index("brute", ds, radius_hint=1.0)
+        idx = build_index("brute", ds, radius_hint=1.0)
         for _ in range(5):
             idx.insert(ds.append(rng.normal(size=3)))
         assert ds.n == 15 and idx.n_stored == 15

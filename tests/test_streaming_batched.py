@@ -35,7 +35,7 @@ from repro.datasets import make_blobs
 from repro.index import build_index, segment_argmin
 from repro.index.base import NeighborIndex
 from repro.index.csr import CSRQueryResult, csr_from_parts, csr_from_rows
-from repro.index.registry import DEFAULT_INDEX_ENV, build_dynamic_index
+from repro.index.registry import DEFAULT_INDEX_ENV, build_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
 from repro.utils.components import component_labels
@@ -326,9 +326,7 @@ class PerElementReference:
                     watch_is_center.append(False)
             if spec is not None and len(centers) > m0:
                 if center_index is None:
-                    center_index = build_dynamic_index(
-                        spec, centers, radius_hint=probe
-                    )
+                    center_index = build_index(spec, centers, radius_hint=probe)
                 else:
                     center_index.insert_batch(
                         np.arange(center_index.n_stored, len(centers))

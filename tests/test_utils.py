@@ -106,12 +106,6 @@ class TestTimingBreakdown:
         tb = TimingBreakdown({"x": 1.0, "y": 2.0})
         assert tb.total == pytest.approx(3.0)
 
-    def test_merge(self):
-        a = TimingBreakdown({"x": 1.0})
-        b = TimingBreakdown({"x": 2.0, "y": 3.0})
-        a.merge(b)
-        assert a.phases == {"x": 3.0, "y": 3.0}
-
     def test_as_dict_is_copy(self):
         tb = TimingBreakdown({"x": 1.0})
         d = tb.as_dict()

@@ -83,6 +83,25 @@ class TestDeletionAndDrift:
         assert model.memory_points <= after_warmup * 8
         assert model.n_seen == 2300
 
+    @pytest.mark.parametrize(
+        "window, n_buckets, fewest, most",
+        [(100, 8, 85, 96), (10, 4, 7, 8), (100, 4, 76, 100)],
+    )
+    def test_effective_window_range(self, window, n_buckets, fewest, most):
+        """Buckets hold ``b = window // n_buckets`` arrivals, so the model
+        keeps between ``(n_buckets - 1)·b + 1`` and ``n_buckets·b`` of
+        them.  Every far-apart arrival births a center, so the live
+        centers count the live arrivals."""
+        model = WindowedApproxDBSCAN(
+            1.0, 5, rho=0.5, window=window, n_buckets=n_buckets
+        )
+        live = []
+        for i in range(4 * window):
+            model.insert(np.array([10.0 * i, 0.0]))
+            if i >= window:
+                live.append(model.n_live_centers)
+        assert (min(live), max(live)) == (fewest, most)
+
     def test_counts_subtracted_on_expiry(self):
         """A center whose support expired stops being core."""
         rng = np.random.default_rng(5)

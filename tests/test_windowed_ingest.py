@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.windowed import DecayingApproxDBSCAN, WindowedApproxDBSCAN
-from repro.index.registry import build_dynamic_index
+from repro.index.registry import build_index
 from repro.metricspace import EditDistanceMetric
 from repro.metricspace.dataset import GrowingMetricDataset
 from repro.utils.components import component_labels
@@ -157,9 +157,8 @@ class PerArrivalReference:
             self.state.append(center)
         if self.cfg.index is not None:
             if self.index is None:
-                self.index = build_dynamic_index(
-                    self.cfg.index, self.store, indices=[slot],
-                    radius_hint=self.probe, deletes=not self.cfg.evict_rebuild,
+                self.index = build_index(
+                    self.cfg.index, self.store, indices=[slot], radius_hint=self.probe
                 )
             else:
                 self.index.insert(slot)
@@ -175,16 +174,6 @@ class PerArrivalReference:
         for s in slots:
             self.state[s] = None
         if self.cfg.index is None or self.index is None:
-            self.free.extend(slots)
-        elif self.cfg.evict_rebuild:
-            alive = self.alive()
-            self.index = (
-                build_dynamic_index(
-                    self.cfg.index, self.store, indices=alive, radius_hint=self.probe
-                )
-                if alive
-                else None
-            )
             self.free.extend(slots)
         else:
             self.index.delete_batch(np.asarray(sorted(slots), dtype=np.intp))
@@ -354,7 +343,6 @@ def test_windowed_matches_per_arrival(data, stream):
         window=window,
         n_buckets=data.draw(st.integers(1, window), label="n_buckets"),
         index=data.draw(st.sampled_from(INDEXES), label="index"),
-        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
     )
     replay(model, pts, data.draw(call_plans(len(pts))), queries)
 
@@ -368,7 +356,6 @@ def test_ttl_matches_per_arrival(data, stream):
         # Below and above the chunk lengths the stream cuts allow.
         ttl=data.draw(st.one_of(st.integers(1, 8), st.integers(9, 300)), label="ttl"),
         index=data.draw(st.sampled_from(INDEXES), label="index"),
-        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
     )
     replay(model, pts, data.draw(call_plans(len(pts), overrides=True)), queries)
 
@@ -384,7 +371,6 @@ def test_decay_matches_per_arrival(data, stream):
         prune_weight=data.draw(st.sampled_from([0.5, 2.0]), label="prune_weight"),
         prune_interval=data.draw(st.integers(1, 50), label="prune_interval"),
         index=data.draw(st.sampled_from(INDEXES), label="index"),
-        evict_rebuild=data.draw(st.booleans(), label="evict_rebuild"),
     )
     replay(model, pts, data.draw(call_plans(len(pts))), queries)
 

@@ -136,13 +136,13 @@ class ApproxMetricDBSCAN:
                     )
                 timings.phases.setdefault("gonzalez", 0.0)
 
-            # Enlarged neighbor threshold (Eq. (13) generalized to any
-            # r̄ <= ρε/2): captures every summary pair within (1+ρ)ε and
-            # every point-to-summary pair within (1+ρ/2)ε.
+            # Enlarged neighbor threshold 2r̄ + (1+ρ)ε (Eq. (13)
+            # generalized to any r̄ <= ρε/2): every cover radius taken as
+            # r̄, it captures every summary pair within (1+ρ)ε and every
+            # point-to-summary pair within (1+ρ/2)ε.
             with timings.phase("neighbor_sets"):
                 neighbors = net_neighbor_sets(
-                    net, 2.0 * net.r_bar + (1.0 + rho) * eps, self.index,
-                    timings,
+                    net, net.r_bar, (1.0 + rho) * eps, self.index, timings
                 )
 
             with timings.phase("build_summary"):

@@ -1,13 +1,18 @@
 """The paper's exact metric DBSCAN algorithm (Section 3).
 
 The algorithm runs in three steps on top of the radius-guided Gonzalez
-preprocessing (Algorithm 1 with ``r̄ = ε/2``):
+preprocessing (Algorithm 1 with ``r̄ = ε/2``).  All three read one
+center graph (:func:`repro.index.netgraph.net_neighbor_sets`): Lemma 2
+with each center's realized radius, which joins ``e`` and ``e'`` when
+``dis(e, e') <= rad(e) + ε + rad(e')``.  A singleton cover set has
+radius 0, so its row holds only the centers an ε-region query around it
+reaches.
 
 1. **Label core points** (Lemma 4, ``O(n z t_dis)``): centers are split
    into *dense* spheres ``E1`` (``|C_e| >= MinPts`` — every point inside
    is immediately core, because the cover-set diameter is ``<= 2r̄ <= ε``)
    and *sparse* spheres ``E2``, whose few points are checked against the
-   candidate set ``∪_{e' ∈ A_e} C_{e'}`` justified by Lemma 2.
+   candidate set ``∪_{e' ∈ A_e} C_{e'}``.
 2. **Merge core points** (Lemma 5): core points sharing a cover set are
    directly ε-reachable; two neighboring cover sets join when their
    bichromatic closest pair (BCP) of core points is within ε.  All
@@ -20,6 +25,12 @@ preprocessing (Algorithm 1 with ``r̄ = ε/2``):
    searches the core points of its neighboring cover sets; within ε it
    becomes a border point of the nearest core's cluster, otherwise noise.
 
+Steps 1 and 3 pair every point of a sphere with every candidate of its
+sphere's set, and walk all those pairs as flat slices of aligned
+pair-kernel calls, as Step 2 walks its core-pair blocks
+(:func:`repro.core.flatgroups.rectangle_slices`): no step loops over
+spheres in Python.
+
 The Gonzalez preprocessing can be computed once with ``r̄ = ε0/2`` for a
 lower bound ``ε0`` and reused across parameter tuning (Remark 5):
 pass a precomputed net via :meth:`MetricDBSCAN.fit`'s ``net=`` argument.
@@ -31,10 +42,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.flatgroups import FlatGroups, rectangle_slices
+from repro.core.flatgroups import (
+    FlatGroups, count_within, rectangle_slices, walk_slice_len,
+)
 from repro.core.gonzalez import GonzalezNet, radius_guided_gonzalez
 from repro.core.result import ClusteringResult
-from repro.index.csr import CSRQueryResult
+from repro.index.csr import CSRQueryResult, segment_argmin
 from repro.index.netgraph import net_neighbor_sets
 from repro.index.registry import IndexSpec
 from repro.metricspace.dataset import (
@@ -55,8 +68,12 @@ MERGE_SCHEDULE = (1, 4, None)
 class MetricDBSCAN:
     """Exact metric DBSCAN via the radius-guided Gonzalez net.
 
-    Step (2) decides all neighboring core-set pairs together in the
-    rounds of :data:`MERGE_SCHEDULE`; it builds no cover trees.
+    Steps (1)–(3) read the center graph of Lemma 2 at each center's
+    realized radius.  Steps (1) and (3) evaluate all their (point,
+    candidate) pairs as flat slices of aligned kernel calls; Step (2)
+    decides all neighboring core-set pairs together in the rounds of
+    :data:`MERGE_SCHEDULE`.  No step loops over spheres or builds cover
+    trees.
 
     Parameters
     ----------
@@ -185,7 +202,7 @@ class MetricDBSCAN:
 
             with timings.phase("neighbor_sets"):
                 neighbors = net_neighbor_sets(
-                    net, 2.0 * net.r_bar + eps, self.index, timings
+                    net, net.realized_radii(), eps, self.index, timings
                 )
                 cover = net.cover()
 
@@ -232,11 +249,9 @@ class MetricDBSCAN:
     ) -> np.ndarray:
         """Label core points with the dense/sparse sphere split.
 
-        Sparse spheres are tested with one many-to-many block per
-        sphere (rows = sphere members, columns = the Lemma-2 candidate
-        set) instead of one batch call per point.  The candidate sets
-        of all sparse spheres are composed in one pass over the center
-        graph.
+        Every (sparse-sphere member, Lemma-2 candidate) pair is decided
+        by one certified threshold test, in flat slices over all sparse
+        spheres at once (:func:`~repro.core.flatgroups.count_within`).
         """
         if self.dense_shortcut:
             dense = cover.sizes >= self.min_pts
@@ -244,16 +259,12 @@ class MetricDBSCAN:
             dense = np.zeros(net.n_centers, dtype=bool)
         # Every point of a dense sphere is core (its diameter is <= ε).
         core_mask = dense[net.center_of]
-        sparse =np.flatnonzero(~dense & (cover.sizes > 0))
-        candidate_sets = cover.expand(neighbors, sparse)
-        for r, j in enumerate(sparse):
-            members = cover[j]
-            # Threshold-only count: the certified mixed-precision
-            # cascade decides ``<= eps`` without materializing float64
-            # distances (uncertain pairs are rescued exactly).
-            mask = dataset.cross_certified(members, candidate_sets[r], self.eps)
-            counts = np.count_nonzero(mask, axis=1)
-            core_mask[members[counts >= self.min_pts]] = True
+        sparse = np.flatnonzero(~dense & (cover.sizes > 0))
+        members = cover.take(sparse)
+        counts = count_within(
+            dataset, members, cover.expand(neighbors, sparse), self.eps
+        )
+        core_mask[members.flat[counts >= self.min_pts]] = True
         return core_mask
 
     # ------------------------------------------------------------------
@@ -364,52 +375,82 @@ class MetricDBSCAN:
         """Assign final labels: core via their center's cluster, border
         via the nearest core within ε, the rest noise.
 
+        Each non-core point is paired with the core points of its
+        sphere's neighboring cover sets, and all pairs are evaluated in
+        flat slices, as in Step (1).  Each slice finds every point's
+        minimum and then the first candidate attaining it (a min pass
+        and a tie pass, :func:`~repro.index.csr.segment_argmin`); a
+        later slice replaces it only with a strictly smaller one, so the
+        nearest core is the first minimum in candidate order.
+
         Returns ``(labels, border_memberships)`` where the second item
         is ``None`` unless ``collect_border_memberships`` is set, in
         which case it maps each border point to the sorted cluster ids
         of every cluster with a core point within ε (Definition 1's
-        footnote).
+        footnote), read off the same pairs.
         """
-        n = dataset.n
-        red_eps = dataset.metric.reduce_threshold(self.eps)
-        memberships = {} if self.collect_border_memberships else None
-        labels = np.full(n, -1, dtype=np.int64)
+        center_of = net.center_of
+        labels = np.full(dataset.n, -1, dtype=np.int64)
         # Core points inherit their own center's cluster id.
         core_indices = np.flatnonzero(core_mask)
-        labels[core_indices] = center_cluster[net.center_of[core_indices]]
+        labels[core_indices] = center_cluster[center_of[core_indices]]
 
-        # Border candidates: non-core points, grouped by their center and
-        # labeled with one many-to-many block per sphere.
         noncore = np.flatnonzero(~core_mask)
-        if noncore.size == 0:
-            return labels, memberships
         spheres = FlatGroups.from_assignment(
-            noncore, net.center_of[noncore], net.n_centers
+            noncore, center_of[noncore], net.n_centers
         )
         rows = np.flatnonzero(spheres.sizes > 0)
-        candidate_sets = core_by_center.expand(neighbors, rows)
-        for r, j in enumerate(rows):
-            candidates = candidate_sets[r]
-            if candidates.size == 0:
-                continue
-            group = spheres[j]
-            block = dataset.cross(group, candidates, reduced=True)
-            amin = block.argmin(axis=1)
-            dmin = block[np.arange(block.shape[0]), amin]
-            ok = dmin <= red_eps
-            labels[group[ok]] = center_cluster[
-                net.center_of[candidates[amin[ok]]]
-            ]
-            if memberships is not None:
-                within_block = block <= red_eps
-                for i in np.flatnonzero(ok):
-                    within = candidates[within_block[i]]
-                    clusters = {
-                        int(center_cluster[net.center_of[int(q)]])
-                        for q in within
-                    }
-                    memberships[int(group[i])] = sorted(clusters)
-        return labels, memberships
+        points = spheres.take(rows)
+        candidates = core_by_center.expand(neighbors, rows)
+        red_eps = dataset.metric.reduce_threshold(self.eps)
+        best = np.full(points.flat.size, np.inf)
+        nearest = np.zeros(points.flat.size, dtype=np.int64)
+        within = []
+        for rect, row, col in rectangle_slices(
+            points.sizes, candidates.sizes, walk_slice_len(dataset)
+        ):
+            # Local coordinates become flat positions in place.
+            row += points.starts[rect]
+            col += candidates.starts[rect]
+            del rect
+            cand = candidates.flat[col]
+            d = dataset.pair(points.flat[row], cand, reduced=True)
+            # Cells are row-major: each point's pairs are one run.
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            arg, low = segment_argmin(d, np.r_[starts, row.size])
+            run = row[starts]
+            better = low < best[run]
+            best[run[better]] = low[better]
+            nearest[run[better]] = cand[arg[better]]
+            if self.collect_border_memberships:
+                hit = d <= red_eps
+                within.append((row[hit], cand[hit]))
+        ok = best <= red_eps
+        labels[points.flat[ok]] = center_cluster[center_of[nearest[ok]]]
+        if not self.collect_border_memberships:
+            return labels, None
+        return labels, _memberships(
+            points.flat, ok, within, center_cluster[center_of]
+        )
+
+
+def _memberships(points, ok, within, cluster_of) -> dict:
+    """Border point -> sorted ids of the clusters owning a core point
+    within ε, from the ``(row, core point)`` pairs of Step (3)."""
+    row = np.concatenate([np.empty(0, dtype=np.int64)] + [r for r, _ in within])
+    core = np.concatenate([np.empty(0, dtype=np.int64)] + [c for _, c in within])
+    keep = ok[row]
+    # One sort of row·span + cluster groups each point's clusters,
+    # ascending; repeats drop out.
+    span = max(int(cluster_of.max()) + 1, 1)
+    keys = np.sort(row[keep] * span + cluster_of[core[keep]])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    row = keys // span
+    heads = np.flatnonzero(np.diff(row, prepend=-1))
+    return {
+        int(points[row[h]]): clusters.tolist()
+        for h, clusters in zip(heads, np.split(keys - row * span, heads[1:]))
+    }
 
 
 def metric_dbscan(

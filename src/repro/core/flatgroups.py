@@ -17,6 +17,9 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.index.csr import CSRQueryResult
+from repro.metricspace.dataset import (
+    DEFAULT_BLOCK_BYTES, MetricDataset, pairs_per_slice,
+)
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -101,9 +104,12 @@ def rectangle_slices(
     Yields ``(rect, row, col)``: per cell, its rectangle and its local
     coordinates.  Only one slice's index arrays exist at a time, so the
     expansion of a large product never materializes whole; a rectangle
-    larger than a slice is split across slices.
+    larger than a slice is split across slices.  A slice is cut into
+    row segments first (one division per rectangle, not per cell), and
+    its cells are repeats of those.
     """
-    counts = np.asarray(n_rows, dtype=np.int64) * np.asarray(n_cols, dtype=np.int64)
+    n_cols = np.asarray(n_cols, dtype=np.int64)
+    counts = np.asarray(n_rows, dtype=np.int64) * n_cols
     ends = np.cumsum(counts)
     begins = ends - counts
     total = int(ends[-1]) if ends.size else 0
@@ -112,8 +118,62 @@ def rectangle_slices(
         first = int(np.searchsorted(ends, lo, side="right"))
         last = int(np.searchsorted(ends, hi - 1, side="right"))
         rects = np.arange(first, last + 1)
-        take = np.minimum(ends[rects], hi) - np.maximum(begins[rects], lo)
-        rect = np.repeat(rects, take)
-        local = np.arange(lo, hi) - begins[rect]
-        width = n_cols[rect]
-        yield rect, local // width, local % width
+        # Each rectangle's cells in the slice, as local offsets [a, b);
+        # empty rectangles get a = b and no rows.
+        width = np.maximum(n_cols[rects], 1)
+        a = np.maximum(begins[rects], lo) - begins[rects]
+        b = np.minimum(ends[rects], hi) - begins[rects]
+        r0 = a // width
+        n_seg = np.where(b > a, (b - 1) // width + 1 - r0, 0)
+        seg = np.repeat(np.arange(rects.size), n_seg)
+        row = np.arange(seg.size) - np.repeat(np.cumsum(n_seg) - n_seg - r0, n_seg)
+        # Each row segment's columns [c0, c1).
+        start = row * width[seg]
+        c0 = np.maximum(a[seg] - start, 0)
+        take = np.minimum(b[seg] - start, width[seg]) - c0
+        yield (
+            np.repeat(rects[seg], take),
+            np.repeat(row, take),
+            np.arange(hi - lo) - np.repeat(np.cumsum(take) - take - c0, take),
+        )
+
+
+def walk_slice_len(dataset: MetricDataset) -> int:
+    """Pairs per slice of a flat (point, candidate) walk.
+
+    Half of :func:`~repro.metricspace.dataset.pairs_per_slice` at
+    ``DEFAULT_BLOCK_BYTES``: besides the gathered operands that function
+    budgets for, a slice holds about four int64 index arrays per pair,
+    which weigh as much as the operands at low dimension.
+    """
+    return pairs_per_slice(dataset, DEFAULT_BLOCK_BYTES // 2)
+
+
+def count_within(
+    dataset: MetricDataset,
+    members: FlatGroups,
+    candidates: FlatGroups,
+    threshold: float,
+) -> np.ndarray:
+    """For each member of group ``k`` of ``members``, the number of
+    members of group ``k`` of ``candidates`` within ``threshold`` of it.
+
+    The member × candidate rectangles are walked with
+    :func:`rectangle_slices`, each slice of :func:`walk_slice_len` pairs
+    one certified aligned kernel call
+    (:meth:`MetricDataset.pair_certified`), so no pair array ever exists
+    whole.  Returns counts aligned with ``members.flat``.
+    """
+    counts = np.zeros(members.flat.size, dtype=np.int64)
+    for rect, row, col in rectangle_slices(
+        members.sizes, candidates.sizes, walk_slice_len(dataset)
+    ):
+        # Local coordinates become flat positions in place.
+        row += members.starts[rect]
+        col += candidates.starts[rect]
+        del rect
+        within = dataset.pair_certified(
+            members.flat[row], candidates.flat[col], threshold
+        )
+        counts += np.bincount(row[within], minlength=counts.size)
+    return counts

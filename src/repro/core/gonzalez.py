@@ -89,15 +89,12 @@ from repro.index.registry import (
     resolve_grown_index_name,
 )
 from repro.metricspace.dataset import MetricDataset, pairs_per_slice
+from repro.metricspace.precision import PRUNE_SLACK
 from repro.utils.validation import check_epsilon
 
 #: Centers selected per batched round; bounds the size of the in-round
 #: candidate working set between consecutive pair-list flushes.
 DEFAULT_ROUND_SIZE = 256
-
-#: Relative slack applied to triangle-inequality pruning radii so a
-#: float rounding wobble can only *add* candidates, never drop one.
-_PRUNE_SLACK = 1.0 + 1e-12
 
 
 @dataclass
@@ -148,6 +145,7 @@ class GonzalezNet:
     _center_distances: Optional[np.ndarray] = field(default=None, repr=False)
     _cover: Optional[FlatGroups] = field(default=None, repr=False)
     _position_of: Optional[np.ndarray] = field(default=None, repr=False)
+    _radii: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_centers(self) -> int:
@@ -224,6 +222,16 @@ class GonzalezNet:
     def max_cover_radius(self) -> float:
         """The realized covering radius ``max_p dis(p, c_p)`` (``<= r̄``)."""
         return float(self.dist_to_center.max())
+
+    def realized_radii(self) -> np.ndarray:
+        """Each center's realized radius ``rad(e) = max_{p ∈ C_e}
+        dis(p, e)`` (``0`` for a singleton or empty cover set), the
+        per-center bound Lemma 2 needs; computed once and cached."""
+        if self._radii is None:
+            radii = np.zeros(self.n_centers, dtype=np.float64)
+            np.maximum.at(radii, self.center_of, self.dist_to_center)
+            self._radii = radii
+        return self._radii
 
     def packing_violated(self) -> bool:
         """Sanity check: ``True`` if two centers are ``<= r̄`` apart
@@ -400,7 +408,7 @@ def radius_guided_gonzalez(
         js_new = np.empty(0, dtype=np.int64)
         d_ce = np.empty(0, dtype=np.float64)
         if qpos.size:
-            radii = 2.0 * group_max[qpos] * _PRUNE_SLACK
+            radii = 2.0 * group_max[qpos] * PRUNE_SLACK
             pending_index = build_index(
                 flush_spec, dataset, indices=pending,
                 radius_hint=float(radii.max()),
@@ -432,7 +440,7 @@ def radius_guided_gonzalez(
             # Per-point tightening of the group-level bound: d_ce is
             # dis(new center, the point's current center).
             pair_d = np.repeat(d_ce, groups.sizes)
-            keep = pair_d < 2.0 * true_dist[pair_point] * _PRUNE_SLACK
+            keep = pair_d < 2.0 * true_dist[pair_point] * PRUNE_SLACK
             pair_point, pair_new = pair_point[keep], pair_new[keep]
             if pair_point.size:
                 d = dataset.pair(pair_point, pending[pair_new], reduced=True)
@@ -524,7 +532,7 @@ def radius_guided_gonzalez(
     if m > 1 and cov_idx.size:
         owners = np.unique(center_of[cov_idx])
         results = center_index.range_query_batch_csr(
-            centers_arr[owners], 2.0 * r_bar * _PRUNE_SLACK,
+            centers_arr[owners], 2.0 * r_bar * PRUNE_SLACK,
             with_distances=False,
         )
         ks = owners[results.query_rows()]
@@ -651,7 +659,7 @@ def pruned_ball_counts(
     # Row thresholds fold the group radius in.  The wholesale bound
     # keeps a strict margin so kernel rounding in a direct evaluation
     # can never disagree with the wholesale decision.
-    reach_at = (eps + group_radius) * _PRUNE_SLACK
+    reach_at = (eps + group_radius) * PRUNE_SLACK
     whole_at = eps * (1.0 - 1e-12) - group_radius
     results = center_index.range_query_batch_csr(centers_arr, reach_at)
     ks = results.query_rows()

@@ -12,7 +12,10 @@ walks the centers of a ``r̄ = ρε/2`` Gonzalez net:
   candidate set again bounded by Lemma 2) and added to ``S*`` if core.
 
 The candidate sets are composed from the net's cover sets and the CSR
-center graph in one pass, and the summary's per-center grouping is one
+center graph in one pass, the member tests run as flat slices of
+aligned kernel calls over all sparse cover sets at once
+(:func:`~repro.core.flatgroups.count_within`, shared with the exact
+solver's Step 1), and the summary's per-center grouping is one
 :class:`~repro.core.flatgroups.FlatGroups`.
 """
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flatgroups import FlatGroups
+from repro.core.flatgroups import FlatGroups, count_within
 from repro.core.gonzalez import GonzalezNet
 from repro.index.csr import CSRQueryResult
 from repro.metricspace.dataset import MetricDataset
@@ -102,19 +105,19 @@ def build_summary(
     known_core[centers[center_is_core]] = True
     # The center itself is already classified by the harvested ball
     # counts (it is not core here), so only the other sphere members
-    # need testing — which skips singleton spheres entirely.
+    # need testing — which skips singleton spheres entirely.  Their
+    # pairs with the Lemma-2 candidates (|sphere| < MinPts rows, Lemma 8)
+    # are decided in flat slices, as in the exact solver's Step 1.
     others = cover.sizes - (net.center_of[centers] == np.arange(m))
     sparse = np.flatnonzero(~center_is_core & (others > 0))
-    candidate_sets = cover.expand(neighbors, sparse)
-    for r, j in enumerate(sparse):
-        sphere = cover[j]
-        sphere = sphere[sphere != centers[j]]
-        # One certified decision block per sparse sphere (|sphere| <
-        # MinPts rows, Lemma 8) instead of a per-point scan — the
-        # core test needs only ``<= eps`` verdicts, so it rides the
-        # mixed-precision cascade.
-        mask = dataset.cross_certified(sphere, candidate_sets[r], eps)
-        known_core[sphere[np.count_nonzero(mask, axis=1) >= min_pts]] = True
+    spheres = cover.take(sparse)
+    off_center = spheres.flat != np.repeat(centers[sparse], spheres.sizes)
+    sizes = others[sparse]
+    members = FlatGroups(spheres.flat[off_center], np.cumsum(sizes) - sizes, sizes)
+    counts = count_within(
+        dataset, members, cover.expand(neighbors, sparse), eps
+    )
+    known_core[members.flat[counts >= min_pts]] = True
 
     # S* is exactly the proven core points: a core center stands alone
     # for its cover set, whose other points are never tested.

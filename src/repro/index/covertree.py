@@ -69,6 +69,8 @@ class CoverTreeIndex(NeighborIndex):
         # Python candidate juggling); queries are exact either way.
         self.tree = CoverTree(self.dataset, indices=np.sort(self.stored), bulk=None)
         self.n_build_evals = self.tree.n_distance_evals
+        #: Compaction rebuilds since the last :meth:`build`.
+        self.n_rebuilds = 0
         #: Deleted ids the tree still holds (sorted).  Their payloads
         #: must not change until a rebuild clears them or they are
         #: re-inserted; the windowed models quarantine their slots.
@@ -103,15 +105,23 @@ class CoverTreeIndex(NeighborIndex):
         if self.n_stored == 0:
             return None
         if self._stale:
+            # A compaction rebuild adds to the lifetime construction
+            # cost instead of restarting it.
+            spent, rebuilds = self.n_build_evals, self.n_rebuilds
             self._build()
+            self.n_build_evals += spent
+            self.n_rebuilds = rebuilds + 1
         return self.tree
 
     def counters(self) -> dict:
         """Query counters plus the construction cost — the tree's
         build evaluations dominate for cheap vector metrics (see
-        ROADMAP), so attribution tables must show them."""
+        ROADMAP), so attribution tables must show them.
+        ``n_build_evals`` sums the build and every compaction rebuild,
+        which ``n_rebuilds`` counts."""
         out = super().counters()
         out["n_build_evals"] = int(getattr(self, "n_build_evals", 0))
+        out["n_rebuilds"] = int(getattr(self, "n_rebuilds", 0))
         return out
 
     def _live(self, hits: List) -> QueryResult:

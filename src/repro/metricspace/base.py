@@ -65,7 +65,7 @@ How a new metric opts in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,6 +203,18 @@ class Metric(ABC):
         """
         red = self.reduced_pair_distances(a_batch, b_batch)
         return red <= self.reduce_threshold(threshold)
+
+    def reduced_band(self, batch: ArrayLike) -> Optional[np.ndarray]:
+        """Per-payload terms of a rigorous bound on the rounding error
+        of the float64 reduced kernels.
+
+        For ``x = batch[i]`` and any payload ``y`` with term ``b_y``,
+        every reduced value these kernels return for the pair (block,
+        aligned or one-to-many) lies within ``band[i] + b_y`` of the
+        exact reduced distance.  ``None`` (the default) states no
+        bound, and callers keep decisions that need none.
+        """
+        return None
 
     # ------------------------------------------------------------------
 

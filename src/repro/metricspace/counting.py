@@ -9,7 +9,7 @@ claims (Lemmas 4–6, Theorems 1, 3, 4).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +76,9 @@ class CountingMetric(Metric):
 
     def expand_reduced(self, values: Any) -> Any:
         return self.inner.expand_reduced(values)
+
+    def reduced_band(self, batch: Any) -> Optional[np.ndarray]:
+        return self.inner.reduced_band(batch)
 
     def reduced_distance_many(self, a: Any, batch: Sequence[Any]) -> np.ndarray:
         out = self.inner.reduced_distance_many(a, batch)

@@ -220,35 +220,15 @@ class MetricDataset:
         self.n_cross_evals += block.size
         return block
 
-    def cross_certified(
-        self,
-        queries: Optional[IndexArray],
-        targets: Optional[IndexArray],
-        threshold: float,
-    ) -> np.ndarray:
-        """Boolean block ``dis(q, t) <= threshold`` between index sets.
-
-        The decision-only companion of :meth:`cross`: routes through
-        :meth:`Metric.cross_certified`, so vector metrics answer with
-        the mixed-precision GEMM cascade (float32 block + rigorous
-        rounding band + float64 rescue of the band pairs).  Each
-        decided pair counts as one distance evaluation.
-        """
-        q = self._points if queries is None else self.gather(queries)
-        t = self._points if targets is None else self.gather(targets)
-        mask = self.metric.cross_certified(q, t, threshold)
-        self.n_cross_blocks += 1
-        self.n_cross_evals += mask.size
-        return mask
-
     def pair_certified(
         self,
         a_indices: IndexArray,
         b_indices: IndexArray,
         threshold: float,
     ) -> np.ndarray:
-        """Aligned decisions ``dis(a[i], b[i]) <= threshold`` (the COO
-        companion of :meth:`cross_certified`)."""
+        """Aligned decisions ``dis(a[i], b[i]) <= threshold`` through
+        :meth:`Metric.pair_certified`; each decided pair counts as one
+        distance evaluation."""
         a = self.gather(a_indices)
         b = self.gather(b_indices)
         out = self.metric.pair_certified(a, b, threshold)

@@ -333,6 +333,12 @@ class EditDistanceMetric(Metric):
             out[i] = self._many(queries[i], targets, enc=enc)
         return out
 
+    def reduced_band(self, batch: Sequence[str]) -> np.ndarray:
+        """Zero: the kernels count edits exactly, and a value they
+        report for a pair beyond the cutoff is a lower bound that still
+        exceeds it, so no pair inside a threshold can read larger."""
+        return np.zeros(len(batch), dtype=np.float64)
+
     def pair_distances(self, a_batch: Sequence[str], b_batch: Sequence[str]) -> np.ndarray:
         """Aligned pairs, grouped by query so repeated queries (COO
         lists grouped by sphere) share one batched Myers pass."""

@@ -15,6 +15,7 @@ from repro.metricspace import precision
 from repro.metricspace.precision import (
     F32_SAFE_MAX,
     RESCUE_DENSE_FRAC,
+    band64_factor,
     band_halfwidth_factor,
     cascade_engaged,
 )
@@ -99,6 +100,13 @@ class EuclideanMetric(Metric):
     ) -> np.ndarray:
         diff = _as_2d(a_batch) - _as_2d(b_batch)
         return np.einsum("ij,ij->i", diff, diff)
+
+    def reduced_band(self, batch: np.ndarray) -> np.ndarray:
+        """``SAFETY·γ₆₄(d+2)·2·||x||²`` per row: the float64 band
+        ``B₆₄`` of :mod:`repro.metricspace.precision`, which bounds the
+        gram expansion and the difference kernel alike."""
+        batch = _as_2d(batch)
+        return band64_factor(batch.shape[1]) * np.einsum("ij,ij->i", batch, batch)
 
     def cross_certified(
         self, queries: np.ndarray, targets: np.ndarray, threshold: float

@@ -38,6 +38,18 @@ For the angular metric the rows are unit-normalized in float64 before
 the cast, so every operand is bounded by 1 (Cauchy–Schwarz) and the
 band collapses to the constant ``SAFETY · γ₃₂(d + 8)``.
 
+The float64 kernels that *return* distances obey the same analysis with
+``γ₆₄``: the gram expansion's dot product, both norms and the two
+additions are each within ``γ₆₄(d + 2)`` of their operands'
+magnitudes, so every float64 squared distance is within::
+
+    B₆₄(x, y) = SAFETY · γ₆₄(d + 2) · 2 (||x||² + ||y||²)
+
+of the exact one.  The difference kernel's error, ``γ₆₄(d + 2)·||x-y||²``,
+lies inside the same band, since ``||x-y||² <= 2 (||x||² + ||y||²)``.
+The exact solver's center graph widens its float64 decisions by it
+(:func:`repro.index.netgraph.center_neighbor_sets`).
+
 Knobs
 -----
 The ``REPRO_PRECISION`` environment variable (read per call, so tests
@@ -63,6 +75,9 @@ from typing import Optional
 #: float32 unit roundoff.
 F32_EPS = 2.0 ** -24
 
+#: float64 unit roundoff.
+F64_EPS = 2.0 ** -53
+
 #: Constant-factor safety margin on the γ-bound.  The analysis needs
 #: barely more than 1; 4 keeps the certificate unimpeachable while the
 #: band stays ~1e-5 relative — far below any rescue-cost concern.
@@ -76,6 +91,10 @@ CASCADE_MIN_ELEMENTS = 8192
 #: the threshold) beyond this risk overflow/extreme cancellation in
 #: float32; such blocks fall back to pure float64.
 F32_SAFE_MAX = 1e30
+
+#: Relative slack applied to triangle-inequality pruning radii so a
+#: float rounding wobble can only *add* candidates, never drop one.
+PRUNE_SLACK = 1.0 + 1e-12
 
 #: Dense-band escape: when more than this fraction of a block lands in
 #: the uncertainty band (tight thresholds on far-from-origin data — the
@@ -105,6 +124,18 @@ def band_halfwidth_factor(dim: int) -> float:
     bound; multiply by ``(||x||² + ||y||² + t)`` per pair (Euclidean)
     or use directly (unit-sphere operands)."""
     return SAFETY * gamma32(int(dim) + 8)
+
+
+def gamma64(k: int) -> float:
+    """Higham's ``γ_k`` for float64: ``k·u / (1 - k·u)``."""
+    ku = k * F64_EPS
+    return ku / (1.0 - ku)
+
+
+def band64_factor(dim: int) -> float:
+    """The factor ``SAFETY · γ₆₄(d + 2) · 2`` of the float64 band
+    ``B₆₄``; multiply by ``(||x||² + ||y||²)`` per pair."""
+    return SAFETY * gamma64(int(dim) + 2) * 2.0
 
 
 def set_precision(mode: Optional[str]) -> None:

@@ -29,6 +29,7 @@ _INDEX_COUNTER_KEYS = frozenset(
         "n_range_queries",
         "n_candidates",
         "n_build_evals",
+        "n_rebuilds",
         "net_range_queries",
         "net_candidates",
         "net_build_evals",

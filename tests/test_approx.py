@@ -79,7 +79,7 @@ class TestSummary:
         ds = random_instance(seed)
         r_bar = rho * eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar, eps_for_counts=eps)
-        neighbors = net_neighbor_sets(net, 2.0 * r_bar + (1.0 + rho) * eps, None)
+        neighbors = net_neighbor_sets(net, r_bar, (1.0 + rho) * eps, None)
         return ds, net, build_summary(ds, net, eps, min_pts, neighbors)
 
     def test_lemma8_summary_per_cover_set(self):
@@ -114,7 +114,7 @@ class TestSummary:
         eps, min_pts, rho = 0.5, 5, 0.5
         r_bar = rho * eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar, eps_for_counts=eps)
-        neighbors = net_neighbor_sets(net, 2.0 * r_bar + (1.0 + rho) * eps, None)
+        neighbors = net_neighbor_sets(net, r_bar, (1.0 + rho) * eps, None)
         summary = build_summary(ds, net, eps, min_pts, neighbors)
         n_core = int(OriginalDBSCAN(eps, min_pts).fit(ds).core_mask.sum())
         assert summary.size < n_core / 4

@@ -54,3 +54,29 @@ def test_single_cluster_border(two_blobs):
     for point, clusters in result.stats["border_memberships"].items():
         assert len(clusters) >= 1
         assert result.labels[point] in clusters
+
+
+@pytest.mark.parametrize("index", ["brute", "grid", "covertree"])
+@pytest.mark.parametrize(
+    "coords, border_idx, tie_winner",
+    [
+        # The border point 4 is exactly 2 (< ε) from core 2 of the left
+        # cluster and core 6 of the right one; the first minimum in
+        # candidate order wins the tie, which the point order decides.
+        ([-1, 0, 1, 2, 4, 6, 7, 8, 9], 4, 3),
+        ([6, 7, 8, 9, 4, -1, 0, 1, 2], 4, 0),
+    ],
+    ids=["left-first", "right-first"],
+)
+def test_lattice_border_equidistant_from_two_clusters(
+    coords, border_idx, tie_winner, index
+):
+    ds = MetricDataset(np.asarray(coords, dtype=np.float64).reshape(-1, 1))
+    result = MetricDBSCAN(
+        2.5, 4, collect_border_memberships=True, index=index
+    ).fit(ds)
+    assert result.n_clusters == 2
+    assert not result.core_mask[border_idx]
+    assert result.core_mask[tie_winner]
+    assert result.labels[border_idx] == result.labels[tie_winner]
+    assert result.stats["border_memberships"][border_idx] == [0, 1]

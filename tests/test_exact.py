@@ -12,7 +12,7 @@ from repro.baselines import OriginalDBSCAN
 from repro.core import MetricDBSCAN, metric_dbscan
 from repro.metricspace import EditDistanceMetric, MetricDataset, MinkowskiMetric
 
-from conftest import core_partition
+from conftest import assert_labels_equivalent, core_partition
 
 
 def random_instance(seed, with_outliers=True):
@@ -86,6 +86,18 @@ class TestAgainstReference:
         ours = MetricDBSCAN(1.0, 2).fit(ds)
         ref = OriginalDBSCAN(1.0, 2).fit(ds)
         assert_equivalent(ours, ref)
+
+    @pytest.mark.parametrize("index", ["auto", "brute", "grid", "covertree"])
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_translation_keeps_the_answer(self, offset, index):
+        """Far from the origin the float64 gram expansion loses digits
+        to cancellation; the clustering must not move with the data
+        (cluster ids may, with the order Gonzalez picks centers in)."""
+        pts = np.random.default_rng(0).normal(size=(300, 4))
+        want = MetricDBSCAN(0.5, 3, index=index).fit(MetricDataset(pts))
+        got = MetricDBSCAN(0.5, 3, index=index).fit(MetricDataset(pts + offset))
+        assert_labels_equivalent(got.labels, want.labels)
+        np.testing.assert_array_equal(got.core_mask, want.core_mask)
 
 
 class TestConfiguration:

@@ -154,7 +154,7 @@ def step2_inputs(dataset, eps, min_pts):
     """The solver and the arguments its Step (2) receives."""
     solver = MetricDBSCAN(eps, min_pts)
     net = radius_guided_gonzalez(dataset, solver.r_bar)
-    neighbors = net_neighbor_sets(net, 2.0 * net.r_bar + eps, None)
+    neighbors = net_neighbor_sets(net, net.realized_radii(), eps, None)
     core_mask = solver._label_cores(dataset, net, neighbors, net.cover())
     return solver, (dataset, net, neighbors, core_mask)
 

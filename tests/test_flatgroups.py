@@ -4,13 +4,14 @@ The solvers compose the CSR center graph with flat point groups
 (``FlatGroups.expand``) and fan center pairs out to group members
 (``FlatGroups.take``).  Both must equal the list concatenations they
 replace, element for element and in the same order, including empty
-groups, empty graph rows and repeated groups.
+groups, empty graph rows and repeated groups.  ``rectangle_slices``
+must walk the cells of its rectangles exactly as nested loops would.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.flatgroups import FlatGroups
+from repro.core.flatgroups import FlatGroups, rectangle_slices
 from repro.index.csr import CSRQueryResult
 
 
@@ -78,3 +79,23 @@ def test_expand_over_no_rows_is_empty():
     graph = random_graph(np.random.default_rng(1), n_rows=3, m=4)
     expanded = groups.expand(graph, np.empty(0, dtype=np.intp))
     assert expanded.sizes.size == 0 and expanded.flat.size == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rectangle_slices_walk_cells_in_row_major_order(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 15))
+    n_rows = rng.integers(0, 5, size=k)
+    n_cols = rng.integers(0, 6, size=k)
+    want = [
+        (rect, r, c)
+        for rect in range(k)
+        for r in range(n_rows[rect])
+        for c in range(n_cols[rect])
+    ]
+    for slice_len in (1, 2, 3, 7, 1000):
+        got = []
+        for rect, r, c in rectangle_slices(n_rows, n_cols, slice_len):
+            assert rect.size <= slice_len
+            got += zip(rect.tolist(), r.tolist(), c.tolist())
+        assert got == want

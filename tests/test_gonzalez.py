@@ -178,7 +178,7 @@ class TestHarvestedByproducts:
         ds = make_ds(11)
         net = radius_guided_gonzalez(ds, r_bar=0.5)
         threshold = 2.0
-        neighbors = net_neighbor_sets(net, threshold, None)
+        neighbors = net_neighbor_sets(net, net.r_bar, 1.0, None)
         assert neighbors.n_queries == net.n_centers
         for j in range(net.n_centers):
             neigh = neighbors.row(j)[0]
@@ -192,7 +192,7 @@ class TestHarvestedByproducts:
         ds = make_ds(12)
         net = radius_guided_gonzalez(ds, r_bar=0.5)
         with pytest.raises(ValueError):
-            net_neighbor_sets(net, -1.0, None)
+            net_neighbor_sets(net, net.r_bar, -1.0, None)
 
     def test_harvested_ball_counts_exact(self):
         ds = make_ds(13)
@@ -211,13 +211,14 @@ class TestHarvestedByproducts:
             expected = int(np.count_nonzero(ds.distances_from(center) <= 2.0))
             assert counts[j] == expected
 
-    def test_lemma2_candidate_sets_cover_eps_balls(self):
-        """Lemma 2: B(p, eps) ⊆ ∪_{e ∈ A_p} C_e with threshold 2r̄+ε."""
+    @staticmethod
+    def check_lemma2(realized):
         ds = make_ds(15)
         eps = 1.2
         r_bar = eps / 2.0
         net = radius_guided_gonzalez(ds, r_bar=r_bar)
-        neighbors = net_neighbor_sets(net, 2.0 * r_bar + eps, None)
+        radii = net.realized_radii() if realized else r_bar
+        neighbors = net_neighbor_sets(net, radii, eps, None)
         cover = net.cover()
         for p in range(0, ds.n, 7):
             ball = set(np.flatnonzero(ds.distances_from(p) <= eps).tolist())
@@ -226,6 +227,14 @@ class TestHarvestedByproducts:
                 int(x) for k in neighbors.row(j)[0] for x in cover[int(k)]
             )
             assert ball <= candidates
+
+    def test_lemma2_candidate_sets_cover_eps_balls(self):
+        """Lemma 2: B(p, eps) ⊆ ∪_{e ∈ A_p} C_e with threshold 2r̄+ε."""
+        self.check_lemma2(realized=False)
+
+    def test_lemma2_realized_radii_cover_eps_balls(self):
+        """The same with each center's realized radius."""
+        self.check_lemma2(realized=True)
 
 
 class TestMetricGeneric:

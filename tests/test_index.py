@@ -410,7 +410,7 @@ class TestSolverRegression:
         net = radius_guided_gonzalez(ds, 0.4)
         threshold = 2.0 * net.r_bar + 1.5
         within = net.center_distances <= threshold
-        got = net_neighbor_sets(net, threshold, backend)
+        got = net_neighbor_sets(net, net.r_bar, 1.5, backend)
         assert got.n_queries == net.n_centers
         for j in range(net.n_centers):
             np.testing.assert_array_equal(got.row(j)[0], np.flatnonzero(within[j]))

@@ -204,6 +204,19 @@ class TestCoverTreeTombstones:
         assert index.tombstones.size == 0
         assert index.tree.size == 40
 
+    def test_rebuild_keeps_lifetime_build_cost(self, dataset):
+        index = build_index(
+            "covertree", dataset, indices=np.arange(50), radius_hint=1.5
+        )
+        assert index.counters()["n_rebuilds"] == 0
+        index.insert_batch(np.arange(50, 120))
+        grown = index.counters()["n_build_evals"]
+        index.delete_batch(np.arange(70))  # live fraction 50/120 < 0.5
+        index.range_query(100, 1.0)  # compacts first
+        counters = index.counters()
+        assert counters["n_rebuilds"] == 1
+        assert counters["n_build_evals"] > grown
+
     def test_knn_overfetches_past_tombstones(self, dataset):
         index = build_index(
             "covertree", dataset, indices=np.arange(80), radius_hint=1.5

@@ -307,11 +307,11 @@ class TestGonzalezIndexBacked:
         m = net.n_centers
         assert m <= 2048 and net.index.name == "grid"
         evals0 = ds.n_cross_evals
-        neighbors = net_neighbor_sets(net, 2.0 * net.r_bar + 1.0, "auto")
+        neighbors = net_neighbor_sets(net, net.r_bar, 1.0, "auto")
         assert neighbors.n_queries == m
         assert ds.n_cross_evals - evals0 < m * m / 4
         # An explicit mismatching name still builds what was asked.
-        explicit = net_neighbor_sets(net, 2.0 * net.r_bar + 1.0, "brute")
+        explicit = net_neighbor_sets(net, net.r_bar, 1.0, "brute")
         np.testing.assert_array_equal(neighbors.offsets, explicit.offsets)
         np.testing.assert_array_equal(neighbors.ids, explicit.ids)
 
@@ -343,7 +343,7 @@ class TestGonzalezIndexBacked:
         ds = blob_dataset(n=400)
         net = radius_guided_gonzalez(ds, 0.7, index=backend)
         threshold = 2.0 * net.r_bar + 1.1
-        via_index = net_neighbor_sets(net, threshold, None)  # the carried index
+        via_index = net_neighbor_sets(net, net.r_bar, 1.1, None)  # the carried index
         dense = net.center_distances  # materializes the matrix
         rows, cols = np.nonzero(dense <= threshold)
         np.testing.assert_array_equal(

@@ -39,19 +39,26 @@ def clustered(draw):
     ``[-10, 10]^d`` box, with up to 30% of the points exact copies of
     others, and ε around the within-cluster distance ``√(2d)``.
 
+    A quarter of the draws are tight: d = 16, at most 5% copies, and ε
+    just under ``√(2d)``.  Their nets keep at least 90% of the points as
+    centers, mostly singleton cover sets (radius 0), the regime where
+    the exact solver's center graph shrinks the most.
+
     Every size and parameter comes from one drawn seed, so the cases
     spread evenly over n ≤ 300 and d ≤ 16 instead of clumping at the
     small end, where no kernel threshold is crossed.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tight = rng.random() < 0.25
     n = int(rng.integers(20, 301))
-    dim = int(rng.choice([1, 2, 3, 5, 8, 16]))
+    dim = 16 if tight else int(rng.choice([1, 2, 3, 5, 8, 16]))
     n_clusters = int(rng.integers(1, 7))
     centers = rng.uniform(-10.0, 10.0, size=(n_clusters, dim))
     points = centers[rng.integers(n_clusters, size=n)] + rng.normal(size=(n, dim))
-    copies = rng.random(n) < rng.uniform(0.0, 0.3)
+    copies = rng.random(n) < rng.uniform(0.0, 0.05 if tight else 0.3)
     points[copies] = points[rng.integers(n, size=int(copies.sum()))]
-    eps = rng.uniform(0.3, 1.5) * float(np.sqrt(2.0 * dim))
+    scale = rng.uniform(0.75, 1.0) if tight else rng.uniform(0.3, 1.5)
+    eps = scale * float(np.sqrt(2.0 * dim))
     return points, eps, int(rng.integers(2, 13))
 
 

@@ -57,7 +57,7 @@ def algorithms_for(dataset):
     algos = {
         "Our_Exact": lambda eps: MetricDBSCAN(eps, MIN_PTS),
         "Our_Approx": lambda eps: ApproxMetricDBSCAN(eps, MIN_PTS, rho=RHO),
-        "DBSCAN": lambda eps: OriginalDBSCAN(eps, MIN_PTS),
+        "DBSCAN": lambda eps: OriginalDBSCAN(eps, MIN_PTS, index="brute"),
         "DBSCAN++": lambda eps: DBSCANPlusPlus(eps, MIN_PTS, ratio=0.3, seed=0),
         "DYW_DBSCAN": lambda eps: DYWDBSCAN(eps, MIN_PTS, z_tilde=20, seed=0),
     }
@@ -133,7 +133,7 @@ def scaling_sweep():
         for algo_name, factory in [
             ("Our_Exact", lambda: MetricDBSCAN(0.12, MIN_PTS)),
             ("Our_Approx", lambda: ApproxMetricDBSCAN(0.12, MIN_PTS, rho=RHO)),
-            ("DBSCAN", lambda: OriginalDBSCAN(0.12, MIN_PTS)),
+            ("DBSCAN", lambda: OriginalDBSCAN(0.12, MIN_PTS, index="brute")),
         ]:
             counted = MetricDataset(pts).with_counting()
             _, seconds = timed(lambda: factory().fit(counted))
@@ -203,7 +203,7 @@ def test_fig3_moons_timing(benchmark, algo):
     factories = {
         "our_exact": lambda: MetricDBSCAN(0.12, MIN_PTS).fit(ds),
         "our_approx": lambda: ApproxMetricDBSCAN(0.12, MIN_PTS, rho=RHO).fit(ds),
-        "dbscan": lambda: OriginalDBSCAN(0.12, MIN_PTS).fit(ds),
+        "dbscan": lambda: OriginalDBSCAN(0.12, MIN_PTS, index="brute").fit(ds),
     }
     result = benchmark(factories[algo])
     assert result.n_clusters >= 1

@@ -1,36 +1,41 @@
 """The original DBSCAN algorithm (Ester, Kriegel, Sander & Xu, 1996).
 
-Metric-generic, with brute-force ε-region queries (``Θ(n^2)`` distance
-evaluations in the worst case) — exactly the baseline labeled *DBSCAN*
-in the paper's Figure 3.  Also the correctness reference that the exact
-metric solver is tested against: both must produce the same partition of
-the core points, and the same noise set.
+Metric-generic: the baseline labeled *DBSCAN* in the paper's Figure 3,
+and the reference the exact metric solver is tested against (same core
+partition, same noise set).
 
-The expansion is the classical seed-list BFS.  Border points are
-assigned to the cluster that first reaches them, and with our
-deterministic scan order that is well-defined; the test-suite
-comparisons against :class:`~repro.core.exact.MetricDBSCAN` therefore
-compare *core partitions* and the noise set, which are unique, rather
-than border attribution, which Definition 1 leaves ambiguous.
+One pass over row chunks answers the ε-region queries through a
+:mod:`repro.index` backend.  A row's degree is final once its chunk is
+answered, so each ε-edge ``(q, p)`` with ``q < p`` is decided from
+``p``'s row: core–core edges join component roots, core–border edges
+are kept (a border point has fewer than MinPts), nothing else is stored.
+Clusters are numbered by their smallest core point, and a border point
+joins the smallest-numbered cluster among its core neighbours.  These
+are the labels of the classic seed-list BFS (the test-suite's oracle),
+which grows one cluster at a time in that order and lets the first
+cluster to reach a border point keep it.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import List
 
 import numpy as np
 
 from repro.core.result import ClusteringResult
 from repro.index.registry import IndexSpec, build_index
-from repro.metricspace.dataset import MetricDataset
+from repro.metricspace.dataset import DEFAULT_BLOCK_BYTES, MetricDataset, rows_per_block
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_roots, first_seen_labels
 from repro.utils.timer import TimingBreakdown
 from repro.utils.validation import check_epsilon, check_min_pts
 
+#: Byte budget of the hit ids one chunk of region queries may return: a
+#: chunk holds ``rows_per_block(n, CHUNK_BYTES)`` rows, so its answer
+#: stays this small even when every point is within ε of every other.
+CHUNK_BYTES = 16 * DEFAULT_BLOCK_BYTES
+
 
 class OriginalDBSCAN:
-    """Textbook DBSCAN with brute-force region queries.
+    """Textbook DBSCAN over one chunked pass of ε-region queries.
 
     Parameters
     ----------
@@ -38,18 +43,11 @@ class OriginalDBSCAN:
         The DBSCAN parameters; a point counts itself in its
         ε-neighborhood.
     index:
-        Optional :mod:`repro.index` backend (name, instance, or
-        ``"auto"``) answering the ε-region queries — with a sparse
-        backend this replaces the ``Θ(n^2)`` scan with pruned
-        neighborhood queries while producing the identical clustering.
-        Composes with ``precompute_neighbors``: the precompute path
-        batches every region query up front (``"auto"`` precomputes
-        whenever an index is set, since adjacency memory is then
-        bounded by the true neighbor counts, not ``n^2``), while
-        ``precompute_neighbors=False`` keeps memory at one
-        neighborhood by streaming each BFS region query through the
-        index.  ``None`` (default) keeps the classic brute-force
-        behavior.
+        :mod:`repro.index` backend (name, instance, or ``"auto"``)
+        answering the ε-region queries; every backend produces the
+        identical clustering.  ``None`` (default) defers to the
+        process-wide default, as in the paper's solvers; ``"brute"``
+        is the quadratic scan of the original algorithm.
 
     Examples
     --------
@@ -61,40 +59,9 @@ class OriginalDBSCAN:
     (2, 1)
     """
 
-    #: ``precompute_neighbors="auto"`` builds the ε-adjacency with
-    #: blocked cross kernels when the dataset is at most this large;
-    #: bigger inputs fall back to one region query per point so memory
-    #: stays O(n).
-    AUTO_PRECOMPUTE_MAX_N = 8192
-
-    #: The "auto" precompute cap when an index backend is configured:
-    #: adjacency memory is then bounded by the true neighbor counts
-    #: rather than ``n^2``, so the cap is higher — but dense data with
-    #: a generous ε can still approach ``O(n^2)`` stored pairs, so
-    #: beyond this size region queries stream through the index.
-    AUTO_INDEX_PRECOMPUTE_MAX_N = 1 << 17
-
-    #: Adjacency id budget for the "auto" index precompute (512 MiB of
-    #: int64 ids): a dense-ε workload that blows past it mid-build
-    #: abandons the precompute and streams region queries instead, so
-    #: memory stays bounded no matter the neighborhood density.
-    AUTO_INDEX_ADJACENCY_MAX_IDS = 1 << 26
-
-    def __init__(
-        self,
-        eps: float,
-        min_pts: int,
-        precompute_neighbors="auto",
-        index: IndexSpec = None,
-    ) -> None:
+    def __init__(self, eps: float, min_pts: int, index: IndexSpec = None) -> None:
         self.eps = check_epsilon(eps)
         self.min_pts = check_min_pts(min_pts)
-        if precompute_neighbors not in (True, False, "auto"):
-            raise ValueError(
-                "precompute_neighbors must be True, False or 'auto'; "
-                f"got {precompute_neighbors!r}"
-            )
-        self.precompute_neighbors = precompute_neighbors
         self.index = index
 
     def fit(self, dataset: MetricDataset) -> ClusteringResult:
@@ -104,91 +71,40 @@ class OriginalDBSCAN:
         eps = self.eps
         scope = CounterScope(timings, dataset=dataset)
         scope.__enter__()
-        labels = np.full(n, -1, dtype=np.int64)
+        with timings.phase("build_index"):
+            index = build_index(self.index, dataset, radius_hint=eps)
+
         core_mask = np.zeros(n, dtype=bool)
-        visited = np.zeros(n, dtype=bool)
-        next_cluster = 0
-
-        precompute = self.precompute_neighbors
-        if precompute == "auto":
-            precompute = n <= self.AUTO_PRECOMPUTE_MAX_N
-
-        # Route ε-region queries through the configured neighbor-index
-        # backend (identical neighbor sets, sparse candidate
-        # generation).  An index makes precompute memory proportional
-        # to the true neighbor counts, so "auto" always precomputes.
-        index = None
-        if self.index is not None:
-            with timings.phase("build_index"):
-                index = build_index(self.index, dataset, radius_hint=eps)
-            if self.precompute_neighbors == "auto":
-                precompute = n <= self.AUTO_INDEX_PRECOMPUTE_MAX_N
-
-        adjacency: List[np.ndarray] = []
-        if precompute:
+        roots = np.arange(n, dtype=np.int64)
+        border, reach = [], []  # border point, a core neighbour of it
+        step = rows_per_block(n, CHUNK_BYTES)
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
             with timings.phase("region_queries"):
-                if index is not None:
-                    budget = (
-                        self.AUTO_INDEX_ADJACENCY_MAX_IDS
-                        if self.precompute_neighbors == "auto"
-                        else None
-                    )
-                    total = 0
-                    for lo in range(0, n, 4096):
-                        for ids, _ in index.range_query_batch(
-                            np.arange(lo, min(lo + 4096, n)), eps,
-                            with_distances=False,
-                        ):
-                            adjacency.append(ids)
-                            total += len(ids)
-                        if budget is not None and total > budget:
-                            # Dense-ε blow-up: abandon the precompute
-                            # and stream region queries instead.
-                            adjacency = []
-                            precompute = False
-                            break
-                else:
-                    red_eps = dataset.metric.reduce_threshold(eps)
-                    for chunk, block in dataset.cross_blocks(reduced=True):
-                        hit = block <= red_eps
-                        for row in range(len(chunk)):
-                            adjacency.append(np.flatnonzero(hit[row]))
-
-        def region(idx: int) -> np.ndarray:
-            if precompute:
-                return adjacency[idx]
-            if index is not None:
-                return index.range_query(idx, eps, with_distances=False)[0]
-            dists = dataset.distances_from(idx)
-            return np.flatnonzero(dists <= eps)
+                hits = index.range_query_batch_csr(rows, eps, with_distances=False)
+            with timings.phase("cluster"):
+                core_mask[rows] = hits.counts() >= self.min_pts
+                p, q = lo + hits.query_rows(), hits.ids
+                earlier = q < p
+                p, q = p[earlier], q[earlier]
+                p_core, q_core = core_mask[p], core_mask[q]
+                both = p_core & q_core
+                roots = component_roots(n, roots[p[both]], roots[q[both]])[roots]
+                one = p_core != q_core
+                border.append(np.where(p_core, q, p)[one])
+                reach.append(np.where(p_core, p, q)[one])
 
         with timings.phase("cluster"):
-            for start in range(n):
-                if visited[start]:
-                    continue
-                visited[start] = True
-                neighbors = region(start)
-                if len(neighbors) < self.min_pts:
-                    continue  # noise for now; may become a border point later
-                core_mask[start] = True
-                cluster_id = next_cluster
-                next_cluster += 1
-                labels[start] = cluster_id
-                queue = deque(neighbors)
-                while queue:
-                    p = queue.popleft()
-                    if labels[p] == -1:
-                        labels[p] = cluster_id
-                    if visited[p]:
-                        continue
-                    visited[p] = True
-                    p_neighbors = region(p)
-                    if len(p_neighbors) >= self.min_pts:
-                        core_mask[p] = True
-                        queue.extend(p_neighbors)
+            labels = np.full(n, -1, dtype=np.int64)
+            core = np.flatnonzero(core_mask)
+            labels[core] = first_seen_labels(roots[core])
+            border, reach = np.concatenate(border), np.concatenate(reach)
+            first = np.full(n, n, dtype=np.int64)
+            np.minimum.at(first, border, labels[reach])
+            reached = first < n
+            labels[reached] = first[reached]
 
-        if index is not None:
-            index.fold_counters_into(timings)
+        index.fold_counters_into(timings)
         scope.__exit__(None, None, None)
         return ClusteringResult(
             labels=labels,

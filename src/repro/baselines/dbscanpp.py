@@ -22,9 +22,9 @@ from repro.index.registry import IndexSpec, build_index
 from repro.kcenter import gonzalez_kcenter
 from repro.metricspace.dataset import MetricDataset
 from repro.obs.registry import CounterScope
+from repro.utils.components import component_roots, first_seen_labels
 from repro.utils.rng import SeedLike, check_random_state
 from repro.utils.timer import TimingBreakdown
-from repro.utils.unionfind import UnionFind
 from repro.utils.validation import check_epsilon, check_min_pts
 
 
@@ -126,43 +126,45 @@ class DBSCANPlusPlus:
             core_arr = np.asarray(sample[core_rows], dtype=np.int64)
 
         with timings.phase("merge"):
-            uf = UnionFind(len(core_arr))
+            # Core-core ε-edges join component roots one chunk or block
+            # at a time (as the exact solver's merge rounds do), so only
+            # one chunk's edges are ever held.
+            n_core = len(core_arr)
+            roots = np.arange(n_core, dtype=np.int64)
             if idx_all is not None:
                 # Map each core point id to its *first* position in
                 # core_arr; duplicate sampled points (k-center sampling
-                # on data with exact duplicates) union with their first
+                # on data with exact duplicates) join their first
                 # occurrence, reproducing the dense path's zero-distance
                 # edges.
                 core_position = np.full(n, -1, dtype=np.int64)
-                for p, idx in enumerate(core_arr):
-                    if core_position[idx] == -1:
-                        core_position[idx] = p
-                    else:
-                        uf.union(int(core_position[idx]), p)
-                for lo in range(0, len(core_arr), self.QUERY_CHUNK):
-                    hits = idx_all.range_query_batch(
+                uniq, first = np.unique(core_arr, return_index=True)
+                core_position[uniq] = first
+                roots = component_roots(n_core, core_position[core_arr], roots)
+                for lo in range(0, n_core, self.QUERY_CHUNK):
+                    hits = idx_all.range_query_batch_csr(
                         core_arr[lo : lo + self.QUERY_CHUNK], eps,
                         with_distances=False,
                     )
-                    for off, (ids, _) in enumerate(hits):
-                        i = lo + off
-                        js = core_position[ids]
-                        for j in np.unique(js[js > i]):
-                            uf.union(i, int(j))
+                    i = lo + hits.query_rows()
+                    j = core_position[hits.ids]
+                    later = j > i
+                    roots = component_roots(
+                        n_core, roots[i[later]], roots[j[later]]
+                    )[roots]
             else:
                 start = 0
                 for chunk_pos, block in dataset.cross_blocks(
                     queries=core_arr, targets=core_arr, reduced=True
                 ):
                     rows, cols = np.nonzero(block <= red_eps)
-                    for i, j in zip(rows + start, cols):
-                        if i < j:
-                            uf.union(int(i), int(j))
+                    rows += start
+                    later = cols > rows
+                    roots = component_roots(
+                        n_core, roots[rows[later]], roots[cols[later]]
+                    )[roots]
                     start += len(chunk_pos)
-            comp_map = uf.component_labels(range(len(core_arr)))
-            comp = np.array(
-                [comp_map[i] for i in range(len(core_arr))], dtype=np.int64
-            )
+            comp = first_seen_labels(roots)
 
         with timings.phase("assign"):
             labels = np.full(n, -1, dtype=np.int64)

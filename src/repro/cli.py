@@ -65,12 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stand-in size (default: registry default)")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--index", default=None, choices=available_backends(),
-                         help="neighbor-index backend; when omitted, exact/"
-                              "approx use the process default "
-                              "(REPRO_DEFAULT_INDEX env var, else auto), "
-                              "streaming keeps its dense chunk scans, and "
-                              "dbscan keeps its classic brute-force scan — it "
-                              "is the paper's Theta(n^2) reference.  For "
+                         help="neighbor-index backend; when omitted, exact, "
+                              "approx and dbscan use the process default "
+                              "(REPRO_DEFAULT_INDEX env var, else auto) and "
+                              "streaming keeps its dense chunk scans; "
+                              "'--algo dbscan --index brute' is the paper's "
+                              "Theta(n^2) reference.  For "
                               "streaming, the flag puts all three passes on "
                               "dynamic indexes over the summary stores")
     cluster.add_argument("--json", dest="json_out", default=None,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import collections
-from typing import FrozenSet, Sequence, Set
+from typing import FrozenSet, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -21,6 +21,51 @@ def core_partition(labels: Sequence[int], mask: Sequence[bool]) -> Set[FrozenSet
     for i in np.flatnonzero(np.asarray(mask, dtype=bool)):
         groups[int(labels[i])].add(int(i))
     return {frozenset(g) for g in groups.values()}
+
+
+def bfs_dbscan(
+    dataset: MetricDataset, eps: float, min_pts: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(labels, core_mask)`` of the classic seed-list BFS DBSCAN
+    (Ester et al., KDD 1996) scanning points in index order, with every
+    region query read off brute-force ``dataset.cross_blocks``.
+
+    The oracle :class:`~repro.baselines.OriginalDBSCAN` must match
+    label for label, borders included: the BFS grows one cluster at a
+    time, in order of each cluster's smallest core point, and a border
+    point keeps the first cluster that reaches it.
+    """
+    n = dataset.n
+    red_eps = dataset.metric.reduce_threshold(eps)
+    region = [None] * n
+    for chunk, block in dataset.cross_blocks(reduced=True):
+        for row, point in enumerate(chunk):
+            region[point] = np.flatnonzero(block[row] <= red_eps)
+    labels = np.full(n, -1, dtype=np.int64)
+    core_mask = np.zeros(n, dtype=bool)
+    visited = np.zeros(n, dtype=bool)
+    next_cluster = 0
+    for start in range(n):
+        if visited[start]:
+            continue
+        visited[start] = True
+        if len(region[start]) < min_pts:
+            continue  # noise for now; may become a border point later
+        core_mask[start] = True
+        labels[start] = next_cluster
+        queue = collections.deque(region[start])
+        while queue:
+            p = queue.popleft()
+            if labels[p] == -1:
+                labels[p] = next_cluster
+            if visited[p]:
+                continue
+            visited[p] = True
+            if len(region[p]) >= min_pts:
+                core_mask[p] = True
+                queue.extend(region[p])
+        next_cluster += 1
+    return labels, core_mask
 
 
 def assert_labels_equivalent(a: Sequence[int], b: Sequence[int]) -> None:

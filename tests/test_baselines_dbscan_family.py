@@ -1,13 +1,29 @@
 """Tests for the DBSCAN-family baselines: original DBSCAN, DBSCAN++,
 DYW_DBSCAN, and Gan--Tao exact/approximate."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.baselines import DBSCANPlusPlus, DYWDBSCAN, GanTaoDBSCAN, OriginalDBSCAN, dbscan
-from repro.metricspace import EditDistanceMetric, ManhattanMetric, MetricDataset
+from repro.datasets import make_blobs
+from repro.metricspace import (
+    EditDistanceMetric,
+    ManhattanMetric,
+    MetricDataset,
+    rows_per_block,
+)
 
-from conftest import core_partition, same_cluster_pairs
+from conftest import bfs_dbscan, core_partition, same_cluster_pairs
+
+#: The module, not the ``dbscan`` convenience function the package
+#: exports under the same name.
+dbscan_module = importlib.import_module("repro.baselines.dbscan")
+
+#: Every way to pick OriginalDBSCAN's region-query backend: the three
+#: backends and the process default.
+INDEXES = ("brute", "grid", "covertree", None)
 
 
 def blob_instance(seed=0, n_out=6):
@@ -51,6 +67,111 @@ class TestOriginalDBSCAN:
         r = OriginalDBSCAN(0.1, 5).fit(ds)
         assert r.n_clusters == 1
         assert r.n_noise == 0
+
+
+def assert_matches_oracle(ds, eps, min_pts, index):
+    """OriginalDBSCAN's labels and core mask equal the BFS oracle's,
+    border points included."""
+    got = OriginalDBSCAN(eps, min_pts, index=index).fit(ds)
+    labels, core_mask = bfs_dbscan(ds, eps, min_pts)
+    np.testing.assert_array_equal(got.core_mask, core_mask)
+    np.testing.assert_array_equal(got.labels, labels)
+    return got
+
+
+def equidistant_border_lattice(seed):
+    """Two 5x5 integer lattices with a one-column gap, bridged by three
+    points in the gap, shuffled.  At ε = 1 and MinPts 4 every lattice
+    point but the far corners is core, and each bridge point is a
+    border point at distance exactly ε from a core point of each side,
+    so the cluster it joins depends only on the numbering."""
+    left = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(-1, 2)
+    bridge = np.array([[5.0, 0.0], [5.0, 2.0], [5.0, 4.0]])
+    pts = np.vstack([left, left + [6.0, 0.0], bridge])
+    return MetricDataset(np.random.default_rng(seed).permutation(pts))
+
+
+@pytest.fixture(scope="module")
+def blobs_9k():
+    """9,000 2-d blob points (several chunks at the module budget), the
+    oracle's answer, and one fit through the process-default index."""
+    pts, _ = make_blobs(
+        n=9000, n_clusters=8, dim=2, std=0.5, spread=30.0,
+        outlier_fraction=0.05, seed=0,
+    )
+    ds = MetricDataset(pts)
+    eps, min_pts = 0.9, 10
+    assert rows_per_block(ds.n, dbscan_module.CHUNK_BYTES) < ds.n
+    oracle = bfs_dbscan(ds, eps, min_pts)
+    return ds, eps, min_pts, oracle, OriginalDBSCAN(eps, min_pts).fit(ds)
+
+
+class TestOriginalDBSCANOracle:
+    """Label-for-label parity with the seed-list BFS of Ester et al."""
+
+    @pytest.mark.parametrize("index", ("brute", "grid", None))
+    def test_blobs_across_chunks(self, blobs_9k, index):
+        ds, eps, min_pts, (labels, core_mask), got = blobs_9k
+        if index is not None:
+            got = OriginalDBSCAN(eps, min_pts, index=index).fit(ds)
+        np.testing.assert_array_equal(got.core_mask, core_mask)
+        np.testing.assert_array_equal(got.labels, labels)
+
+    @pytest.mark.parametrize("index", INDEXES)
+    def test_small_chunks(self, monkeypatch, index):
+        # A few rows per chunk: most ε-edges join points answered in
+        # different chunks.
+        monkeypatch.setattr(dbscan_module, "CHUNK_BYTES", 64 << 10)
+        pts, _ = make_blobs(
+            n=1200, n_clusters=4, dim=16, std=0.5, spread=10.0,
+            outlier_fraction=0.05, seed=1,
+        )
+        ds = MetricDataset(pts)
+        assert rows_per_block(ds.n, dbscan_module.CHUNK_BYTES) <= 8
+        got = assert_matches_oracle(ds, 2.5, 8, index=index)
+        assert got.n_clusters > 1
+
+    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equidistant_border_lattice(self, index, seed):
+        ds = equidistant_border_lattice(seed)
+        got = assert_matches_oracle(ds, 1.0, 4, index=index)
+        assert got.n_clusters == 2
+        bridges = np.flatnonzero(ds.points[:, 0] == 5.0)
+        assert not got.core_mask[bridges].any()
+        # Both clusters reach every bridge; the smaller id keeps it.
+        np.testing.assert_array_equal(got.labels[bridges], 0)
+
+    @pytest.mark.parametrize("index", INDEXES)
+    def test_exact_duplicates(self, index):
+        rng = np.random.default_rng(2)
+        pts = np.vstack([
+            rng.normal(0.0, 0.3, size=(300, 2)),
+            rng.normal([3.0, 0.0], 0.3, size=(300, 2)),
+            rng.uniform(-6.0, 6.0, size=(60, 2)),
+        ])
+        pts = np.vstack([pts, pts[rng.integers(len(pts), size=200)]])
+        ds = MetricDataset(rng.permutation(pts))
+        assert_matches_oracle(ds, 0.25, 6, index=index)
+
+    @pytest.mark.parametrize("index", ("brute", "covertree", None))
+    def test_edit_distance(self, index):
+        rng = np.random.default_rng(3)
+        words = [
+            "".join(rng.choice(list("abcd"), size=rng.integers(5, 9)))
+            for _ in range(200)
+        ]
+        ds = MetricDataset(words, EditDistanceMetric())
+        assert_matches_oracle(ds, 2.0, 4, index=index)
+
+    def test_counters_on_the_default_index(self, blobs_9k):
+        # Every region query reaches the index and every candidate it
+        # filters is a counted distance evaluation.
+        ds, _, _, _, result = blobs_9k
+        counters = result.timings.counters
+        assert counters["n_range_queries"] == ds.n
+        assert counters["distance_evals"] >= counters["n_candidates"] > 0
+        assert "region_queries" in result.timings.phases
 
 
 class TestDBSCANPlusPlus:

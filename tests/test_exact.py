@@ -1,6 +1,7 @@
 """Tests for the exact metric DBSCAN solver (Section 3).
 
-The ground truth is :class:`OriginalDBSCAN` (brute force): the two must
+The ground truth is :class:`OriginalDBSCAN` (held label for label to the
+seed-list BFS oracle in ``test_baselines_dbscan_family``): the two must
 agree on the core-point set, the partition of the core points, and the
 noise set, on every instance — including text data under edit distance.
 """

@@ -335,19 +335,6 @@ class TestSolverRegression:
         assert counters["n_range_queries"] == ds.n
         assert counters["n_candidates"] > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dbscan_streaming_region_queries(self, backend):
-        # precompute_neighbors=False + index: one region query per BFS
-        # visit through the backend, same clustering, bounded memory.
-        ds = euclidean_dataset(n=200)
-        want = OriginalDBSCAN(2.0, 5).fit(ds)
-        got = OriginalDBSCAN(
-            2.0, 5, precompute_neighbors=False, index=backend
-        ).fit(ds)
-        np.testing.assert_array_equal(got.labels, want.labels)
-        assert got.timings.counters["n_range_queries"] > 0
-        assert "region_queries" not in got.timings.phases
-
     def test_covertree_counters_report_build_cost(self):
         ds = euclidean_dataset(n=120)
         idx = build_index("covertree", ds)

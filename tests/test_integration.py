@@ -62,13 +62,13 @@ class TestDistanceComplexity:
     def test_exact_beats_brute_force(self):
         pts = self.make_clustered()
         ours = self.count_for(lambda: MetricDBSCAN(0.6, 10), pts)
-        brute = self.count_for(lambda: OriginalDBSCAN(0.6, 10), pts)
+        brute = self.count_for(lambda: OriginalDBSCAN(0.6, 10, index="brute"), pts)
         assert ours < brute / 3
 
     def test_approx_beats_exact_or_close(self):
         pts = self.make_clustered()
         approx = self.count_for(lambda: ApproxMetricDBSCAN(0.6, 10, rho=0.5), pts)
-        brute = self.count_for(lambda: OriginalDBSCAN(0.6, 10), pts)
+        brute = self.count_for(lambda: OriginalDBSCAN(0.6, 10, index="brute"), pts)
         assert approx < brute / 3
 
     def test_linear_scaling_in_n(self):

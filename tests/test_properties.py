@@ -1,7 +1,8 @@
 """Hypothesis property tests spanning the core algorithms.
 
 These complement the per-module tests with randomized structural
-checks: exact-solver equivalence to brute force on arbitrary inputs,
+checks: exact-solver equivalence to brute force on arbitrary inputs
+(with OriginalDBSCAN label for label equal to the BFS oracle),
 the sandwich theorem for the approximation, and net invariants under
 adversarial 2-D point clouds.
 
@@ -19,7 +20,7 @@ from repro.baselines import OriginalDBSCAN
 from repro.core import ApproxMetricDBSCAN, MetricDBSCAN, StreamingApproxDBSCAN
 from repro.metricspace import MetricDataset
 
-from conftest import core_partition, same_cluster_pairs
+from conftest import bfs_dbscan, core_partition, same_cluster_pairs
 
 points_2d = st.lists(
     st.tuples(
@@ -66,6 +67,9 @@ def check_exact(points, eps, min_pts):
     ds = MetricDataset(np.asarray(points, dtype=np.float64))
     ours = MetricDBSCAN(eps, min_pts).fit(ds)
     ref = OriginalDBSCAN(eps, min_pts).fit(ds)
+    labels, core_mask = bfs_dbscan(ds, eps, min_pts)
+    assert np.array_equal(ref.labels, labels)
+    assert np.array_equal(ref.core_mask, core_mask)
     assert np.array_equal(ours.core_mask, ref.core_mask)
     assert core_partition(ours.labels, ours.core_mask) == core_partition(
         ref.labels, ref.core_mask

@@ -69,43 +69,48 @@ class OriginalDBSCAN:
         timings = TimingBreakdown()
         n = dataset.n
         eps = self.eps
-        scope = CounterScope(timings, dataset=dataset)
-        scope.__enter__()
-        with timings.phase("build_index"):
-            index = build_index(self.index, dataset, radius_hint=eps)
+        with CounterScope(timings, dataset=dataset):
+            with timings.phase("build_index"):
+                index = build_index(self.index, dataset, radius_hint=eps)
 
-        core_mask = np.zeros(n, dtype=bool)
-        roots = np.arange(n, dtype=np.int64)
-        border, reach = [], []  # border point, a core neighbour of it
-        step = rows_per_block(n, CHUNK_BYTES)
-        for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
-            with timings.phase("region_queries"):
-                hits = index.range_query_batch_csr(rows, eps, with_distances=False)
+            core_mask = np.zeros(n, dtype=bool)
+            roots = np.arange(n, dtype=np.int64)
+            links, n_links = [], 0  # core–core root pairs not yet joined
+            border, reach = [], []  # border point, a core neighbour of it
+            step = rows_per_block(n, CHUNK_BYTES)
+            for lo in range(0, n, step):
+                rows = np.arange(lo, min(lo + step, n))
+                with timings.phase("region_queries"):
+                    hits = index.range_query_batch_csr(rows, eps, with_distances=False)
+                with timings.phase("cluster"):
+                    core_mask[rows] = hits.counts() >= self.min_pts
+                    p, q = lo + hits.query_rows(), hits.ids
+                    earlier = q < p
+                    p, q = p[earlier], q[earlier]
+                    p_core, q_core = core_mask[p], core_mask[q]
+                    both = p_core & q_core
+                    links.append((roots[p[both]], roots[q[both]]))
+                    n_links += links[-1][0].size
+                    # A join costs O(n) however few its edges, so they
+                    # wait until there are n (or the last chunk is in).
+                    if n_links >= n or lo + step >= n:
+                        a, b = map(np.concatenate, zip(*links))
+                        roots = component_roots(n, a, b)[roots]
+                        links, n_links = [], 0
+                    one = p_core != q_core
+                    border.append(np.where(p_core, q, p)[one])
+                    reach.append(np.where(p_core, p, q)[one])
+
             with timings.phase("cluster"):
-                core_mask[rows] = hits.counts() >= self.min_pts
-                p, q = lo + hits.query_rows(), hits.ids
-                earlier = q < p
-                p, q = p[earlier], q[earlier]
-                p_core, q_core = core_mask[p], core_mask[q]
-                both = p_core & q_core
-                roots = component_roots(n, roots[p[both]], roots[q[both]])[roots]
-                one = p_core != q_core
-                border.append(np.where(p_core, q, p)[one])
-                reach.append(np.where(p_core, p, q)[one])
+                labels = np.full(n, -1, dtype=np.int64)
+                core = np.flatnonzero(core_mask)
+                labels[core] = first_seen_labels(roots[core])
+                border, reach = np.concatenate(border), np.concatenate(reach)
+                first = np.full(n, n, dtype=np.int64)
+                np.minimum.at(first, border, labels[reach])
+                labels = np.where(first < n, first, labels)
 
-        with timings.phase("cluster"):
-            labels = np.full(n, -1, dtype=np.int64)
-            core = np.flatnonzero(core_mask)
-            labels[core] = first_seen_labels(roots[core])
-            border, reach = np.concatenate(border), np.concatenate(reach)
-            first = np.full(n, n, dtype=np.int64)
-            np.minimum.at(first, border, labels[reach])
-            reached = first < n
-            labels[reached] = first[reached]
-
-        index.fold_counters_into(timings)
-        scope.__exit__(None, None, None)
+            index.fold_counters_into(timings)
         return ClusteringResult(
             labels=labels,
             core_mask=core_mask,

@@ -101,21 +101,19 @@ class DBSCANPlusPlus:
 
         red_eps = dataset.metric.reduce_threshold(eps)
         with timings.phase("label_cores"):
+            core_rows = np.zeros(len(sample), dtype=bool)
             if idx_all is not None:
                 # Chunked queries, keeping only the per-point counts:
                 # retaining every neighbor-id list would cost
                 # O(sum |N(p)|) memory on dense-eps workloads.
-                core_rows = np.zeros(len(sample), dtype=bool)
                 for lo in range(0, len(sample), self.QUERY_CHUNK):
-                    hits = idx_all.range_query_batch(
+                    hits = idx_all.range_query_batch_csr(
                         sample[lo : lo + self.QUERY_CHUNK], eps,
                         with_distances=False,
                     )
-                    for off, (ids, _) in enumerate(hits):
-                        core_rows[lo + off] = len(ids) >= self.min_pts
+                    core_rows[lo : lo + self.QUERY_CHUNK] = hits.counts() >= self.min_pts
             else:
                 # One blocked pass: sampled rows against the full dataset.
-                core_rows = np.zeros(len(sample), dtype=bool)
                 pos = 0
                 for chunk, block in dataset.cross_blocks(
                     queries=sample, reduced=True
@@ -127,8 +125,7 @@ class DBSCANPlusPlus:
 
         with timings.phase("merge"):
             # Core-core ε-edges join component roots one chunk or block
-            # at a time (as the exact solver's merge rounds do), so only
-            # one chunk's edges are ever held.
+            # at a time, so only one chunk's edges are ever held.
             n_core = len(core_arr)
             roots = np.arange(n_core, dtype=np.int64)
             if idx_all is not None:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import collections
-from typing import FrozenSet, Sequence, Set, Tuple
+from typing import FrozenSet, Sequence, Set
 
 import numpy as np
 import pytest
 
+from repro.core.result import ClusteringResult
 from repro.metricspace import EditDistanceMetric, MetricDataset
 
 
@@ -23,17 +24,16 @@ def core_partition(labels: Sequence[int], mask: Sequence[bool]) -> Set[FrozenSet
     return {frozenset(g) for g in groups.values()}
 
 
-def bfs_dbscan(
-    dataset: MetricDataset, eps: float, min_pts: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(labels, core_mask)`` of the classic seed-list BFS DBSCAN
-    (Ester et al., KDD 1996) scanning points in index order, with every
-    region query read off brute-force ``dataset.cross_blocks``.
+def bfs_dbscan(dataset: MetricDataset, eps: float, min_pts: int) -> ClusteringResult:
+    """The classic seed-list BFS DBSCAN (Ester et al., KDD 1996)
+    scanning points in index order, with every region query read off
+    brute-force ``dataset.cross_blocks`` and no index: the ground truth
+    the solvers are tested against.
 
-    The oracle :class:`~repro.baselines.OriginalDBSCAN` must match
-    label for label, borders included: the BFS grows one cluster at a
-    time, in order of each cluster's smallest core point, and a border
-    point keeps the first cluster that reaches it.
+    :class:`~repro.baselines.OriginalDBSCAN` must match it label for
+    label, borders included: the BFS grows one cluster at a time, in
+    order of each cluster's smallest core point, and a border point
+    keeps the first cluster that reaches it.
     """
     n = dataset.n
     red_eps = dataset.metric.reduce_threshold(eps)
@@ -65,7 +65,7 @@ def bfs_dbscan(
                 core_mask[p] = True
                 queue.extend(region[p])
         next_cluster += 1
-    return labels, core_mask
+    return ClusteringResult(labels=labels, core_mask=core_mask)
 
 
 def assert_labels_equivalent(a: Sequence[int], b: Sequence[int]) -> None:

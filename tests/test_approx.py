@@ -9,7 +9,6 @@ clustering at (1+ρ)ε.
 import numpy as np
 import pytest
 
-from repro.baselines import OriginalDBSCAN
 from repro.core import (
     ApproxMetricDBSCAN,
     MetricDBSCAN,
@@ -20,7 +19,7 @@ from repro.core import (
 from repro.index import net_neighbor_sets
 from repro.metricspace import MetricDataset, MinkowskiMetric
 
-from conftest import same_cluster_pairs
+from conftest import bfs_dbscan, same_cluster_pairs
 
 
 def random_instance(seed):
@@ -35,8 +34,8 @@ def random_instance(seed):
 
 def check_sandwich(ds, eps, min_pts, rho, approx_labels):
     """Sandwich theorem on the (ε, MinPts) core points."""
-    exact_lo = OriginalDBSCAN(eps, min_pts).fit(ds)
-    exact_hi = OriginalDBSCAN((1.0 + rho) * eps, min_pts).fit(ds)
+    exact_lo = bfs_dbscan(ds, eps, min_pts)
+    exact_hi = bfs_dbscan(ds, (1.0 + rho) * eps, min_pts)
     cores = np.flatnonzero(exact_lo.core_mask)
     lo_pairs = same_cluster_pairs(exact_lo.labels, cores)
     approx_pairs = same_cluster_pairs(approx_labels, cores)
@@ -98,7 +97,7 @@ class TestSummary:
 
     def test_known_core_mask_is_subset_of_true_core(self):
         ds, net, summary = self.make_summary(seed=2)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         assert np.all(~summary.known_core_mask | ref.core_mask)
 
     def test_member_position_roundtrip(self):
@@ -116,7 +115,7 @@ class TestSummary:
         net = radius_guided_gonzalez(ds, r_bar, eps_for_counts=eps)
         neighbors = net_neighbor_sets(net, r_bar, (1.0 + rho) * eps, None)
         summary = build_summary(ds, net, eps, min_pts, neighbors)
-        n_core = int(OriginalDBSCAN(eps, min_pts).fit(ds).core_mask.sum())
+        n_core = int(bfs_dbscan(ds, eps, min_pts).core_mask.sum())
         assert summary.size < n_core / 4
 
 

@@ -73,9 +73,9 @@ def assert_matches_oracle(ds, eps, min_pts, index):
     """OriginalDBSCAN's labels and core mask equal the BFS oracle's,
     border points included."""
     got = OriginalDBSCAN(eps, min_pts, index=index).fit(ds)
-    labels, core_mask = bfs_dbscan(ds, eps, min_pts)
-    np.testing.assert_array_equal(got.core_mask, core_mask)
-    np.testing.assert_array_equal(got.labels, labels)
+    want = bfs_dbscan(ds, eps, min_pts)
+    np.testing.assert_array_equal(got.core_mask, want.core_mask)
+    np.testing.assert_array_equal(got.labels, want.labels)
     return got
 
 
@@ -111,16 +111,17 @@ class TestOriginalDBSCANOracle:
 
     @pytest.mark.parametrize("index", ("brute", "grid", None))
     def test_blobs_across_chunks(self, blobs_9k, index):
-        ds, eps, min_pts, (labels, core_mask), got = blobs_9k
+        ds, eps, min_pts, want, got = blobs_9k
         if index is not None:
             got = OriginalDBSCAN(eps, min_pts, index=index).fit(ds)
-        np.testing.assert_array_equal(got.core_mask, core_mask)
-        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.core_mask, want.core_mask)
+        np.testing.assert_array_equal(got.labels, want.labels)
 
     @pytest.mark.parametrize("index", INDEXES)
     def test_small_chunks(self, monkeypatch, index):
         # A few rows per chunk: most ε-edges join points answered in
-        # different chunks.
+        # different chunks, and the core–core edges are joined in
+        # several batches of at least n.
         monkeypatch.setattr(dbscan_module, "CHUNK_BYTES", 64 << 10)
         pts, _ = make_blobs(
             n=1200, n_clusters=4, dim=16, std=0.5, spread=10.0,
@@ -178,13 +179,13 @@ class TestDBSCANPlusPlus:
     def test_full_ratio_matches_exact_cores(self):
         """ratio=1.0 samples everything, so core points equal DBSCAN's."""
         ds = blob_instance(1)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         pp = DBSCANPlusPlus(0.5, 5, ratio=1.0).fit(ds)
         assert np.array_equal(pp.core_mask, ref.core_mask)
 
     def test_sampled_cores_subset_of_true_cores(self):
         ds = blob_instance(2)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         pp = DBSCANPlusPlus(0.5, 5, ratio=0.3, seed=3).fit(ds)
         assert np.all(~pp.core_mask | ref.core_mask)
 
@@ -216,7 +217,7 @@ class TestDYW:
         """DYW is exact DBSCAN with a different pre-processing, so the
         core partition must match brute force."""
         ds = blob_instance(6)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         dyw = DYWDBSCAN(0.5, 5, z_tilde=10, seed=0).fit(ds)
         assert np.array_equal(dyw.core_mask, ref.core_mask)
         assert core_partition(dyw.labels, dyw.core_mask) == core_partition(
@@ -227,13 +228,13 @@ class TestDYW:
         """Singleton fallback keeps the result correct even when z̃ is
         far below the true outlier count (only speed degrades)."""
         ds = blob_instance(7, n_out=15)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         dyw = DYWDBSCAN(0.5, 5, z_tilde=0, seed=1).fit(ds)
         assert np.array_equal(dyw.core_mask, ref.core_mask)
 
     def test_text_metric(self, text_dataset):
         ds, _ = text_dataset
-        ref = OriginalDBSCAN(2.0, 3).fit(ds)
+        ref = bfs_dbscan(ds, 2.0, 3)
         dyw = DYWDBSCAN(2.0, 3, z_tilde=2, seed=0).fit(ds)
         assert np.array_equal(dyw.core_mask, ref.core_mask)
 
@@ -248,7 +249,7 @@ class TestGanTao:
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_matches_reference(self, seed):
         ds = blob_instance(seed + 10)
-        ref = OriginalDBSCAN(0.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 5)
         gt = GanTaoDBSCAN(0.5, 5).fit(ds)
         assert np.array_equal(gt.core_mask, ref.core_mask)
         assert core_partition(gt.labels, gt.core_mask) == core_partition(
@@ -261,8 +262,8 @@ class TestGanTao:
         ds = blob_instance(20)
         eps, min_pts = 0.5, 5
         gt = GanTaoDBSCAN(eps, min_pts, rho=rho).fit(ds)
-        lo = OriginalDBSCAN(eps, min_pts).fit(ds)
-        hi = OriginalDBSCAN((1.0 + rho) * eps, min_pts).fit(ds)
+        lo = bfs_dbscan(ds, eps, min_pts)
+        hi = bfs_dbscan(ds, (1.0 + rho) * eps, min_pts)
         cores = np.flatnonzero(lo.core_mask)
         assert same_cluster_pairs(lo.labels, cores) <= same_cluster_pairs(
             gt.labels, cores
@@ -282,7 +283,7 @@ class TestGanTao:
             rng.normal(6.0, 0.3, size=(40, 5)),
         ])
         ds = MetricDataset(pts)
-        ref = OriginalDBSCAN(1.5, 5).fit(ds)
+        ref = bfs_dbscan(ds, 1.5, 5)
         gt = GanTaoDBSCAN(1.5, 5).fit(ds)
         assert np.array_equal(gt.core_mask, ref.core_mask)
 

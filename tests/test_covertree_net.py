@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines import OriginalDBSCAN
 from repro.core import MetricDBSCAN, net_from_cover_tree
 from repro.covertree import CoverTree
 from repro.metricspace import MetricDataset
 
-from conftest import core_partition
+from conftest import bfs_dbscan, core_partition
 
 
 def clustered_dataset(seed=0, n=150):
@@ -71,7 +70,7 @@ class TestExactDBSCANWithCoverTreeNet:
         eps, min_pts = 0.8, 5
         net = net_from_cover_tree(ds, eps)
         ours = MetricDBSCAN(eps, min_pts).fit(ds, net=net)
-        ref = OriginalDBSCAN(eps, min_pts).fit(ds)
+        ref = bfs_dbscan(ds, eps, min_pts)
         assert np.array_equal(ours.core_mask, ref.core_mask)
         assert core_partition(ours.labels, ours.core_mask) == core_partition(
             ref.labels, ref.core_mask
@@ -85,5 +84,5 @@ class TestExactDBSCANWithCoverTreeNet:
         for eps in (0.6, 1.0, 1.5):
             net = net_from_cover_tree(ds, eps, tree=tree)
             ours = MetricDBSCAN(eps, 5).fit(ds, net=net)
-            ref = OriginalDBSCAN(eps, 5).fit(ds)
+            ref = bfs_dbscan(ds, eps, 5)
             assert np.array_equal(ours.core_mask, ref.core_mask)

@@ -1,19 +1,18 @@
 """Tests for the exact metric DBSCAN solver (Section 3).
 
-The ground truth is :class:`OriginalDBSCAN` (held label for label to the
-seed-list BFS oracle in ``test_baselines_dbscan_family``): the two must
-agree on the core-point set, the partition of the core points, and the
-noise set, on every instance — including text data under edit distance.
+The ground truth is the original DBSCAN (brute force, ``bfs_dbscan``):
+the two must agree on the core-point set, the partition of the core
+points, and the noise set, on every instance — including text data
+under edit distance.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import OriginalDBSCAN
 from repro.core import MetricDBSCAN, metric_dbscan
 from repro.metricspace import EditDistanceMetric, MetricDataset, MinkowskiMetric
 
-from conftest import assert_labels_equivalent, core_partition
+from conftest import assert_labels_equivalent, bfs_dbscan, core_partition
 
 
 def random_instance(seed, with_outliers=True):
@@ -44,7 +43,7 @@ class TestAgainstReference:
         eps = float(rng.uniform(0.3, 1.0))
         min_pts = int(rng.integers(3, 9))
         ours = MetricDBSCAN(eps, min_pts).fit(ds)
-        ref = OriginalDBSCAN(eps, min_pts).fit(ds)
+        ref = bfs_dbscan(ds, eps, min_pts)
         assert_equivalent(ours, ref)
 
     def test_min_pts_one_everything_core(self):
@@ -69,14 +68,14 @@ class TestAgainstReference:
         pts = np.vstack([np.zeros((10, 2)), np.full((10, 2), 5.0)])
         ds = MetricDataset(pts)
         ours = MetricDBSCAN(0.5, 4).fit(ds)
-        ref = OriginalDBSCAN(0.5, 4).fit(ds)
+        ref = bfs_dbscan(ds, 0.5, 4)
         assert_equivalent(ours, ref)
         assert ours.n_clusters == 2
 
     def test_text_data(self, text_dataset):
         ds, _ = text_dataset
         ours = MetricDBSCAN(2.0, 3).fit(ds)
-        ref = OriginalDBSCAN(2.0, 3).fit(ds)
+        ref = bfs_dbscan(ds, 2.0, 3)
         assert_equivalent(ours, ref)
         assert ours.n_clusters == 2
         assert ours.labels[-1] == -1  # the long random string is noise
@@ -85,7 +84,7 @@ class TestAgainstReference:
         strings = ["aa", "ab", "ba", "zzzz", "zzzy", "qqqqqqqq"]
         ds = MetricDataset(strings, EditDistanceMetric())
         ours = MetricDBSCAN(1.0, 2).fit(ds)
-        ref = OriginalDBSCAN(1.0, 2).fit(ds)
+        ref = bfs_dbscan(ds, 1.0, 2)
         assert_equivalent(ours, ref)
 
     @pytest.mark.parametrize("index", ["auto", "brute", "grid", "covertree"])

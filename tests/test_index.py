@@ -37,6 +37,8 @@ from repro.metricspace import (
     MinkowskiMetric,
 )
 
+from conftest import bfs_dbscan
+
 BACKENDS = ("brute", "grid", "covertree")
 
 
@@ -327,7 +329,7 @@ class TestSolverRegression:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_dbscan_baseline_labels(self, backend):
         ds = euclidean_dataset(n=300)
-        want = OriginalDBSCAN(2.0, 5).fit(ds)
+        want = bfs_dbscan(ds, 2.0, 5)
         got = OriginalDBSCAN(2.0, 5, index=backend).fit(ds)
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.core_mask, want.core_mask)

@@ -16,6 +16,8 @@ from repro.metricspace import (
     PrecomputedMetric,
 )
 
+from conftest import bfs_dbscan
+
 
 class TestLSHDBSCAN:
     def test_recovers_separated_blobs(self):
@@ -33,7 +35,7 @@ class TestLSHDBSCAN:
         rng = np.random.default_rng(1)
         pts = rng.normal(0.0, 1.0, size=(150, 3))
         ds = MetricDataset(pts)
-        ref = OriginalDBSCAN(0.8, 5).fit(ds)
+        ref = bfs_dbscan(ds, 0.8, 5)
         lsh = LSHDBSCAN(0.8, 5, n_tables=6, seed=0).fit(ds)
         assert np.all(~lsh.core_mask | ref.core_mask)
 

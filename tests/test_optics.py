@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import OPTICS, OriginalDBSCAN
+from repro.baselines import OPTICS
 from repro.metricspace import MetricDataset
 
-from conftest import core_partition
+from conftest import bfs_dbscan, core_partition
 
 
 def blob_instance(seed=0):
@@ -61,7 +61,7 @@ class TestExtraction:
         ds = blob_instance(seed + 10)
         eps, min_pts = 0.5, 5
         result = OPTICS(min_pts=min_pts, eps_max=2.0).fit(ds, eps=eps)
-        ref = OriginalDBSCAN(eps, min_pts).fit(ds)
+        ref = bfs_dbscan(ds, eps, min_pts)
         assert np.array_equal(result.core_mask, ref.core_mask)
         assert core_partition(result.labels, result.core_mask) == core_partition(
             ref.labels, ref.core_mask
@@ -74,7 +74,7 @@ class TestExtraction:
         ordering = OPTICS(min_pts=min_pts, eps_max=2.0).compute_ordering(ds)
         for eps in (0.3, 0.5, 1.0):
             labels = ordering.extract_dbscan(eps)
-            ref = OriginalDBSCAN(eps, min_pts).fit(ds)
+            ref = bfs_dbscan(ds, eps, min_pts)
             core = ref.core_mask
             assert core_partition(labels, core) == core_partition(ref.labels, core)
 
@@ -92,5 +92,5 @@ class TestExtraction:
     def test_metric_generic(self, text_dataset):
         ds, _ = text_dataset
         result = OPTICS(min_pts=3, eps_max=5.0).fit(ds, eps=2.0)
-        ref = OriginalDBSCAN(2.0, 3).fit(ds)
+        ref = bfs_dbscan(ds, 2.0, 3)
         assert np.array_equal(result.core_mask, ref.core_mask)

@@ -9,12 +9,11 @@ inside a fixed domain.
 import numpy as np
 import pytest
 
-from repro.baselines import OriginalDBSCAN
 from repro.core import StreamingApproxDBSCAN
 from repro.datasets import ReplayStream, make_blobs, make_session_stream
 from repro.metricspace import EditDistanceMetric, MetricDataset
 
-from conftest import same_cluster_pairs
+from conftest import bfs_dbscan, same_cluster_pairs
 
 
 def random_instance(seed, n_extra_outliers=5):
@@ -30,8 +29,8 @@ def random_instance(seed, n_extra_outliers=5):
 
 
 def check_sandwich(ds, eps, min_pts, rho, labels):
-    exact_lo = OriginalDBSCAN(eps, min_pts).fit(ds)
-    exact_hi = OriginalDBSCAN((1.0 + rho) * eps, min_pts).fit(ds)
+    exact_lo = bfs_dbscan(ds, eps, min_pts)
+    exact_hi = bfs_dbscan(ds, (1.0 + rho) * eps, min_pts)
     cores = np.flatnonzero(exact_lo.core_mask)
     lo = same_cluster_pairs(exact_lo.labels, cores)
     mid = same_cluster_pairs(labels, cores)

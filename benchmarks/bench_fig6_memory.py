@@ -41,10 +41,10 @@ def run_dataset(name, cfg=None):
     for rho in RHOS:
         for eps in cfg["eps_values"]:
             evals0 = loaded.dataset.n_cross_evals
-            # index="auto" puts all three passes on the dynamic-index
-            # path (labels are bit-identical to the dense scans); the
-            # peak_center_matrix_bytes counter reports the largest
-            # center/summary pair structure the run ever held.
+            # An explicit index="auto" keeps the counters the same on
+            # every CI matrix leg; the peak_center_matrix_bytes counter
+            # reports the largest center/summary pair structure the run
+            # ever held.
             result, seconds = timed(lambda: StreamingApproxDBSCAN(
                 eps, MIN_PTS, rho=rho, index="auto"
             ).fit(loaded.dataset))

@@ -10,10 +10,10 @@ Two workloads, each run per backend with identical inputs:
   ``Θ(n²)`` scan stops being viable), asserting *label-identical*
   output across backends and a wall-clock win for a sparse backend
   over brute force;
-- **streaming** — ``StreamingApproxDBSCAN`` dense-scan vs ``index=``
-  per backend: labels must be bit-identical, and the report shows the
-  candidate counts plus the ``peak_center_matrix_bytes`` center-
-  structure footprint next to the dense path's.
+- **streaming** — ``StreamingApproxDBSCAN`` on the process default
+  index and on ``brute`` and ``grid``: labels must be bit-identical,
+  and the report shows the candidate counts plus the
+  ``peak_center_matrix_bytes`` summary-merge footprint per leg.
 
 Run directly::
 
@@ -116,14 +116,14 @@ def run_clustering_comparison(n=20000, dim=16, backends=("brute", "grid")):
 
 
 def run_streaming_comparison(n=8000, dim=16, rho=1.0):
-    """Streaming solver, dense vs indexed passes; returns
+    """Streaming solver on the default index and per backend; returns
     (rows, labels per leg)."""
     pts, eps = _blob_workload(n, dim)
     rows, labels, series = [], {}, []
-    for leg in ("dense", "brute", "grid"):
+    for leg in ("default", "brute", "grid"):
         dataset = MetricDataset(pts)
         solver = StreamingApproxDBSCAN(
-            eps, MIN_PTS, rho=rho, index=None if leg == "dense" else leg
+            eps, MIN_PTS, rho=rho, index=None if leg == "default" else leg
         )
         start = time.perf_counter()
         result = solver.fit(dataset)
@@ -131,7 +131,7 @@ def run_streaming_comparison(n=8000, dim=16, rho=1.0):
         labels[leg] = result.labels
         counters = result.timings.counters
         rows.append((
-            leg, f"{seconds:.3f}",
+            leg, result.stats["index_backend"], f"{seconds:.3f}",
             f"{counters.get('n_candidates', 0):,}",
             f"{counters.get('peak_center_matrix_bytes', 0):,}",
             result.stats["n_centers"], result.stats["summary_size"],
@@ -166,12 +166,13 @@ def _report(sweep_rows, cluster_rows, n, dim, streaming_rows=None,
     if streaming_rows:
         lines += [
             "",
-            "Streaming — dense scans vs index-backed passes "
+            "Streaming — process-default index vs forced backends "
             "(labels bit-identical)",
             "",
         ]
         lines += format_table(
-            ["leg", "seconds", "candidates", "peak center B", "|E|", "|S*|"],
+            ["leg", "backend", "seconds", "candidates", "peak center B", "|E|",
+             "|S*|"],
             streaming_rows,
         )
     write_report("index_backends", lines)
@@ -198,8 +199,8 @@ def test_index_backends(benchmark):
     _report(sweep_rows, cluster_rows, 4000, 16, s_rows,
             series=c_series + s_series)
     assert np.array_equal(labels["brute"], labels["grid"])
-    assert np.array_equal(s_labels["dense"], s_labels["brute"])
-    assert np.array_equal(s_labels["dense"], s_labels["grid"])
+    assert np.array_equal(s_labels["default"], s_labels["brute"])
+    assert np.array_equal(s_labels["default"], s_labels["grid"])
 
 
 def main(argv=None) -> int:
@@ -223,10 +224,10 @@ def main(argv=None) -> int:
     _report(sweep_rows, cluster_rows, n, dim, streaming_rows,
             series=c_series + s_series, quick=args.quick)
     if not all(
-        np.array_equal(streaming_labels["dense"], streaming_labels[leg])
+        np.array_equal(streaming_labels["default"], streaming_labels[leg])
         for leg in ("brute", "grid")
     ):
-        print("FAIL: streaming index legs disagree with the dense scan")
+        print("FAIL: streaming backends disagree with the default index")
         return 1
 
     identical = np.array_equal(labels["brute"], labels["grid"])

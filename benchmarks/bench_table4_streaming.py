@@ -33,11 +33,6 @@ from common import format_table, timed, write_bench_artifact, write_report
 MIN_PTS = 10
 RHO = 0.5
 
-#: Backend pinned for the sustained-throughput leg: an explicit spec
-#: keeps the counters identical across CI matrix legs (the env
-#: preference only steers ``None``/deferred resolutions).
-THROUGHPUT_INDEX = "grid"
-
 
 def build_workloads(quick=False):
     workloads = {}
@@ -101,15 +96,15 @@ def run_comparison(quick=False):
 
 def run_throughput(quick=False):
     """Sustained-throughput leg: points/sec of the streaming solver on
-    one blob stream, dense and indexed.
+    one blob stream, on the brute and grid backends.
 
-    ``dense`` is the no-index path (chunk snapshots are dense blocks);
-    ``epoch`` runs the same pass-1 epoch loop on CSR probes of a grid
-    index over the centers.  Both produce bit-identical labels, so the
+    Each backend is pinned by name, so the counters are the same on
+    every CI matrix leg (the ``REPRO_DEFAULT_INDEX`` preference only
+    steers ``index=None``).  Both produce bit-identical labels, so the
     series differ only in wall time and in the index's work counters.
 
     The workload is a blob stream whose center count stays well below
-    the arrival count, where a center index prunes most candidates.
+    the arrival count, where the grid prunes most candidates.
     """
     n = 4000 if quick else 20000
     pts, _ = make_blobs(
@@ -118,18 +113,14 @@ def run_throughput(quick=False):
     )
     dataset = MetricDataset(pts)
     eps = 1.0
-    modes = [
-        ("dense", {}),
-        ("epoch", {"index": THROUGHPUT_INDEX}),
-    ]
     rows, series = [], []
-    for mode, kwargs in modes:
-        solver = StreamingApproxDBSCAN(eps, MIN_PTS, rho=RHO, **kwargs)
+    for mode in ("brute", "grid"):
+        solver = StreamingApproxDBSCAN(eps, MIN_PTS, rho=RHO, index=mode)
         result, seconds = timed(lambda: solver.fit(dataset))
         phases = result.timings.phases
         hot = phases.get("pass1_build_net", 0.0) + phases.get("pass3_label", 0.0)
         rows.append((
-            f"blobs n={n}", f"ingest={mode}",
+            f"blobs n={n}", f"index={mode}",
             f"{n / seconds:,.0f}", f"{seconds:.2f}", f"{hot:.2f}",
         ))
         series.append(series_entry(
@@ -150,7 +141,7 @@ def write_table4_report(rows, series=None, quick=False, throughput_rows=None):
     if throughput_rows:
         lines += [
             "",
-            "Sustained ingestion throughput (dense vs grid-indexed; "
+            "Sustained ingestion throughput (brute vs grid index; "
             "identical labels)",
             "",
         ]

@@ -154,7 +154,10 @@ class DBSCANPlusPlus:
                 for chunk_pos, block in dataset.cross_blocks(
                     queries=core_arr, targets=core_arr, reduced=True
                 ):
-                    rows, cols = np.nonzero(block <= red_eps)
+                    # One flat scan: a 2-D np.nonzero is several times slower.
+                    rows, cols = np.divmod(
+                        np.flatnonzero(block <= red_eps), block.shape[1]
+                    )
                     rows += start
                     later = cols > rows
                     roots = component_roots(

@@ -65,14 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stand-in size (default: registry default)")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--index", default=None, choices=available_backends(),
-                         help="neighbor-index backend; when omitted, exact, "
-                              "approx and dbscan use the process default "
-                              "(REPRO_DEFAULT_INDEX env var, else auto) and "
-                              "streaming keeps its dense chunk scans; "
+                         help="neighbor-index backend; when omitted, every "
+                              "algorithm uses the process default "
+                              "(REPRO_DEFAULT_INDEX env var, else auto); "
                               "'--algo dbscan --index brute' is the paper's "
-                              "Theta(n^2) reference.  For "
-                              "streaming, the flag puts all three passes on "
-                              "dynamic indexes over the summary stores")
+                              "Theta(n^2) reference.  Streaming builds it "
+                              "over its center, watch and summary stores")
     cluster.add_argument("--json", dest="json_out", default=None,
                          metavar="PATH",
                          help="also write the machine-readable run record "

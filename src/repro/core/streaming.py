@@ -19,12 +19,14 @@ exact footprint is reported in the result stats (the quantity Figure 6
 plots as ``(|E| + |M|)/n``).
 
 Every pass reads the stream in chunks, and every threshold test runs in
-the metric's reduced space.  Pass 1 is one loop.  Each chunk starts
-from a snapshot of the centers that exist at its start — every row's
-nearest snapshot center and its ε-hits — taken from one of two
-sources: one dense ``reduced_cross`` block against all centers, or,
-with ``index=`` set, one CSR range query against the center index plus
-one flat ``reduced_pair_distances`` call (:func:`probe_reduced`).
+the metric's reduced space.  The center, watch and summary stores are
+:class:`~repro.metricspace.dataset.GrowingMetricDataset` instances,
+each probed through a dynamic :class:`~repro.index.base.NeighborIndex`
+from :func:`~repro.index.registry.build_index`.  Pass 1 is one loop.
+Each chunk starts from a snapshot of the centers that exist at its
+start — every row's nearest snapshot center and its ε-hits — taken by
+one CSR range query against the center index plus one flat
+``reduced_pair_distances`` call (:func:`probe_reduced`).
 :func:`epoch_births` (shared with the windowed and decaying maintainers
 of :mod:`repro.core.windowed`) then walks the chunk's center births in
 epochs: every row up to the first birth is decided at once, one
@@ -35,17 +37,14 @@ the watch decisions of the whole chunk follow from its ε-hits in one
 sparse inclusive-count computation.  The decisions, and the distance
 pairs evaluated, are those of a loop that takes one arrival at a time
 against every center created before it; ``tests/test_streaming_batched.py``
-keeps that loop as the oracle.
+keeps that loop, index-free, as the oracle.
 
-With ``index=`` set, the center, watch and summary stores are
-:class:`~repro.metricspace.dataset.GrowingMetricDataset` instances with
-dynamic :class:`~repro.index.base.NeighborIndex` structures over them:
-pass 2 counts ``|B(m, ε)|`` with one ``bincount`` over the CSR answer
-of each chunk against the watch index, and pass 3 labels with two CSR
-segment-argmin sweeps over the center and summary indexes.  Without
-one, passes 2 and 3 scan dense chunk blocks.  The labels are identical
-either way — an index only changes which candidates reach the exact
-distance filter.
+Pass 2 counts ``|B(m, ε)|`` with one ``bincount`` over the CSR answer
+of each chunk against the watch index, and merges ``S*`` with one
+``(1+ρ)ε`` range query per member against the summary index.  Pass 3
+labels with two CSR segment-argmin sweeps over the center and summary
+indexes.  The labels are the same under every backend — an index only
+changes which candidates reach the exact distance filter.
 
 The stream factory must yield the same points on every pass: passes 2
 and 3 count the points they read and raise ``ValueError`` when the
@@ -73,12 +72,7 @@ from repro.index.base import NeighborIndex
 from repro.index.csr import CSRQueryResult, segment_argmin
 from repro.index.registry import IndexSpec, build_index
 from repro.metricspace.base import Metric
-from repro.metricspace.dataset import (
-    CERTIFIED_BYTES_PER_ENTRY,
-    GrowingMetricDataset,
-    MetricDataset,
-    rows_per_block,
-)
+from repro.metricspace.dataset import GrowingMetricDataset, MetricDataset, rows_per_block
 from repro.metricspace.euclidean import EuclideanMetric
 from repro.obs.registry import CounterScope
 from repro.utils.components import component_labels
@@ -249,11 +243,9 @@ def epoch_births(
 class _Net:
     """Pass 1's state: the centers ``E`` with their detected ε-ball
     counts, the watch-list ``M`` with each entry's arrival-time center,
-    and (indexed path) the center index."""
+    and the center index (built at the first birth)."""
 
     def __init__(self, metric: Metric) -> None:
-        # The stores are index-buildable datasets either way; the dense
-        # path just never builds one.
         self.centers = GrowingMetricDataset(metric)
         self.detected = np.zeros(0, dtype=np.int64)
         self.watch = GrowingMetricDataset(metric)
@@ -288,11 +280,12 @@ class StreamingApproxDBSCAN:
     metric:
         Distance function over stream payloads; defaults to Euclidean.
     index:
-        Optional :mod:`repro.index` backend spec.  When set, the
-        center/watch/summary probes of all three passes run as range
-        queries against dynamic indexes over the summary stores
-        instead of dense scans; labels are identical either way.
-        ``None`` (default) keeps the dense chunk-vectorized path.
+        :mod:`repro.index` backend spec (name, instance, or ``"auto"``)
+        of the dynamic indexes over the center, watch and summary
+        stores, which every probe of the three passes queries.
+        ``None`` (default) means the process default: the
+        ``REPRO_DEFAULT_INDEX`` environment variable, else ``auto``.
+        The labels are the same under every backend.
 
     Examples
     --------
@@ -368,8 +361,7 @@ class StreamingApproxDBSCAN:
             summary = self._pass2(stream_factory, metric, net, timings)
             with timings.phase("pass3_label"):
                 labels = self._pass3(stream_factory, metric, net, summary)
-            if self.index is not None:
-                self._fold_index_counters(net, summary, timings)
+            self._fold_index_counters(net, summary, timings)
         return ClusteringResult(
             labels=labels,
             core_mask=None,
@@ -405,7 +397,7 @@ class StreamingApproxDBSCAN:
                 check_finite(chunk, "stream payloads", metric)
             net.n_seen += len(chunk)
             born = self._pass1_chunk(net, metric, chunk, probe_radius)
-            if born and self.index is not None:
+            if born:
                 if net.index is None:
                     net.index = build_index(
                         self.index, net.centers, radius_hint=probe_radius
@@ -426,9 +418,9 @@ class StreamingApproxDBSCAN:
 
         The snapshot gives each row its nearest center among those that
         exist at chunk start (``-1``/``+inf`` for none) and the ε-hits
-        on them: one dense block, or one CSR probe of the center index
-        (which holds every center within ``probe_radius``, so the
-        argmin is unchanged wherever it decides anything).
+        on them: one CSR probe of the center index, which holds every
+        center within ``probe_radius``, so the argmin is that of all
+        centers wherever it decides anything.
         :func:`epoch_births` then walks the births, so the pairs
         evaluated and every argmin tie-break match a loop over single
         arrivals, while Python-level work is O(#births).
@@ -437,25 +429,19 @@ class StreamingApproxDBSCAN:
         """
         n = len(chunk)
         red_eps = metric.reduce_threshold(self.eps)
-        if net.index is not None:
+        best_id = np.full(n, -1, dtype=np.intp)
+        if net.index is None:  # no center yet
+            best_red = np.full(n, np.inf)
+            snap_rows = snap_ids = np.empty(0, dtype=np.intp)
+        else:
             csr, snap_red = probe_reduced(
                 metric, net.index, net.centers, chunk, probe_radius
             )
             arg, best_red = segment_argmin(snap_red, csr.offsets)
-            best_id = np.full(n, -1, dtype=np.intp)
             has = arg >= 0
             best_id[has] = csr.ids[arg[has]]
             within = snap_red <= red_eps
             snap_rows, snap_ids = csr.query_rows()[within], csr.ids[within]
-        elif len(net.centers):
-            block = metric.reduced_cross(chunk, net.centers.view())
-            best_id = block.argmin(axis=1)
-            best_red = block[np.arange(n), best_id]
-            snap_rows, snap_ids = np.nonzero(block <= red_eps)
-        else:
-            best_id = np.full(n, -1, dtype=np.intp)
-            best_red = np.full(n, np.inf)
-            snap_rows = snap_ids = np.empty(0, dtype=np.intp)
 
         # Births take the next center ids; their payloads are stored
         # once the chunk's births are known, each counting itself.
@@ -521,28 +507,18 @@ class StreamingApproxDBSCAN:
         watch, m_centers = net.watch, len(net.centers)
         with timings.phase("pass2_recount"):
             counts = np.zeros(len(watch), dtype=np.int64)
-            watch_index: Optional[NeighborIndex] = None
-            if self.index is not None and len(watch):
-                # Stream elements range-query the watch index; each hit
-                # is one count.
-                watch_index = build_index(self._index_spec(), watch, radius_hint=eps)
-            watch_view = watch.view()
+            # Stream elements range-query the watch index (every birth
+            # is watched, so it is never empty); each hit is one count.
+            watch_index = build_index(self._index_spec(), watch, radius_hint=eps)
             for chunk in _reread(
                 stream_factory, lambda: rows_per_block(len(watch)), net.n_seen, 2
             ):
-                if watch_index is not None:
-                    csr = watch_index.range_query_points_csr(
-                        chunk, eps, with_distances=False
-                    )
-                    if csr.ids.size:
-                        counts += np.bincount(csr.ids, minlength=len(watch))
-                else:
-                    # Pass 2 only counts ``<= eps`` hits, so the
-                    # certified cascade decides each chunk block.
-                    mask = metric.cross_certified(chunk, watch_view, eps)
-                    counts += np.count_nonzero(mask, axis=0)
-            if watch_index is not None:
-                watch_index.fold_counters_into(timings)
+                csr = watch_index.range_query_points_csr(
+                    chunk, eps, with_distances=False
+                )
+                if csr.ids.size:
+                    counts += np.bincount(csr.ids, minlength=len(watch))
+            watch_index.fold_counters_into(timings)
             watch_core = counts >= min_pts
 
         with timings.phase("pass2_summary"):
@@ -565,22 +541,25 @@ class StreamingApproxDBSCAN:
                     payloads.append(watch.get(pos))
 
         summary_index: Optional[NeighborIndex] = None
+        cluster = np.zeros(0, dtype=np.int64)
         with timings.phase("pass2_merge"):
-            if self.index is not None and len(payloads) > 1:
+            if len(payloads):
+                # Line 15: one ``(1+ρ)ε`` range query per member; the
+                # upper-triangle edges come straight from the flat CSR
+                # arrays.
+                merge_radius = (1.0 + self.rho) * eps
                 summary_index = build_index(
-                    self._index_spec(),
-                    payloads,
-                    radius_hint=(1.0 + self.rho) * eps,
+                    self._index_spec(), payloads, radius_hint=merge_radius
                 )
-                cluster = self._merge_indexed(payloads, summary_index, timings)
-            else:
-                cluster = self._merge_offline(payloads, metric, timings)
-            if self.index is not None and summary_index is None and len(payloads):
-                summary_index = build_index(
-                    self._index_spec(),
-                    payloads,
-                    radius_hint=(1.0 + self.rho / 2.0) * eps,
+                csr = summary_index.range_query_batch_csr(
+                    np.arange(len(payloads), dtype=np.intp),
+                    merge_radius,
+                    with_distances=False,
                 )
+                timings.count("peak_center_matrix_bytes", 16 * int(csr.ids.size))
+                rows = csr.query_rows()
+                upper = csr.ids > rows
+                cluster = component_labels(len(payloads), rows[upper], csr.ids[upper])
         return _Summary(payloads, cluster, center_is_core, center_pos, summary_index)
 
     def _pass3(
@@ -594,10 +573,7 @@ class StreamingApproxDBSCAN:
         that center is core and within r̄, else its nearest ``S*``
         member's within ``(1 + ρ/2)ε``, else it is noise (``-1``)."""
         centers, payloads = net.centers, summary.payloads
-        red_r = metric.reduce_threshold(self.r_bar)
         fallback_radius = (self.rho / 2.0 + 1.0) * self.eps
-        red_fallback = metric.reduce_threshold(fallback_radius)
-        centers_view, summary_view = centers.view(), payloads.view()
         labels = np.empty(net.n_seen, dtype=np.int64)
         offset = 0
         for chunk in _reread(
@@ -608,54 +584,35 @@ class StreamingApproxDBSCAN:
         ):
             n = len(chunk)
             chunk_labels = np.full(n, -1, dtype=np.int64)
-            if self.index is not None:
-                # One probe + one flat pair evaluation + one segment
-                # argmin per chunk: every center within r̄ is a hit, so
-                # the in-radius argmin is the global one wherever it
-                # decides; rows whose nearest in-r̄ center is not core
-                # fall to the same sweep over the summary index.
-                csr, red = probe_reduced(metric, net.index, centers, chunk, self.r_bar)
-                arg, _unused = segment_argmin(red, csr.offsets)
-                covered = np.flatnonzero(arg >= 0)
-                nearest = csr.ids[arg[covered]]
-                core_ok = summary.center_is_core[nearest]
-                fast = np.zeros(n, dtype=bool)
-                fast[covered[core_ok]] = True
-                chunk_labels[fast] = summary.cluster[
-                    summary.center_pos[nearest[core_ok]]
-                ]
-                rest = np.flatnonzero(~fast)
-                if rest.size and summary.index is not None:
-                    scsr, sred = probe_reduced(
-                        metric, summary.index, payloads,
-                        [chunk[int(i)] for i in rest], fallback_radius,
-                    )
-                    sarg, _unused = segment_argmin(sred, scsr.offsets)
-                    shas = np.flatnonzero(sarg >= 0)
-                    chunk_labels[rest[shas]] = summary.cluster[scsr.ids[sarg[shas]]]
-            else:
-                block = metric.reduced_cross(chunk, centers_view)
-                nearest = block.argmin(axis=1)
-                nearest_red = block[np.arange(n), nearest]
-                fast = summary.center_is_core[nearest] & (nearest_red <= red_r)
-                chunk_labels[fast] = summary.cluster[
-                    summary.center_pos[nearest[fast]]
-                ]
-                rest = np.flatnonzero(~fast)
-                if rest.size and len(payloads):
-                    sblock = metric.reduced_cross(
-                        [chunk[int(i)] for i in rest], summary_view
-                    )
-                    spos = sblock.argmin(axis=1)
-                    ok = sblock[np.arange(rest.size), spos] <= red_fallback
-                    chunk_labels[rest[ok]] = summary.cluster[spos[ok]]
+            # One probe + one flat pair evaluation + one segment argmin
+            # per chunk: every center within r̄ is a hit, so the
+            # in-radius argmin is the global one wherever it decides;
+            # rows whose nearest in-r̄ center is not core fall to the
+            # same sweep over the summary index.
+            csr, red = probe_reduced(metric, net.index, centers, chunk, self.r_bar)
+            arg, _unused = segment_argmin(red, csr.offsets)
+            covered = np.flatnonzero(arg >= 0)
+            nearest = csr.ids[arg[covered]]
+            core_ok = summary.center_is_core[nearest]
+            fast = np.zeros(n, dtype=bool)
+            fast[covered[core_ok]] = True
+            chunk_labels[fast] = summary.cluster[summary.center_pos[nearest[core_ok]]]
+            rest = np.flatnonzero(~fast)
+            if rest.size and summary.index is not None:
+                scsr, sred = probe_reduced(
+                    metric, summary.index, payloads,
+                    [chunk[int(i)] for i in rest], fallback_radius,
+                )
+                sarg, _unused = segment_argmin(sred, scsr.offsets)
+                shas = np.flatnonzero(sarg >= 0)
+                chunk_labels[rest[shas]] = summary.cluster[scsr.ids[sarg[shas]]]
             labels[offset : offset + n] = chunk_labels
             offset += n
         return labels
 
     def _stats(self, net: _Net, summary: _Summary) -> dict:
         m_centers, n_watch = len(net.centers), len(net.watch)
-        stats = {
+        return {
             "algorithm": "our_streaming",
             "eps": self.eps,
             "min_pts": self.min_pts,
@@ -667,10 +624,8 @@ class StreamingApproxDBSCAN:
             "memory_ratio": (m_centers + n_watch) / max(net.n_seen, 1),
             "n_passes": 3,
             "n_seen": net.n_seen,
+            "index_backend": net.index.name,
         }
-        if self.index is not None:
-            stats["index_backend"] = net.index.name if net.index is not None else None
-        return stats
 
     @staticmethod
     def _fold_index_counters(
@@ -691,58 +646,3 @@ class StreamingApproxDBSCAN:
         if store_evals or store_blocks:
             timings.count("distance_evals", store_evals)
             timings.count("distance_blocks", store_blocks)
-
-    # ------------------------------------------------------------------
-
-    def _merge_offline(
-        self,
-        summary,
-        metric: Optional[Metric] = None,
-        timings: Optional[TimingBreakdown] = None,
-    ) -> np.ndarray:
-        """Line 15: merge inside ``S*`` at threshold ``(1+ρ)ε``.
-
-        ``S*`` fits in memory, so a brute-force pairwise sweep is used;
-        its cost is ``O(|S*|^2 t_dis)`` independent of ``n``.
-        """
-        metric = metric if metric is not None else self.metric
-        size = len(summary)
-        if size <= 1:
-            return np.zeros(size, dtype=np.int64)
-        payloads = summary.view()
-        # Threshold-only merge: certified decision mask instead of a
-        # float64 distance matrix.
-        mask = metric.cross_certified(
-            payloads, payloads, (1.0 + self.rho) * self.eps
-        )
-        if timings is not None:
-            timings.count(
-                "peak_center_matrix_bytes",
-                CERTIFIED_BYTES_PER_ENTRY * size * size,
-            )
-        rows, cols = np.nonzero(np.triu(mask, 1))
-        return component_labels(size, rows, cols)
-
-    def _merge_indexed(
-        self,
-        summary: MetricDataset,
-        index: NeighborIndex,
-        timings: Optional[TimingBreakdown] = None,
-    ) -> np.ndarray:
-        """Index-backed summary merge: one ``(1+ρ)ε`` range query per
-        summary point instead of the dense ``|S*|²`` block, producing
-        the identical edge set (and therefore identical components)."""
-        size = len(summary)
-        csr = index.range_query_batch_csr(
-            np.arange(size, dtype=np.intp),
-            (1.0 + self.rho) * self.eps,
-            with_distances=False,
-        )
-        if timings is not None:
-            timings.count("peak_center_matrix_bytes", 16 * int(csr.ids.size))
-        # Upper-triangle edges straight from the flat CSR arrays — the
-        # same edge set the per-row loop produced, assembled without
-        # touching Python per row.
-        rows = csr.query_rows()
-        upper = csr.ids > rows
-        return component_labels(size, rows[upper], csr.ids[upper])

@@ -7,9 +7,10 @@ the correctness reference the other backends are tested against, and
 the fastest choice for small stored sets where numpy throughput beats
 any per-query pruning overhead.
 
-Batched answers are assembled natively in CSR form — one ``np.nonzero``
-and one ``bincount`` per evaluated block instead of a per-row Python
-loop — and the tuple-list entry points are thin views over it.
+Batched answers are assembled natively in CSR form — one
+``np.flatnonzero`` and one ``bincount`` per evaluated block instead of
+a per-row Python loop — and the tuple-list entry points are thin views
+over it.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class BruteForceIndex(NeighborIndex):
             self._dists: List[np.ndarray] = []
 
         def add_block(self, hits: np.ndarray, block: Optional[np.ndarray]) -> None:
-            rows, cols = np.nonzero(hits)
+            # One flat scan: a 2-D np.nonzero is several times slower.
+            rows, cols = np.divmod(np.flatnonzero(hits), hits.shape[1])
             self._counts.append(np.bincount(rows, minlength=hits.shape[0]))
             self._ids.append(self._stored[cols])
             if self._with_distances:

@@ -8,7 +8,7 @@ tiny kernel call per query.  :class:`CSRQueryResult` is the flat
 companion: all hits of a batch concatenated row-major into ``ids`` (and
 optionally ``dists``), delimited by ``offsets`` exactly like a
 compressed-sparse-row matrix.  Backends produce it natively with one
-``np.nonzero`` per evaluated block, and consumers reduce over it with
+``np.flatnonzero`` per evaluated block, and consumers reduce over it with
 the segment helpers below instead of looping rows.
 
 Within each row the ids keep the interface contract of

@@ -496,7 +496,8 @@ class GridIndex(NeighborIndex):
                         block = metric.reduced_cross(queries, targets)
                         hits = block <= red[rows, None]
                     self._count(hits.size)
-                    r, c = np.nonzero(hits)
+                    # One flat scan: a 2-D np.nonzero is several times slower.
+                    r, c = np.divmod(np.flatnonzero(hits), hits.shape[1])
                     qidx.append(rows[r])
                     hit_ids.append(cand[c])
                     if with_distances:

@@ -144,7 +144,8 @@ class CosineMetric(Metric):
         precision.stats.n_certified += neg_cos.size - n_band
         precision.stats.n_rescued += n_band
         if n_band:
-            rows, cols = np.nonzero(uncertain)
+            # One flat scan: a 2-D np.nonzero is several times slower.
+            rows, cols = np.divmod(np.flatnonzero(uncertain), uncertain.shape[1])
             exact = np.einsum("ij,ij->i", uq[rows], ut[cols])
             np.clip(exact, -1.0, 1.0, out=exact)
             passed[rows, cols] = -exact <= red_thr

@@ -166,7 +166,8 @@ class EuclideanMetric(Metric):
                 # e.g. 2r̄ refinement queries on far-from-origin data):
                 # one float64 block kernel beats a per-pair gather.
                 return self.reduced_cross(queries, targets) <= thr2
-            rows, cols = np.nonzero(uncertain)
+            # One flat scan: a 2-D np.nonzero is several times slower.
+            rows, cols = np.divmod(np.flatnonzero(uncertain), uncertain.shape[1])
             exact = self.reduced_pair_distances(queries[rows], targets[cols])
             passed[rows, cols] = exact <= thr2
         return passed

@@ -21,7 +21,8 @@ from repro import (
 )
 from repro.core.windowed import WindowedApproxDBSCAN
 from repro.datasets import make_blobs, make_moons
-from repro.metricspace import EuclideanMetric, Metric
+from repro.metricspace import CosineMetric, EuclideanMetric, Metric
+from repro.metricspace.precision import RESCUE_DENSE_FRAC
 
 
 class ScalarizedEuclidean(Metric):
@@ -188,6 +189,37 @@ def test_cascade_rescues_near_duplicates(force_float32):
     )
     stats = force_float32
     assert stats.n_rescued >= 16  # at least the diagonal band pairs
+
+
+@pytest.mark.parametrize("metric", [EuclideanMetric(), CosineMetric()],
+                         ids=["euclidean", "cosine"])
+@pytest.mark.parametrize("n_queries,n_targets", [(6, 40), (40, 6)],
+                         ids=["more-targets", "more-queries"])
+def test_cascade_rescues_band_pairs_in_any_block_shape(
+    force_float32, metric, n_queries, n_targets
+):
+    """Four pairs sit 1e-7 (relative) from the threshold, inside the
+    float32 band, among random pairs far from it.  So few band pairs
+    take the per-pair rescue, not the dense fallback, and a row/column
+    mix-up in locating them fails one of the two block shapes."""
+    rng = np.random.default_rng(3)
+    dim, thr = 8, 0.5
+    queries = rng.normal(size=(n_queries, dim))
+    targets = rng.normal(size=(n_targets, dim))
+    for k, (i, j) in enumerate([(0, 1), (1, 3), (2, 5), (3, 0)]):
+        q = queries[i]
+        w = rng.normal(size=dim)
+        w -= (w @ q) / (q @ q) * q
+        w /= np.linalg.norm(w)
+        step = thr * (1.0 + (1e-7 if k % 2 else -1e-7))
+        if isinstance(metric, CosineMetric):  # angle ``step`` from q
+            targets[j] = np.cos(step) * q / np.linalg.norm(q) + np.sin(step) * w
+        else:  # distance ``step`` from q
+            targets[j] = q + step * w
+    mask = metric.cross_certified(queries, targets, thr)
+    want = metric.reduced_cross(queries, targets) <= metric.reduce_threshold(thr)
+    np.testing.assert_array_equal(mask, want)
+    assert 4 <= force_float32.n_rescued < RESCUE_DENSE_FRAC * mask.size
 
 
 @pytest.mark.parametrize("backend", ["auto", "brute", "grid", "covertree"])

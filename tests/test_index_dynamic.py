@@ -6,8 +6,9 @@ built fresh over the union, for every backend — the Gonzalez loop, the
 streaming passes and the windowed maintenance all rely on it.  On top
 sit the auto-policy grid probe, the grid kNN ring-delta cache, the bulk cover-tree build, and the solver-level
 regressions: Algorithm 1 materializes no dense ``|E|²`` matrix on any
-path, and streaming/windowed labels with ``index=`` match the
-dense-scan path bit for bit.
+path, streaming labels under every backend match the index-free
+per-element reference bit for bit, and windowed labels with ``index=``
+match the dense-scan model.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.index import (
 from repro.index.registry import DEFAULT_INDEX_ENV
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset
+from test_streaming_batched import PerElementReference
 
 BACKENDS = ("brute", "grid", "covertree")
 
@@ -364,6 +366,15 @@ class TestGonzalezIndexBacked:
         )
 
 
+def index_free_streaming(solver, dataset):
+    """Labels and footprint of the index-free per-element reference
+    run with ``solver``'s parameters over ``dataset``'s points."""
+    labels, stats, _ = PerElementReference(solver, index_free=True).fit_stream(
+        lambda: iter(list(dataset.points)), metric=dataset.metric
+    )
+    return labels, stats
+
+
 class TestStreamingIndexed:
     @pytest.mark.parametrize("backend", BACKENDS + ("auto",))
     def test_labels_bit_identical_to_dense(self, backend):
@@ -375,25 +386,22 @@ class TestStreamingIndexed:
         ])
         rng.shuffle(pts)
         ds = MetricDataset(pts)
-        dense = StreamingApproxDBSCAN(0.6, 5, rho=0.5).fit(ds)
-        got = StreamingApproxDBSCAN(0.6, 5, rho=0.5, index=backend).fit(
-            MetricDataset(pts)
-        )
-        np.testing.assert_array_equal(dense.labels, got.labels)
+        solver = StreamingApproxDBSCAN(0.6, 5, rho=0.5, index=backend)
+        labels, stats = index_free_streaming(solver, ds)
+        got = solver.fit(ds)
+        np.testing.assert_array_equal(labels, got.labels)
         assert got.stats["index_backend"] in BACKENDS
         assert got.timings.counters["n_range_queries"] > 0
         # Memory accounting is index-independent.
-        assert got.stats["memory_points"] == dense.stats["memory_points"]
+        assert got.stats["memory_points"] == stats["memory_points"]
 
     def test_text_stream_with_covertree(self, text_dataset):
         ds, _ = text_dataset
-        dense = StreamingApproxDBSCAN(
-            2.0, 3, rho=0.5, metric=EditDistanceMetric()
-        ).fit(ds)
-        got = StreamingApproxDBSCAN(
+        solver = StreamingApproxDBSCAN(
             2.0, 3, rho=0.5, metric=EditDistanceMetric(), index="covertree"
-        ).fit(ds)
-        np.testing.assert_array_equal(dense.labels, got.labels)
+        )
+        labels, _ = index_free_streaming(solver, ds)
+        np.testing.assert_array_equal(labels, solver.fit(ds).labels)
 
     def test_three_passes_preserved(self):
         from repro.datasets import ReplayStream

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import StreamingApproxDBSCAN
 from repro.datasets import ReplayStream, make_blobs, make_session_stream
+from repro.index.registry import DEFAULT_INDEX_ENV
 from repro.metricspace import EditDistanceMetric, MetricDataset
 
 from conftest import bfs_dbscan, same_cluster_pairs
@@ -118,6 +119,22 @@ class TestStreamingProtocol:
         solver = StreamingApproxDBSCAN(1.0, 2, rho=0.5)  # Euclidean default
         with pytest.raises(ValueError):
             solver.fit(ds)
+
+
+class TestDefaultIndex:
+    """``index=None`` is the process default, as in the batch solvers."""
+
+    @pytest.mark.parametrize("backend", ["brute", "grid", "covertree"])
+    def test_backend_follows_the_process_default(self, monkeypatch, backend):
+        monkeypatch.setenv(DEFAULT_INDEX_ENV, backend)
+        result = StreamingApproxDBSCAN(0.6, 5, rho=0.5).fit(random_instance(23))
+        assert result.stats["index_backend"] == backend
+
+    def test_default_fit_reports_its_work(self):
+        result = StreamingApproxDBSCAN(0.6, 5, rho=0.5).fit(random_instance(24))
+        counters = result.timings.counters
+        assert counters["distance_evals"] > 0
+        assert counters["n_range_queries"] > 0
 
 
 class TestDriftStream:

@@ -12,16 +12,16 @@ Two load-bearing properties:
    on its own against the chunk-start snapshot plus the centers born
    earlier in the chunk, and the indexed passes consume their index
    answers row by row.  The production passes (one shared epoch loop
-   for pass 1, CSR sweeps for passes 2 and 3) must reproduce its
-   labels and footprint exactly, dense and under every index setting,
-   and with an index its deterministic work counters
-   (``distance_evals``, ``n_candidates``, ``n_range_queries``) — not
-   merely close.
+   for pass 1, CSR sweeps for passes 2 and 3) must reproduce the
+   index-free reference's labels and footprint exactly under every
+   index setting, and the indexed reference's deterministic work
+   counters (``distance_evals``, ``n_candidates``,
+   ``n_range_queries``) — not merely close.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -206,6 +206,28 @@ class TestBackendCSREquivalence:
         )
         self._assert_match(csr, rows, with_distances)
 
+    @pytest.mark.parametrize("n_stored", [30, 240], ids=["more-queries", "fewer-queries"])
+    def test_block_shapes_match_direct_distances(self, backend, n_stored):
+        """120 queries against 30 or 240 stored points: blocks with more
+        queries than stored points and with fewer, so a row/column
+        mix-up in the flat hit assembly fails one of them."""
+        ds = self._dataset()
+        index = build_index(
+            backend, ds, indices=np.arange(n_stored), radius_hint=1.8
+        )
+        queries = np.arange(0, ds.n, 2, dtype=np.intp)
+        d = np.linalg.norm(
+            ds.points[queries, None, :] - ds.points[None, :n_stored, :], axis=2
+        )
+        want_rows, want_ids = np.nonzero(d <= 1.8)
+        assert want_ids.size > 0
+        for csr in (
+            index.range_query_batch_csr(queries, 1.8, with_distances=False),
+            index.range_query_points_csr(ds.points[queries], 1.8),
+        ):
+            np.testing.assert_array_equal(csr.query_rows(), want_rows)
+            np.testing.assert_array_equal(csr.ids, want_ids)
+
     def test_counters_advance_identically(self, backend):
         ds = self._dataset()
         a = build_index(backend, ds, radius_hint=1.8)
@@ -242,29 +264,41 @@ class PerElementReference:
     ``solver``.
 
     Pass 1 reads the stream in the production chunks.  Each chunk's
-    snapshot is one dense block against the centers (no index) or one
-    range query of the center index.  Every arrival then gets one
-    ``reduced_distance_many`` call — to its snapshot hits plus the
-    centers born earlier in the chunk (indexed), or to those births
-    alone, next to its block row (dense) — counts its ε-hits, takes the
-    first argmin, and becomes a center, a watch-list entry, or neither.  Pass 2 counts each watch point's ε-ball from the
-    watch index row by row; pass 3 labels row by row through the center
-    and summary indexes.  Without an index, passes 2 and 3 scan the
-    same dense blocks as the solver.
+    snapshot is one range query of the center index, or, with
+    ``index_free=True``, one dense block against the centers.  Every
+    arrival then gets one ``reduced_distance_many`` call — to its
+    snapshot hits plus the centers born earlier in the chunk (indexed),
+    or to those births alone, next to its block row (index-free) —
+    counts its ε-hits, takes the first argmin, and becomes a center, a
+    watch-list entry, or neither.  Indexed, pass 2 counts each watch
+    point's ε-ball and merges ``S*`` from the watch and summary indexes
+    row by row, and pass 3 labels row by row through the center and
+    summary indexes.  Index-free, passes 2 and 3 scan dense blocks:
+    certified masks for the recount and the merge, float64 argmins for
+    the labels.
+
+    The indexed reference builds its indexes from ``solver.index``
+    (``None`` resolving to the process default, as in the solver), so
+    it checks the solver's work counters, not its labels: the labels
+    are checked against the index-free reference, which builds no index
+    and so cannot share a backend's mistake.
     """
 
-    def __init__(self, solver: StreamingApproxDBSCAN) -> None:
+    def __init__(self, solver: StreamingApproxDBSCAN, index_free: bool = False) -> None:
         self.solver = solver
+        self.index_free = index_free
 
     def _spec(self):
         spec = self.solver.index
         return spec.spawn() if isinstance(spec, NeighborIndex) else spec
 
-    def fit_stream(self, factory, metric=None) -> Tuple[np.ndarray, Dict, Dict]:
-        """Labels, footprint stats and (indexed) work counters."""
+    def fit_stream(self, factory, metric=None) -> Tuple[np.ndarray, Dict, Optional[Dict]]:
+        """Labels, footprint stats and work counters (``None`` when
+        index-free)."""
         cfg = self.solver
         metric = metric if metric is not None else cfg.metric
         spec = cfg.index
+        indexed = not self.index_free
         eps, min_pts, rho = cfg.eps, cfg.min_pts, cfg.rho
         red_eps = metric.reduce_threshold(eps)
         red_r = metric.reduce_threshold(cfg.r_bar)
@@ -281,14 +315,14 @@ class PerElementReference:
             factory(), lambda: rows_per_block(max(1, len(centers)))
         ):
             m0 = len(centers)
-            if m0 and spec is not None:
+            if m0 and indexed:
                 snapshot = center_index.range_query_points(
                     chunk, probe, with_distances=False
                 )
             elif m0:
                 block = metric.reduced_cross(chunk, centers.view())
             for i, payload in enumerate(chunk):
-                if spec is not None:
+                if indexed:
                     cand = np.arange(m0, len(centers), dtype=np.intp)
                     if m0:
                         cand = np.concatenate([snapshot[i][0], cand])
@@ -324,7 +358,7 @@ class PerElementReference:
                     watch.append(payload)
                     watch_center.append(nearest)
                     watch_is_center.append(False)
-            if spec is not None and len(centers) > m0:
+            if indexed and len(centers) > m0:
                 if center_index is None:
                     center_index = build_index(spec, centers, radius_hint=probe)
                 else:
@@ -335,7 +369,7 @@ class PerElementReference:
         # -- pass 2: recount, S*, merge --------------------------------
         counts = np.zeros(len(watch), dtype=np.int64)
         watch_index = None
-        if spec is not None and len(watch):
+        if indexed:
             watch_index = build_index(self._spec(), watch, radius_hint=eps)
         for chunk in stream_chunks(factory(), lambda: rows_per_block(len(watch))):
             if watch_index is not None:
@@ -362,7 +396,7 @@ class PerElementReference:
         size = len(summary)
         merge_radius = (1.0 + rho) * eps
         summary_index = None
-        if spec is not None and size > 1:
+        if indexed and size:
             summary_index = build_index(
                 self._spec(), summary, radius_hint=merge_radius
             )
@@ -370,7 +404,7 @@ class PerElementReference:
                 np.arange(size, dtype=np.intp), merge_radius, with_distances=False
             )
             edges = [(a, int(b)) for a, (ids, _) in enumerate(rows) for b in ids if b > a]
-        elif size > 1:
+        elif size:
             mask = metric.cross_certified(summary.view(), summary.view(), merge_radius)
             edges = list(zip(*np.nonzero(np.triu(mask, 1))))
         else:
@@ -379,8 +413,6 @@ class PerElementReference:
             size, [a for a, _ in edges], [b for _, b in edges]
         )
         fallback = (1.0 + rho / 2.0) * eps
-        if spec is not None and summary_index is None and size:
-            summary_index = build_index(self._spec(), summary, radius_hint=fallback)
 
         # -- pass 3 ----------------------------------------------------
         labels: List[int] = []
@@ -388,7 +420,7 @@ class PerElementReference:
             factory(), lambda: rows_per_block(max(1, len(centers) + size))
         ):
             chunk_labels = [-1] * len(chunk)
-            if spec is not None:
+            if indexed:
                 rest = []
                 hits = center_index.range_query_points(
                     chunk, cfg.r_bar, with_distances=False
@@ -437,6 +469,8 @@ class PerElementReference:
             "summary_size": size,
             "memory_points": len(centers) + len(watch),
         }
+        if not indexed:
+            return np.asarray(labels, dtype=np.int64), stats, None
         work = dict.fromkeys(COUNTER_KEYS, 0)
         for idx in (center_index, watch_index, summary_index):
             if idx is not None:
@@ -449,16 +483,26 @@ class PerElementReference:
         return np.asarray(labels, dtype=np.int64), stats, work
 
 
-def _assert_matches_reference(result, reference, indexed: bool) -> None:
+def _assert_matches_reference(result, reference) -> None:
     labels, stats, work = reference
     # Bit-identical labels — not up-to-relabeling, *identical*: both
     # visit arrivals in the same order and must make the same
     # center/watch/label decisions.
     np.testing.assert_array_equal(result.labels, labels)
     assert {k: result.stats[k] for k in STATS_KEYS} == stats
-    if indexed:
+    if work is not None:
         # Same evaluations, only scheduled differently.
         assert _counters(result) == work
+
+
+def _assert_matches_references(solver, result, factory, metric=None, oracle=None):
+    """``result`` (a fit of ``solver``) against the index-free
+    reference (``oracle``, computed when not given) and, for its work
+    counters, the reference indexed like the solver."""
+    if oracle is None:
+        oracle = PerElementReference(solver, index_free=True).fit_stream(factory, metric)
+    _assert_matches_reference(result, oracle)
+    _assert_matches_reference(result, PerElementReference(solver).fit_stream(factory, metric))
 
 
 # ----------------------------------------------------------------------
@@ -497,19 +541,19 @@ def _blob_streams(draw):
 )
 def test_chunk_steps_match_per_element_reference(stream, rho, min_pts, max_chunk):
     """Small chunks put every pass-1 chunk after the first on the
-    snapshot branch, dense and indexed alike.  ε is a multiple of the
+    snapshot branch, under every index setting.  ε is a multiple of the
     lattice step, so lattice streams also tie exactly at ε and r̄."""
     pts, dim = stream
     eps = {1: 0.5, 2: 0.75, 5: 1.0}[dim]
     ds = MetricDataset(pts)
     with mock.patch.object(streaming, "_MAX_CHUNK", max_chunk):
+        oracle = PerElementReference(
+            StreamingApproxDBSCAN(eps, min_pts, rho=rho), index_free=True
+        ).fit_stream(lambda: iter(pts), metric=ds.metric)
         for spec in (None,) + INDEX_SETTINGS:
             solver = StreamingApproxDBSCAN(eps, min_pts, rho=rho, index=spec)
-            reference = PerElementReference(solver).fit_stream(
-                lambda: iter(pts), metric=ds.metric
-            )
-            _assert_matches_reference(
-                solver.fit(ds), reference, indexed=spec is not None
+            _assert_matches_references(
+                solver, solver.fit(ds), lambda: iter(pts), ds.metric, oracle
             )
 
 
@@ -525,29 +569,34 @@ def test_argmin_ties_go_to_the_older_center(monkeypatch, spec, max_chunk):
     pts = np.array([[0.0], [0.0], [0.0], [1.0], [0.5]])
     solver = StreamingApproxDBSCAN(0.5, 3, rho=2.0, index=spec)
     result = solver.fit(MetricDataset(pts))
-    reference = PerElementReference(solver).fit_stream(lambda: iter(pts))
-    _assert_matches_reference(result, reference, indexed=spec is not None)
+    _assert_matches_references(solver, result, lambda: iter(pts))
     assert result.stats["watch_size"] == 3  # both centers and the second 0.0
 
 
-@pytest.mark.parametrize("spec", (None, "auto", "brute", "grid"))
-def test_stream_beyond_one_chunk_matches_reference(spec):
-    """Unpatched chunking: the first 4096 arrivals meet no centers, the
-    rest take the chunk-start snapshot.  (The cover tree takes seconds
-    here; the property above covers its snapshots.)"""
+@pytest.fixture(scope="module")
+def beyond_one_chunk():
+    """5,000 blob points and the index-free reference's answer on them."""
     pts, _ = make_blobs(
         n=5000, n_clusters=4, dim=2, std=0.35, spread=9.0,
         outlier_fraction=0.04, seed=21,
     )
+    oracle = PerElementReference(
+        StreamingApproxDBSCAN(0.7, 6, rho=0.5), index_free=True
+    ).fit_stream(lambda: iter(pts))
+    return pts, oracle
+
+
+@pytest.mark.parametrize("spec", (None, "auto", "brute", "grid"))
+def test_stream_beyond_one_chunk_matches_reference(beyond_one_chunk, spec):
+    """Unpatched chunking: the first 4096 arrivals meet no centers, the
+    rest take the chunk-start snapshot.  (The cover tree takes seconds
+    here; the property above covers its snapshots.)"""
+    pts, oracle = beyond_one_chunk
     ds = MetricDataset(pts)
     solver = StreamingApproxDBSCAN(0.7, 6, rho=0.5, index=spec)
     result = solver.fit(ds)
-    reference = PerElementReference(solver).fit_stream(
-        lambda: iter(pts), metric=ds.metric
-    )
-    _assert_matches_reference(result, reference, indexed=spec is not None)
-    if spec is not None:
-        assert _counters(result)["n_range_queries"] > 0
+    _assert_matches_references(solver, result, lambda: iter(pts), ds.metric, oracle)
+    assert _counters(result)["n_range_queries"] > 0
 
 
 @pytest.mark.parametrize("spec", ("auto", "brute", "covertree"))
@@ -562,19 +611,20 @@ def test_epoch_parity_edit_distance_stream(monkeypatch, spec):
     def factory():
         return iter(list(words))
 
+    oracle = PerElementReference(
+        StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric), index_free=True
+    ).fit_stream(factory)
     for index in (None, spec):
         solver = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric, index=index)
-        _assert_matches_reference(
-            solver.fit_stream(factory),
-            PerElementReference(solver).fit_stream(factory),
-            indexed=index is not None,
+        _assert_matches_references(
+            solver, solver.fit_stream(factory), factory, oracle=oracle
         )
 
 
 def test_grid_env_preference_falls_back_for_strings(monkeypatch):
     """A process-wide grid preference must not break string streams:
     the registry falls back to the auto policy for metrics grid cannot
-    serve, and the indexed path still matches dense labels."""
+    serve, and the labels still match the index-free reference."""
     monkeypatch.setenv(DEFAULT_INDEX_ENV, "grid")
     words = _words(n=120, seed=5)
     metric = EditDistanceMetric()
@@ -582,11 +632,13 @@ def test_grid_env_preference_falls_back_for_strings(monkeypatch):
     def factory():
         return iter(list(words))
 
-    dense = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric).fit_stream(factory)
-    indexed = StreamingApproxDBSCAN(
-        2.0, 4, rho=0.5, metric=metric, index="auto"
-    ).fit_stream(factory)
-    np.testing.assert_array_equal(indexed.labels, dense.labels)
+    default = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric)
+    oracle = PerElementReference(default, index_free=True).fit_stream(factory)
+    result = default.fit_stream(factory)
+    assert result.stats["index_backend"] != "grid"
+    _assert_matches_reference(result, oracle)
+    auto = StreamingApproxDBSCAN(2.0, 4, rho=0.5, metric=metric, index="auto")
+    _assert_matches_reference(auto.fit_stream(factory), oracle)
 
 
 # ----------------------------------------------------------------------

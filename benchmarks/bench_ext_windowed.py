@@ -12,6 +12,9 @@ and drift") from the paper's conclusion, implemented in
   ``delete_batch`` at a ``window ≈ 10k`` stream.  The grid-indexed
   model must give the same view as the index-free (dense-scan) model
   on the same stream; the ``evict_index`` phase is the eviction cost.
+  Each model then times ``predict`` over the stream's last
+  ``READ_POINTS`` arrivals (series ``read/grid`` and ``read/none``):
+  a read scans the core centers the cluster refresh gathered.
 - **decay**: the TTL / exponential-decay scenarios of
   :class:`DecayingApproxDBSCAN` against the DBStream and D-Stream
   damped-window baselines — recency-view ARI on the stream's last
@@ -40,6 +43,8 @@ WINDOW = 1000
 #: Eviction leg: ``window ≈ 10k`` with one expiry per 200 arrivals.
 EVICT_WINDOW = 10_000
 EVICT_BUCKETS = 50
+#: Eviction leg: ``predict`` is timed over this many final arrivals.
+READ_POINTS = 1000
 #: Decay leg parameters (per-arrival λ; D-Stream takes it as a factor).
 DECAY_LAMBDA = 0.002
 DECAY_EPS = 1.5
@@ -95,7 +100,8 @@ def run_drift(quick=False):
 
 def run_eviction(quick=False):
     """Bucket expiry through the grid's ``delete_batch`` at window ≈ 10k,
-    checked against the index-free model on the same stream."""
+    checked against the index-free model on the same stream, then the
+    read cost of each model."""
     n = 2 * EVICT_WINDOW
     rng = np.random.default_rng(0)
     stream = [rng.normal([t / 200.0, 0.0], 1.0) for t in range(n)]
@@ -108,15 +114,26 @@ def run_eviction(quick=False):
         )
         _, seconds = timed(lambda: model.insert_many(stream))
         evict = model.timings.phases.get("evict_index", 0.0)
+        n_core = model.n_core_centers  # the refresh runs here, untimed
+        reads, read_seconds = timed(
+            lambda: [model.predict(p) for p in stream[-READ_POINTS:]]
+        )
         views[index] = (
-            [model.predict(p) for p in probes],
+            [model.predict(p) for p in probes] + reads,
             model.n_clusters,
             model.n_live_centers,
         )
+        per_read = read_seconds / READ_POINTS
         rows.append((
             f"window={EVICT_WINDOW}", f"index={index}",
             f"{seconds:.2f}", f"{evict:.3f}",
-            model.n_evict_deletes, model.n_live_centers,
+            model.n_evict_deletes, model.n_live_centers, n_core,
+            f"{per_read * 1e6:.0f}",
+        ))
+        series.append(series_entry(
+            f"read/{str(index).lower()}",
+            predict_seconds=per_read,
+            n_core=n_core,
         ))
         if index is not None:
             series.append(series_entry(
@@ -197,12 +214,13 @@ def write_ext_windowed_report(
         lines += [
             "",
             "Bucket-expiry eviction (grid index against the index-free "
-            "model; identical views)",
+            f"model; identical views), then predict over the last {READ_POINTS} "
+            "arrivals",
             "",
         ]
         lines += format_table(
             ["stream", "index", "wall (s)", "evict_index (s)",
-             "deletes", "live centers"],
+             "deletes", "live centers", "core centers", "µs per predict"],
             evict_rows,
         )
     if decay_rows:

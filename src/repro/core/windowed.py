@@ -18,8 +18,10 @@ principled forgetting variants on top of the same net machinery:
 
 Both share the :class:`_CenterStoreBase` slot store: centers live in
 recyclable slots of a :class:`~repro.metricspace.dataset.GrowingMetricDataset`
-so an optional :mod:`repro.index` backend can answer every arrival /
-predict / cluster-refresh probe as a range query.  Eviction removes the
+so an optional :mod:`repro.index` backend can answer each ingest chunk's
+probe and each cluster refresh's core-center merge as range queries.
+Reads never touch it: a refresh keeps the core payloads it gathers, and
+``predict`` scans them, O(#core) per call.  Eviction removes the
 expired centers with one ``delete_batch`` per expiry.  The cover tree
 keeps deleted ids as tombstones until it rebuilds
 (:attr:`~repro.index.covertree.CoverTreeIndex.tombstones`); their slots
@@ -71,7 +73,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -163,8 +166,7 @@ class _CenterStoreBase:
         # Threshold tests run in the metric's reduced space.
         self._red_eps = self.metric.reduce_threshold(self.eps)
         self._red_r_bar = self.metric.reduce_threshold(self.r_bar)
-        self._predict_radius = (1.0 + self.rho / 2.0) * self.eps
-        self._red_predict = self.metric.reduce_threshold(self._predict_radius)
+        self._red_predict = self.metric.reduce_threshold((1.0 + self.rho / 2.0) * self.eps)
 
         self._store = GrowingMetricDataset(self.metric)  # payload per slot
         self._alive = np.zeros(16, dtype=bool)  # per slot
@@ -175,21 +177,23 @@ class _CenterStoreBase:
         self._quarantined: List[int] = []
         self.index = index
         self._index: Optional[NeighborIndex] = None
+        #: The current index's counters as last folded into ``timings``.
+        self._index_folded: Dict[str, int] = {}
         self._probe_radius = max(self.eps, self.r_bar)
         #: ``delete_batch`` evictions performed.
         self.n_evict_deletes = 0
         self._n_seen = 0
-        # The cluster view, cached at refresh: core slots ascending,
-        # each slot's cluster (-1 unless core) and the cluster count.
+        # The cluster view, cached at refresh: the core payloads in
+        # ascending slot order, each one's cluster and the cluster count.
         self._clusters_dirty = True
-        self._core_slots = np.empty(0, dtype=np.intp)
-        self._slot_cluster = np.empty(0, dtype=np.int64)
+        self._core_block: Any = None
+        self._core_cluster = np.empty(0, dtype=np.int64)
         self._n_clusters = 0
         #: Cumulative instrumentation across the model's lifetime:
-        #: every cluster refresh records a ``refresh_clusters`` phase
-        #: with per-refresh counter deltas (store evals, index queries,
-        #: cascade stats) folded through a :class:`CounterScope`, and
-        #: eviction index maintenance records an ``evict_index`` phase.
+        #: every ``insert_many`` call and every cluster refresh folds
+        #: its counter deltas (store evals, index queries, cascade
+        #: stats); a refresh is a ``refresh_clusters`` phase, and
+        #: eviction index maintenance an ``evict_index`` phase.
         self.timings = TimingBreakdown()
 
     # ------------------------------------------------------------------
@@ -252,9 +256,25 @@ class _CenterStoreBase:
         per-arrival loop's.  A chunk with a NaN/inf payload is rejected
         whole; earlier chunks stay ingested.
         """
-        for chunk in stream_chunks(payloads, self._chunk_size):
-            self._check_payloads(chunk)
-            self._ingest_chunk(chunk)
+        with self._counted():
+            for chunk in stream_chunks(payloads, self._chunk_size):
+                self._check_payloads(chunk)
+                self._ingest_chunk(chunk)
+
+    @contextmanager
+    def _counted(self) -> Iterator[None]:
+        """Fold the store's and the index's counter deltas over the
+        block into ``timings``."""
+        with CounterScope(self.timings, dataset=self._store):
+            try:
+                yield
+            finally:
+                self._fold_index_counters()
+
+    def _fold_index_counters(self) -> None:
+        if self._index is not None:
+            self._index.fold_counters_into(self.timings, self._index_folded)
+            self._index_folded = self._index.counters()
 
     def _chunk_size(self) -> int:
         return min(self._chunk_limit(), rows_per_block(max(1, self._n_live)))
@@ -277,6 +297,8 @@ class _CenterStoreBase:
         elif self.index is None and self._n_live:
             alive = self._alive_slots()
             block = self.metric.reduced_cross(chunk, self._store.gather(alive))
+            self._store.n_cross_blocks += 1
+            self._store.n_cross_evals += block.size
             best = block.min(axis=1)
             # One flat scan: a 2-D np.nonzero is several times slower.
             rows, cols = np.divmod(
@@ -349,7 +371,8 @@ class _CenterStoreBase:
             self._index.delete_batch(np.sort(dead))
             self.n_evict_deletes += 1
             if self._index.n_stored == 0:
-                self._index = None
+                self._fold_index_counters()
+                self._index, self._index_folded = None, {}
             self._quarantined.extend(slots)
             self._reclaim_quarantined()
 
@@ -381,19 +404,13 @@ class _CenterStoreBase:
     def _refresh_clusters(self) -> None:
         if not self._clusters_dirty:
             return
-        with self.timings.phase("refresh_clusters"), CounterScope(
-            self.timings, dataset=self._store
-        ):
-            index_before = (
-                self._index.counters() if self._index is not None else None
-            )
+        with self.timings.phase("refresh_clusters"), self._counted():
             self._refresh_clusters_inner()
-            if self._index is not None:
-                self._index.fold_counters_into(self.timings, index_before)
 
     def _refresh_clusters_inner(self) -> None:
         alive = self._alive_slots()
         core = alive[self._core_mask(alive)]
+        block = self._store.gather(core)
         threshold = (1.0 + self.rho) * self.eps
         rows = cols = np.empty(0, dtype=np.int64)
         if core.size > 1 and self._index is not None:
@@ -414,14 +431,14 @@ class _CenterStoreBase:
             # One certified decision block over the core centers
             # replaces the per-center sweep — the merge needs only the
             # ``<= threshold`` verdicts.
-            batch = self._store.gather(core)
-            mask = self.metric.cross_certified(batch, batch, threshold)
+            mask = self.metric.cross_certified(block, block, threshold)
+            self._store.n_cross_blocks += 1
+            self._store.n_cross_evals += mask.size
             # One flat scan: a 2-D np.nonzero is several times slower.
             rows, cols = np.divmod(np.flatnonzero(np.triu(mask, 1)), mask.shape[1])
         labels = component_labels(core.size, rows, cols)
-        self._core_slots = core
-        self._slot_cluster = np.full(len(self._store), -1, dtype=np.int64)
-        self._slot_cluster[core] = labels
+        self._core_block = block
+        self._core_cluster = labels
         self._n_clusters = int(labels.max()) + 1 if labels.size else 0
         self._clusters_dirty = False
 
@@ -429,28 +446,19 @@ class _CenterStoreBase:
         """Cluster id for a query point against the current view.
 
         Returns the cluster of the nearest live *core* center within
-        ``(1 + ρ/2)ε``, else ``-1`` (noise / forgotten region).  A NaN
-        or infinite vector query raises ``ValueError``.
+        ``(1 + ρ/2)ε`` (ties to the lowest slot), else ``-1`` (noise /
+        forgotten region).  One scan of the core payloads the last
+        cluster refresh gathered, O(#core) per call; the index is not
+        read.  A NaN or infinite vector query raises ``ValueError``.
         """
         self._check_payloads(payload, "query payloads")
         self._refresh_clusters()
-        if not self._core_slots.size:
+        if not self._core_cluster.size:
             return -1
-        if self._index is not None:
-            # Every hit is within the radius already; keep the core ones.
-            hits = self._index.range_query_points(
-                [payload], self._predict_radius, with_distances=False
-            )[0][0]
-            cand = hits[self._slot_cluster[hits] >= 0]
-            if not cand.size:
-                return -1
-            red = self.metric.reduced_distance_many(payload, self._store.gather(cand))
-            return int(self._slot_cluster[cand[int(np.argmin(red))]])
-        core = self._core_slots
-        red = self.metric.reduced_distance_many(payload, self._store.gather(core))
+        red = self.metric.reduced_distance_many(payload, self._core_block)
         pos = int(np.argmin(red))
         if float(red[pos]) <= self._red_predict:
-            return int(self._slot_cluster[core[pos]])
+            return int(self._core_cluster[pos])
         return -1
 
     @property
@@ -458,6 +466,12 @@ class _CenterStoreBase:
         """Number of clusters in the current view."""
         self._refresh_clusters()
         return self._n_clusters
+
+    @property
+    def n_core_centers(self) -> int:
+        """Core centers in the current view (what ``predict`` scans)."""
+        self._refresh_clusters()
+        return int(self._core_cluster.size)
 
     @property
     def n_live_centers(self) -> int:
@@ -495,8 +509,9 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
         Distance function over payloads (Euclidean default).
     index:
         Optional :mod:`repro.index` backend spec.  When set, an index
-        over the live-center store answers every arrival / predict /
-        cluster-refresh probe as a range query: each chunk's new
+        over the live-center store answers each ingest chunk's probe
+        and each cluster refresh as range queries (``predict`` scans
+        the refresh's core payloads instead): each chunk's new
         centers are inserted with one ``insert_batch``, and bucket
         expiry evicts the expired slots with one ``delete_batch``
         (``n_evict_deletes`` counts them).  Clustering output is

@@ -56,11 +56,21 @@ def component_roots(n: int, a, b) -> np.ndarray:
 def first_seen_labels(keys: np.ndarray) -> np.ndarray:
     """Dense ids ``0..k-1`` for ``keys``, numbered in order of first
     appearance — applied to component roots read in some element order,
-    this is :meth:`UnionFind.component_labels` over that order."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
-    return rank[inverse.ravel()]
+    this is :meth:`UnionFind.component_labels` over that order.
+
+    The keys are element indices (non-negative integers), so no sort is
+    needed: ``np.minimum.at`` scatters each key's first position, and a
+    running count of the positions that are some key's first gives the
+    ids, in O(#keys + max key)."""
+    keys = np.asarray(keys, dtype=np.int64).ravel()
+    if not keys.size:
+        return np.empty(0, dtype=np.int64)
+    first = np.full(int(keys.max()) + 1, keys.size, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    first = first[keys]
+    head = np.zeros(keys.size, dtype=bool)
+    head[first] = True
+    return (np.cumsum(head) - 1)[first]
 
 
 def component_labels(n: int, a, b) -> np.ndarray:

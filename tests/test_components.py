@@ -74,7 +74,37 @@ def test_first_seen_labels_match_union_find(graph, data):
     assert component_labels(n, a, b).tolist() == [all_nodes[u] for u in range(n)]
 
 
+def unique_first_seen(keys):
+    """First-appearance ids through one ``np.unique`` sort."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    return rank[inverse.ravel()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_seen_labels_match_unique_formulation(data):
+    """Keys repeat, and their first appearances run out of key order."""
+    top = data.draw(st.integers(0, 60), label="max key")
+    keys = np.asarray(
+        data.draw(st.lists(st.integers(0, top), max_size=150), label="keys"),
+        dtype=np.int64,
+    )
+    keys = np.concatenate([keys, keys[::-1], keys[: keys.size // 2]])
+    got = first_seen_labels(keys)
+    assert got.dtype == np.int64
+    assert got.tolist() == unique_first_seen(keys).tolist()
+
+
+def test_first_seen_labels_at_scale():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 200_000, 500_000) * 5
+    assert np.array_equal(first_seen_labels(keys), unique_first_seen(keys))
+
+
 def test_labels_follow_first_appearance():
+    assert first_seen_labels(np.array([7, 3, 7, 0, 3, 9])).tolist() == [0, 1, 0, 2, 1, 3]
     a, b = np.array([4, 2]), np.array([3, 0])
     assert component_labels(5, a, b).tolist() == [0, 1, 0, 2, 2]
 

@@ -25,7 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.windowed as windowed_module
 from repro.core.windowed import DecayingApproxDBSCAN, WindowedApproxDBSCAN
+from repro.datasets import make_blobs
 from repro.index.registry import build_index
 from repro.metricspace import EditDistanceMetric
 from repro.metricspace.dataset import GrowingMetricDataset
@@ -418,3 +420,190 @@ def test_edit_distance_stream_matches_per_arrival(kind, index):
     queries = bases + ["zzzzzzzzzzzzzz"]
     plan = [(30, False, None), (45, True, None), (150, False, None)]
     replay(EDIT_MODELS[kind](index), stream, plan, queries)
+
+
+# -- reads and counters ------------------------------------------------
+
+
+def canonical(labels) -> List[int]:
+    """Cluster ids renumbered by first appearance (noise stays -1): the
+    partition a list of predictions induces, whatever the slot order."""
+    first: Dict[int, int] = {}
+    return [-1 if x < 0 else first.setdefault(x, len(first)) for x in labels]
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_predict_never_reads_the_index(index):
+    """``predict`` scans the core payloads the last refresh gathered: it
+    leaves the index's counters and the store's evaluations untouched."""
+    rng = np.random.default_rng(0)
+    pts = rng.normal(0.0, 1.0, (1500, 2)) + np.c_[np.arange(1500) / 200.0, np.zeros(1500)]
+    model = WindowedApproxDBSCAN(0.3, 8, rho=0.5, window=600, n_buckets=6, index=index)
+    model.insert_many(pts)
+    assert model.n_clusters > 0  # the refresh runs here
+    assert (model._index is None) == (index is None)
+
+    def snapshot():
+        store = model._store
+        index_counters = model._index.counters() if model._index is not None else None
+        return (
+            index_counters, store.n_cross_evals, store.n_cross_blocks,
+            dict(model.timings.counters),
+        )
+
+    before = snapshot()
+    preds = [model.predict(q) for q in pts[-100:]]
+    assert snapshot() == before
+    assert max(preds) >= 0
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_reads_follow_recycled_slots(index):
+    """A bucket expires between two reads and the next region's births
+    take its slots with new payloads: the second read answers from the
+    new payloads, as the per-arrival reference does."""
+    # On this seed the cover tree compacts in time to recycle slots too.
+    rng = np.random.default_rng(14)
+    first = rng.normal([0.0, 0.0], 0.3, (40, 2))
+    second = rng.normal([10.0, 0.0], 0.3, (20, 2))
+    queries = np.array([[0.0, 0.0], [10.0, 0.0], [0.4, 0.2], [5.0, 0.0]])
+    model = WindowedApproxDBSCAN(1.0, 3, rho=0.5, window=40, n_buckets=4, index=index)
+    ref = PerArrivalReference(model)
+    model.insert_many(first)
+    for p in first:
+        ref.insert(p)
+    assert_same_state(model, ref, queries)
+    assert model.predict(queries[1]) == -1
+    slots = model.memory_points
+    old = model._store.gather(np.arange(slots)).copy()
+    model.insert_many(second)
+    for p in second:
+        ref.insert(p)
+    assert_same_state(model, ref, queries)
+    assert model.predict(queries[1]) >= 0
+    # Some of the second region's centers took the first region's slots.
+    recycled = model._store.gather(np.arange(slots))[:, 0] > 5.0
+    assert recycled.any() and not (old[:, 0] > 5.0).any()
+
+
+@pytest.mark.parametrize("index", ["brute", "grid", "covertree", "auto"])
+def test_reads_at_gram_block_sizes_match_index_free(index):
+    """With more than 2,048 live 16-d centers a one-query index probe
+    would decide on gram/cascade blocks instead of the difference
+    kernel.  Reads scan the core payloads under every setting, so each
+    one predicts what the index-free model does (the cover tree recycles
+    slots in another order, so its cluster ids may be a relabeling)."""
+    pts, _ = make_blobs(
+        n=2300, n_clusters=8, dim=16, std=0.5, spread=30.0,
+        outlier_fraction=0.05, seed=0,
+    )
+    eps = 0.9 * 0.5 * np.sqrt(32.0)
+
+    def reads(spec):
+        model = WindowedApproxDBSCAN(
+            eps, 10, rho=0.5, window=2200, n_buckets=25, index=spec
+        )
+        for lo in range(0, len(pts), 250):
+            model.insert_many(pts[lo : lo + 250])
+        assert model.n_live_centers > 2048
+        return [model.predict(q) for q in pts[-300:]], model.n_clusters
+
+    want, want_k = reads(None)
+    got, got_k = reads(index)
+    assert got_k == want_k
+    assert canonical(got) == canonical(want)
+    if index != "covertree":
+        assert got == want
+    assert sum(p >= 0 for p in want) > 200
+
+
+FORGETTING_MODELS = {
+    "windowed": lambda index: WindowedApproxDBSCAN(
+        0.3, 4, rho=0.5, window=100, n_buckets=4, index=index
+    ),
+    "ttl": lambda index: DecayingApproxDBSCAN(0.3, 4, rho=0.5, ttl=100, index=index),
+    "decay": lambda index: DecayingApproxDBSCAN(
+        0.3, 4, rho=0.5, decay=0.05, prune_weight=1.5, prune_interval=10,
+        index=index,
+    ),
+}
+
+
+def emptying_stream() -> np.ndarray:
+    """A blob inside one r̄-ball (its first arrival is the only center
+    until the window or the TTL releases it), a drifting stretch, then
+    isolated points far apart (weak centers that the decay model prunes
+    along with the decayed drift centers)."""
+    rng = np.random.default_rng(5)
+    blob = rng.normal(0.0, 0.01, (300, 2))
+    drift = rng.normal(0.0, 0.5, (600, 2)) + np.c_[np.arange(600) / 50.0, np.zeros(600)]
+    isolated = np.c_[1000.0 + 10.0 * np.arange(200), np.zeros(200)]
+    return np.vstack([blob, drift, isolated])
+
+
+def feed_with_reads(model) -> None:
+    """The emptying stream in calls of several sizes (one a single
+    ``insert``), with a read after each, so refreshes run throughout."""
+    pts = emptying_stream()
+    start = 0
+    for stop in (5, 150, 151, 400, 700, 905, 1000, len(pts)):
+        if stop - start == 1:
+            model.insert(pts[start])
+        else:
+            model.insert_many(pts[start:stop])
+        start = stop
+        model.predict(pts[stop - 1])
+
+
+@pytest.mark.parametrize("index", ["brute", "grid", "covertree"])
+@pytest.mark.parametrize("kind", sorted(FORGETTING_MODELS))
+def test_counters_equal_index_and_store_totals(kind, index, monkeypatch):
+    """Ingest and refresh work both reach ``model.timings.counters``:
+    the model's query and candidate counts are the totals of every index
+    it built (an emptied index is dropped, so there are several), and
+    its ``distance_evals`` the store's."""
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_index(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(windowed_module, "build_index", recording_build)
+    model = FORGETTING_MODELS[kind](index)
+    feed_with_reads(model)
+    assert len(built) > 1
+    counters = model.timings.counters
+    for key in ("n_range_queries", "n_candidates"):
+        assert counters[key] == sum(idx.counters()[key] for idx in built), key
+    assert counters["distance_evals"] == model._store.n_cross_evals > 0
+
+
+@pytest.mark.parametrize("kind", sorted(FORGETTING_MODELS))
+def test_index_free_counters_report_distance_evals(kind):
+    """The index-free chunk snapshots and refresh blocks count on the
+    store, and the model reports them."""
+    model = FORGETTING_MODELS[kind](None)
+    feed_with_reads(model)
+    counters = model.timings.counters
+    assert counters["distance_evals"] == model._store.n_cross_evals > 0
+    assert "n_range_queries" not in counters
+
+
+def test_index_free_blocks_count_their_entries():
+    """A chunk's snapshot evaluates every (arrival, live center) pair and
+    a refresh every (core, core) pair, and both count on the store."""
+    rng = np.random.default_rng(0)
+    model = WindowedApproxDBSCAN(1.0, 3, rho=0.5, window=1000, n_buckets=4)
+    model.insert_many(rng.normal(0.0, 0.3, (50, 2)))
+    store, live = model._store, model.n_live_centers
+    # Arrivals on live centers: one chunk, no births.
+    repeats = store.gather(np.flatnonzero(model._alive[: model.memory_points])[:7])
+    before = store.n_cross_evals
+    model.insert_many(repeats)
+    assert model.n_live_centers == live
+    assert store.n_cross_evals - before == 7 * live
+    before = store.n_cross_evals
+    core = model.n_core_centers
+    assert core > 1
+    assert store.n_cross_evals - before == core * core
+    assert model.timings.counters["distance_evals"] == store.n_cross_evals

@@ -10,11 +10,12 @@ and drift") from the paper's conclusion, implemented in
   confirm abandoned regions are forgotten.
 - **eviction**: bucket expiry through the grid index's
   ``delete_batch`` at a ``window ≈ 10k`` stream.  The grid-indexed
-  model must give the same view as the index-free (dense-scan) model
-  on the same stream; the ``evict_index`` phase is the eviction cost.
-  Each model then times ``predict`` over the stream's last
-  ``READ_POINTS`` arrivals (series ``read/grid`` and ``read/none``):
-  a read scans the core centers the cluster refresh gathered.
+  model must give the same view as the brute-force-indexed model on
+  the same stream (both recycle slots alike, so cluster ids agree);
+  the ``evict_index`` phase is the eviction cost.  Each model then
+  times ``predict`` over the stream's last ``READ_POINTS`` arrivals
+  (series ``read/grid`` and ``read/brute``): a read scans the core
+  centers the cluster refresh gathered.
 - **decay**: the TTL / exponential-decay scenarios of
   :class:`DecayingApproxDBSCAN` against the DBStream and D-Stream
   damped-window baselines — recency-view ARI on the stream's last
@@ -100,14 +101,14 @@ def run_drift(quick=False):
 
 def run_eviction(quick=False):
     """Bucket expiry through the grid's ``delete_batch`` at window ≈ 10k,
-    checked against the index-free model on the same stream, then the
-    read cost of each model."""
+    checked against the brute-force-indexed model on the same stream,
+    then the read cost of each model."""
     n = 2 * EVICT_WINDOW
     rng = np.random.default_rng(0)
     stream = [rng.normal([t / 200.0, 0.0], 1.0) for t in range(n)]
     probes = [np.array([x, 0.0]) for x in np.linspace(-5.0, 105.0, 23)]
     rows, series, views = [], [], {}
-    for index in ("grid", None):
+    for index in ("grid", "brute"):
         model = WindowedApproxDBSCAN(
             0.3, MIN_PTS, rho=RHO, window=EVICT_WINDOW,
             n_buckets=EVICT_BUCKETS, index=index,
@@ -131,11 +132,11 @@ def run_eviction(quick=False):
             f"{per_read * 1e6:.0f}",
         ))
         series.append(series_entry(
-            f"read/{str(index).lower()}",
+            f"read/{index}",
             predict_seconds=per_read,
             n_core=n_core,
         ))
-        if index is not None:
+        if index == "grid":
             series.append(series_entry(
                 "evict/delete",
                 wall=seconds,
@@ -143,8 +144,8 @@ def run_eviction(quick=False):
                 n_evict_deletes=model.n_evict_deletes,
                 live_centers=model.n_live_centers,
             ))
-    assert views["grid"] == views[None], (
-        "the grid-indexed model must match the index-free model"
+    assert views["grid"] == views["brute"], (
+        "the grid-indexed model must match the brute-force-indexed model"
     )
     return rows, series
 
@@ -213,8 +214,8 @@ def write_ext_windowed_report(
     if evict_rows:
         lines += [
             "",
-            "Bucket-expiry eviction (grid index against the index-free "
-            f"model; identical views), then predict over the last {READ_POINTS} "
+            "Bucket-expiry eviction (grid index against brute force; "
+            f"identical views), then predict over the last {READ_POINTS} "
             "arrivals",
             "",
         ]

@@ -101,7 +101,7 @@ def stream_chunks(stream: Iterable[Any], size_fn) -> Iterator[List[Any]]:
     """
     it = iter(stream)
     while True:
-        size = int(np.clip(size_fn(), 1, _MAX_CHUNK))
+        size = min(max(int(size_fn()), 1), _MAX_CHUNK)
         chunk = list(itertools.islice(it, size))
         if not chunk:
             return
@@ -146,18 +146,19 @@ def probe_reduced(
     store: MetricDataset,
     payloads: Sequence[Any],
     radius: float,
-) -> Tuple[CSRQueryResult, np.ndarray]:
+) -> Tuple[CSRQueryResult, np.ndarray, np.ndarray]:
     """One CSR range query of ``payloads`` against ``index`` (built over
     ``store``) and one flat evaluation of every (query, candidate)
-    pair: the probe result and the reduced distances aligned with its
-    ``ids``."""
+    pair: the probe result, its ``query_rows()`` and the reduced
+    distances, both aligned with its ``ids``."""
     csr = index.range_query_points_csr(payloads, radius, with_distances=False)
-    if not csr.ids.size:
-        return csr, np.empty(0, dtype=np.float64)
+    rows = csr.query_rows()
+    if not rows.size:
+        return csr, rows, np.empty(0, dtype=np.float64)
     red = metric.reduced_pair_distances(
-        _expand_rows(metric, payloads, csr.query_rows()), store.gather(csr.ids)
+        _expand_rows(metric, payloads, rows), store.gather(csr.ids)
     )
-    return csr, np.asarray(red, dtype=np.float64)
+    return csr, rows, np.asarray(red, dtype=np.float64)
 
 
 def epoch_births(
@@ -202,11 +203,13 @@ def epoch_births(
     s = 0
     while s < n:
         # The row right after a birth is often a birth too: test it as
-        # a scalar before scanning the rest of the chunk.
+        # a scalar before scanning the rest of the chunk.  (The 1-d
+        # ``nonzero`` skips ``np.flatnonzero``'s wrappers, about 1 µs a
+        # call, twice per birth.)
         if best_red[s] > red_r:
             e = s
         else:
-            viol = np.flatnonzero(best_red[s + 1 :] > red_r)
+            viol = (best_red[s + 1 :] > red_r).nonzero()[0]
             if not viol.size:
                 break
             e = s + 1 + int(viol[0])  # birth row
@@ -223,7 +226,7 @@ def epoch_births(
             np.copyto(tail_best, tail_red, where=better)
             if best_id is not None:
                 np.copyto(best_id[e + 1 :], j, where=better)
-            hr = np.flatnonzero(tail_red <= red_eps)
+            hr = (tail_red <= red_eps).nonzero()[0]
             hit_rows.append(hr + (e + 1))
             n_hits.append(hr.size)
         else:
@@ -434,14 +437,14 @@ class StreamingApproxDBSCAN:
             best_red = np.full(n, np.inf)
             snap_rows = snap_ids = np.empty(0, dtype=np.intp)
         else:
-            csr, snap_red = probe_reduced(
+            csr, rows, snap_red = probe_reduced(
                 metric, net.index, net.centers, chunk, probe_radius
             )
             arg, best_red = segment_argmin(snap_red, csr.offsets)
             has = arg >= 0
             best_id[has] = csr.ids[arg[has]]
             within = snap_red <= red_eps
-            snap_rows, snap_ids = csr.query_rows()[within], csr.ids[within]
+            snap_rows, snap_ids = rows[within], csr.ids[within]
 
         # Births take the next center ids; their payloads are stored
         # once the chunk's births are known, each counting itself.
@@ -589,7 +592,7 @@ class StreamingApproxDBSCAN:
             # in-radius argmin is the global one wherever it decides;
             # rows whose nearest in-r̄ center is not core fall to the
             # same sweep over the summary index.
-            csr, red = probe_reduced(metric, net.index, centers, chunk, self.r_bar)
+            csr, _, red = probe_reduced(metric, net.index, centers, chunk, self.r_bar)
             arg, _unused = segment_argmin(red, csr.offsets)
             covered = np.flatnonzero(arg >= 0)
             nearest = csr.ids[arg[covered]]
@@ -599,7 +602,7 @@ class StreamingApproxDBSCAN:
             chunk_labels[fast] = summary.cluster[summary.center_pos[nearest[core_ok]]]
             rest = np.flatnonzero(~fast)
             if rest.size and summary.index is not None:
-                scsr, sred = probe_reduced(
+                scsr, _, sred = probe_reduced(
                     metric, summary.index, payloads,
                     [chunk[int(i)] for i in rest], fallback_radius,
                 )

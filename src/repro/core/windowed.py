@@ -18,43 +18,46 @@ principled forgetting variants on top of the same net machinery:
 
 Both share the :class:`_CenterStoreBase` slot store: centers live in
 recyclable slots of a :class:`~repro.metricspace.dataset.GrowingMetricDataset`
-so an optional :mod:`repro.index` backend can answer each ingest chunk's
-probe and each cluster refresh's core-center merge as range queries.
-Reads never touch it: a refresh keeps the core payloads it gathers, and
-``predict`` scans them, O(#core) per call.  Eviction removes the
-expired centers with one ``delete_batch`` per expiry.  The cover tree
-keeps deleted ids as tombstones until it rebuilds
-(:attr:`~repro.index.covertree.CoverTreeIndex.tombstones`); their slots
-are quarantined, not recycled, until then, because recycling would
-overwrite a payload the tree still references.
+indexed by a dynamic :mod:`repro.index` backend, which answers each
+ingest chunk's probe and each cluster refresh's core-center merge as
+range queries.  Reads never touch it: a refresh keeps the core payloads
+it gathers, and ``predict`` scans them, O(#core) per call.  Eviction
+removes the expired centers with one ``delete_batch`` per expiry tick.
+The cover tree keeps deleted ids as tombstones until a delete compacts
+it (:attr:`~repro.index.covertree.CoverTreeIndex.tombstones`); their
+slots are quarantined, not recycled, until then, because recycling
+would overwrite a payload the tree still references.
 
 **Epoch ingestion.**  Arrivals are ingested a chunk at a time with the
 loop streaming pass 1 runs (:func:`repro.core.streaming.epoch_births`).
-A chunk takes one snapshot of the live centers (one dense reduced
-block, or one CSR probe plus one flat pair evaluation); the first row
-whose running nearest reduced distance exceeds ``r̄`` becomes a center
-in a free slot, and one distance call over the rows after it updates
-the running minima and collects that center's ε-hits.  Python work
-happens only at births.  The chunk's ε-hits, plus each birth's
-self-hit, are then registered in one bulk call, and its new centers
+A chunk takes one snapshot of the live centers (one CSR probe plus one
+flat pair evaluation); the first row whose running nearest reduced
+distance exceeds ``r̄`` becomes a center in a free slot, and one
+distance call over the rows after it updates the running minima and
+collects that center's ε-hits.  Python work happens only at births.
+The snapshot's ε-hits are registered before the first birth, the
+births' (each with its self-hit) after the last, and the new centers
 enter the index with one ``insert_batch``.
 
-**No release inside a chunk.**  Windowed chunks stop at bucket
-boundaries; TTL chunks stop before the next scheduled center death and
-take at most ``ttl`` rows, so a center born in a chunk cannot die in
-it; decay chunks stop before the next prune tick.  The chunk-start
-snapshot therefore holds for every row, and every read, slot
-assignment, count and weight equals the per-arrival loop's
-(``tests/test_windowed_ingest.py`` keeps that loop as the oracle).
+**Releases inside a chunk.**  Windowed chunks end at bucket boundaries
+and decay chunks at prune ticks, so their releases all happen at chunk
+start.  TTL chunks take at most ``ttl`` rows, so a center born in a
+chunk cannot die in it, but snapshot centers can: one that dies at row
+``k`` leaves the snapshot from row ``k`` on, and is released before the
+first birth at or after row ``k`` (the chunk's earlier births enter the
+index first), so the index sees births and deaths in arrival order.
+Every read, slot assignment, count and weight equals the per-arrival
+loop's (``tests/test_windowed_ingest.py`` keeps that loop as the
+oracle).
 
 **Count storage.**  The windowed model keeps one int64 ring of
 ``slots × n_buckets`` counts: a chunk's hits are one ``bincount`` onto
 the current bucket's column, an expired bucket zeroes its column, a
 released slot's row is zeroed, and the core test is one row sum.  TTL
 and decay keep per-center state (expiry counts, a lazily decayed
-weight) and apply a chunk's hits in arrival order, so weights follow
-the per-arrival float sequence.  TTL hit expiries falling inside a
-chunk only change counts and are applied when the chunk starts.
+weight) and apply each center's hits in arrival order, so weights
+follow the per-arrival float sequence.  TTL hit expiries falling inside
+a chunk only change counts and are applied when the chunk starts.
 
 Deviation from the batch Algorithm 2 (documented, heuristic): the
 summary holds only core *centers* — the per-sphere core-member
@@ -71,16 +74,15 @@ payloads — independent of the stream length, like Theorem 4.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.streaming import epoch_births, probe_reduced, stream_chunks
 from repro.index.base import NeighborIndex
-from repro.index.csr import in_sorted, segment_argmin
+from repro.index.csr import in_sorted
 from repro.index.registry import IndexSpec, build_index
 from repro.metricspace.base import Metric
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
@@ -101,6 +103,14 @@ def _fit_rows(arr: np.ndarray, n: int) -> np.ndarray:
     grown = np.zeros((max(n, 2 * arr.shape[0]),) + arr.shape[1:], dtype=arr.dtype)
     grown[: arr.shape[0]] = arr
     return grown
+
+
+def _check_positive(value: float, name: str) -> float:
+    """``value`` as a float, rejected unless finite and > 0."""
+    out = float(value)
+    if not np.isfinite(out) or out <= 0.0:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return out
 
 
 class _TTLCenter:
@@ -140,14 +150,14 @@ class _CenterStoreBase:
     view for the forgetting maintainers.
 
     Subclasses supply the forgetting policy through hooks:
-    ``_chunk_limit`` (rows the next chunk may take without a release
-    inside it), ``_begin_chunk`` (expire what is due — the chunk's only
-    releases), ``_end_chunk``, ``_new_center`` / ``_forget`` (a slot's
-    life cycle), ``_register_hits`` (a chunk's ε-hits as arrays in
-    arrival order) and ``_core_mask``.  Everything else — the ε/r̄
-    arrival decision, slot recycling with tombstone quarantine,
-    index eviction and the ``(1+ρ)ε`` core-center merge — lives here
-    and is byte-identical across policies.
+    ``_chunk_limit`` (rows the next chunk may take), ``_begin_chunk``
+    (expire what is due at the chunk's first arrival and schedule the
+    deaths at its later rows), ``_end_chunk``, ``_new_center`` /
+    ``_forget`` (a slot's life cycle), ``_register_hits`` (ε-hits as
+    arrays, each center's in arrival order) and ``_core_mask``.
+    Everything else — the ε/r̄ arrival decision, slot recycling with
+    tombstone quarantine, index eviction and the ``(1+ρ)ε`` core-center
+    merge — lives here and is byte-identical across policies.
     """
 
     def __init__(
@@ -200,13 +210,14 @@ class _CenterStoreBase:
     # Policy hooks
 
     def _chunk_limit(self) -> int:
-        """Rows the next chunk may take so that no release falls inside
-        it (beyond the distance-block budget)."""
+        """Rows the next chunk may take (beyond the distance-block
+        budget)."""
         raise NotImplementedError
 
-    def _begin_chunk(self, n: int) -> None:
-        """Expire what is due while the next ``n`` arrivals are
-        processed; releases may happen only here."""
+    def _begin_chunk(self, n: int) -> List[Tuple[int, List[int]]]:
+        """Expire what is due at the first of the next ``n`` arrivals,
+        and return the centers that die at later rows of the chunk as
+        ``(row, slots)`` pairs in row order."""
         raise NotImplementedError
 
     def _end_chunk(self, n: int) -> None:
@@ -219,7 +230,8 @@ class _CenterStoreBase:
         raise NotImplementedError
 
     def _register_hits(self, ticks: np.ndarray, slots: np.ndarray) -> None:
-        """Record the ε-hits ``(ticks[k], slots[k])``, in arrival order."""
+        """Record the ε-hits ``(ticks[k], slots[k])``, each slot's in
+        arrival order."""
         raise NotImplementedError
 
     def _core_mask(self, slots: np.ndarray) -> np.ndarray:
@@ -242,19 +254,19 @@ class _CenterStoreBase:
         """Process a sequence of arrivals, one epoch-batched chunk at a
         time.
 
-        Each chunk first expires what is due (its only releases: chunks
-        are sized so that none falls inside them) and takes one
-        snapshot of the live centers — one dense reduced block, or
-        with an index one CSR range query plus one flat
-        ``reduced_pair_distances`` call.  :func:`epoch_births` then
-        walks the births: each becomes a center in a free slot, and one
-        distance call from it over the later rows of the chunk updates
-        their nearest distances and collects its ε-hits.  Finally the
-        chunk's ε-hits and births' self-hits are registered in one bulk
-        call and its new centers enter the index with one
-        ``insert_batch``.  Every read and every count equals a
-        per-arrival loop's.  A chunk with a NaN/inf payload is rejected
-        whole; earlier chunks stay ingested.
+        Each chunk first expires what is due at its first arrival and
+        takes one snapshot of the live centers: one CSR range query
+        plus one flat ``reduced_pair_distances`` call, with each center
+        that dies inside the chunk (TTL) cut from its death row on.
+        :func:`epoch_births` then walks the births: each becomes a
+        center in a free slot, after the deaths due by its row are
+        released, and one distance call from it over the later rows of
+        the chunk updates their nearest distances and collects its
+        ε-hits.  The new centers enter the index with one
+        ``insert_batch`` (before a release inside the chunk, the births
+        so far).  Every read and every count equals a per-arrival
+        loop's.  A chunk with a NaN/inf payload is rejected whole;
+        earlier chunks stay ingested.
         """
         with self._counted():
             for chunk in stream_chunks(payloads, self._chunk_size):
@@ -282,42 +294,50 @@ class _CenterStoreBase:
     def _ingest_chunk(self, chunk: List[Any]) -> None:
         n = len(chunk)
         tick = self._n_seen  # tick of the chunk's first arrival
-        self._begin_chunk(n)
+        deaths = deque(self._begin_chunk(n))
         # Snapshot: every live center that could take an ε-hit or cover
-        # an arrival within r̄, with the reduced distances to it.
+        # an arrival within r̄, with the reduced distances to it.  No
+        # index means no live center.
         best = np.full(n, np.inf)
-        rows = slots = np.empty(0, dtype=np.intp)
         if self._index is not None:
-            csr, red = probe_reduced(
+            csr, rows, red = probe_reduced(
                 self.metric, self._index, self._store, chunk, self._probe_radius
             )
-            _, best = segment_argmin(red, csr.offsets)
+            if deaths:
+                until = np.full(len(self._store), n, dtype=np.intp)
+                for row, dead in deaths:
+                    until[dead] = row
+                red[rows >= until[csr.ids]] = np.inf
+            np.minimum.at(best, rows, red)
             within = red <= self._red_eps
-            rows, slots = csr.query_rows()[within], csr.ids[within]
-        elif self.index is None and self._n_live:
-            alive = self._alive_slots()
-            block = self.metric.reduced_cross(chunk, self._store.gather(alive))
-            self._store.n_cross_blocks += 1
-            self._store.n_cross_evals += block.size
-            best = block.min(axis=1)
-            # One flat scan: a 2-D np.nonzero is several times slower.
-            rows, cols = np.divmod(
-                np.flatnonzero(block <= self._red_eps), block.shape[1]
-            )
-            slots = alive[cols]
+            # Before any birth: a dying center's slot may be recycled
+            # later in the chunk.
+            self._register_hits(tick + rows[within], csr.ids[within])
+        pending: List[int] = []  # births not yet in the index
+
+        def birth(row: int) -> int:
+            if deaths and deaths[0][0] <= row:
+                self._index_births(pending)
+                pending.clear()
+                while deaths and deaths[0][0] <= row:
+                    self._release_slots(deaths.popleft()[1])
+            pending.append(self._allocate(chunk[row], tick + row))
+            return pending[-1]
+
         birth_rows, born, tail_rows, tail_slots = epoch_births(
-            self.metric, chunk, best, self._red_r_bar, self._red_eps,
-            lambda row: self._allocate(chunk[row], tick + row),
+            self.metric, chunk, best, self._red_r_bar, self._red_eps, birth
         )
         self._n_seen += n
         self._clusters_dirty = True
-        born_arr = np.asarray(born, dtype=np.intp)
-        rows = np.concatenate([rows, tail_rows, np.asarray(birth_rows, dtype=np.intp)])
-        slots = np.concatenate([slots, tail_slots, born_arr])
-        order = np.argsort(rows, kind="stable")
-        self._register_hits(tick + rows[order], slots[order])
-        if born_arr.size and self.index is not None:
-            self._index_births(born_arr)
+        if born:
+            # Each birth's self-hit comes before its hits on later rows.
+            self._register_hits(
+                tick + np.concatenate([np.asarray(birth_rows, dtype=np.intp), tail_rows]),
+                np.concatenate([np.asarray(born, dtype=np.intp), tail_slots]),
+            )
+        self._index_births(pending)
+        for _, dead in deaths:
+            self._release_slots(dead)
         self._end_chunk(n)
 
     # ------------------------------------------------------------------
@@ -341,17 +361,19 @@ class _CenterStoreBase:
         self._new_center(slot, tick)
         return slot
 
-    def _index_births(self, born: np.ndarray) -> None:
-        """One index insert for a chunk's new centers.  The first build
-        resolves the spec on a single center, exactly as an index grown
-        one center at a time."""
+    def _index_births(self, born: List[int]) -> None:
+        """One index insert for new centers.  The first build resolves
+        the spec on a single center, exactly as an index grown one
+        center at a time."""
+        if not born:
+            return
         if self._index is None:
             self._index = build_index(
                 self.index, self._store, indices=born[:1],
                 radius_hint=self._probe_radius,
             )
             born = born[1:]
-        if born.size:
+        if born:
             self._index.insert_batch(born)
 
     def _release_slots(self, slots: List[int]) -> None:
@@ -364,9 +386,6 @@ class _CenterStoreBase:
         self._alive[dead] = False
         self._n_live -= dead.size
         self._forget(dead)
-        if self.index is None or self._index is None:
-            self._free_slots.extend(slots)
-            return
         with self.timings.phase("evict_index"):
             self._index.delete_batch(np.sort(dead))
             self.n_evict_deletes += 1
@@ -381,11 +400,7 @@ class _CenterStoreBase:
         as tombstones onto the free list."""
         if not self._quarantined:
             return
-        tombs = (
-            getattr(self._index, "tombstones", None)
-            if self._index is not None
-            else None
-        )
+        tombs = getattr(self._index, "tombstones", None)
         if tombs is None or len(tombs) == 0:
             self._free_slots.extend(self._quarantined)
             self._quarantined.clear()
@@ -410,16 +425,14 @@ class _CenterStoreBase:
     def _refresh_clusters_inner(self) -> None:
         alive = self._alive_slots()
         core = alive[self._core_mask(alive)]
-        block = self._store.gather(core)
-        threshold = (1.0 + self.rho) * self.eps
         rows = cols = np.empty(0, dtype=np.int64)
-        if core.size > 1 and self._index is not None:
+        if core.size > 1:
             # One CSR range query over all core centers; non-core hits
             # map to -1 and the upper-triangle mask drops them together
-            # with the duplicate edge direction — the same edge set as
-            # the dense block, with no per-hit Python loop.
+            # with the duplicate edge direction, with no per-hit Python
+            # loop.
             csr = self._index.range_query_batch_csr(
-                core, threshold, with_distances=False
+                core, (1.0 + self.rho) * self.eps, with_distances=False
             )
             pos_of = np.full(len(self._store), -1, dtype=np.int64)
             pos_of[core] = np.arange(core.size)
@@ -427,17 +440,8 @@ class _CenterStoreBase:
             mapped = pos_of[csr.ids]
             upper = mapped > rows
             rows, cols = rows[upper], mapped[upper]
-        elif core.size > 1:
-            # One certified decision block over the core centers
-            # replaces the per-center sweep — the merge needs only the
-            # ``<= threshold`` verdicts.
-            mask = self.metric.cross_certified(block, block, threshold)
-            self._store.n_cross_blocks += 1
-            self._store.n_cross_evals += mask.size
-            # One flat scan: a 2-D np.nonzero is several times slower.
-            rows, cols = np.divmod(np.flatnonzero(np.triu(mask, 1)), mask.shape[1])
         labels = component_labels(core.size, rows, cols)
-        self._core_block = block
+        self._core_block = self._store.gather(core)
         self._core_cluster = labels
         self._n_clusters = int(labels.max()) + 1 if labels.size else 0
         self._clusters_dirty = False
@@ -508,14 +512,18 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
     metric:
         Distance function over payloads (Euclidean default).
     index:
-        Optional :mod:`repro.index` backend spec.  When set, an index
-        over the live-center store answers each ingest chunk's probe
-        and each cluster refresh as range queries (``predict`` scans
-        the refresh's core payloads instead): each chunk's new
-        centers are inserted with one ``insert_batch``, and bucket
-        expiry evicts the expired slots with one ``delete_batch``
-        (``n_evict_deletes`` counts them).  Clustering output is
-        identical to the dense-scan path.
+        :mod:`repro.index` backend spec (name, instance, or
+        ``"auto"``) of the dynamic index over the live-center store,
+        which answers each ingest chunk's probe and each cluster
+        refresh as range queries (``predict`` scans the refresh's core
+        payloads instead): each chunk's new centers are inserted with
+        one ``insert_batch``, and bucket expiry evicts the expired
+        slots with one ``delete_batch`` (``n_evict_deletes`` counts
+        them).  ``None`` (default) means the process default: the
+        ``REPRO_DEFAULT_INDEX`` environment variable, else ``auto``.
+        Every backend gives the same partition; the cover tree, whose
+        released slots stay quarantined until it compacts, may number
+        the clusters differently.
 
     Examples
     --------
@@ -564,12 +572,13 @@ class WindowedApproxDBSCAN(_CenterStoreBase):
         # at chunk start.
         return self.bucket_size - self._in_bucket
 
-    def _begin_chunk(self, n: int) -> None:
+    def _begin_chunk(self, n: int) -> List[Tuple[int, List[int]]]:
         if self._in_bucket == 0:
             self._live_buckets.append(self._current_bucket)
             self._bucket_centers[self._current_bucket] = []
             while len(self._live_buckets) > self.n_buckets:
                 self._expire_bucket(self._live_buckets.popleft())
+        return []
 
     def _end_chunk(self, n: int) -> None:
         self._in_bucket += n
@@ -619,8 +628,10 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
       ``min_pts``), and centers whose weight sank below
       ``prune_weight`` are forgotten every ``prune_interval`` arrivals.
 
-    Both policies share the windowed model's slot store and optional
-    neighbor index, including ``delete_batch`` eviction.
+    Both policies share the windowed model's slot store and neighbor
+    index (the ``index`` spec as in :class:`WindowedApproxDBSCAN`),
+    including ``delete_batch`` eviction.  ``min_weight`` and
+    ``prune_weight`` must be finite and positive, as ``decay`` must.
     """
 
     def __init__(
@@ -644,13 +655,11 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
             self.decay: Optional[float] = None
         else:
             self.ttl = None
-            self.decay = float(decay)
-            if not np.isfinite(self.decay) or self.decay <= 0.0:
-                raise ValueError(f"decay must be a positive rate, got {decay}")
-        self.min_weight = (
-            float(min_weight) if min_weight is not None else float(self.min_pts)
+            self.decay = _check_positive(decay, "decay")
+        self.min_weight = _check_positive(
+            min_weight if min_weight is not None else self.min_pts, "min_weight"
         )
-        self.prune_weight = float(prune_weight)
+        self.prune_weight = _check_positive(prune_weight, "prune_weight")
         if prune_interval is not None:
             self.prune_interval = int(prune_interval)
         elif self.decay is not None:
@@ -669,8 +678,6 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
         self._hit_wheel: Dict[int, List[int]] = {}
         #: tick -> slots whose creating arrival expires then (center dies).
         self._death_wheel: Dict[int, List[int]] = {}
-        #: Min-heap of the death wheel's ticks (with stale entries).
-        self._death_ticks: List[int] = []
         self._arrival_ttl = self.ttl
         self._ttl_override: Optional[int] = None
 
@@ -699,46 +706,45 @@ class DecayingApproxDBSCAN(_CenterStoreBase):
             self._ttl_override = None
 
     def _chunk_limit(self) -> int:
-        tick = self._n_seen  # tick of the next chunk's first arrival
-        if self.ttl is None:
-            # Stop before the next prune tick (a multiple of the interval).
-            return self.prune_interval - tick % self.prune_interval
-        # Stop before the next scheduled death after ``tick`` (deaths at
-        # ``tick`` itself run at chunk start), and take at most ``ttl``
-        # rows so a center born in the chunk cannot die inside it.
-        heap = self._death_ticks
-        while heap and heap[0] <= tick:
-            heapq.heappop(heap)
-        return min(self.ttl, heap[0] - tick) if heap else self.ttl
+        if self.ttl is not None:
+            # At most ``ttl`` rows: a center born in the chunk cannot die
+            # inside it, and none of the chunk's hits expires inside it.
+            return self.ttl
+        # Stop before the next prune tick (a multiple of the interval).
+        return self.prune_interval - self._n_seen % self.prune_interval
 
-    def _begin_chunk(self, n: int) -> None:
+    def _begin_chunk(self, n: int) -> List[Tuple[int, List[int]]]:
         tick = self._n_seen
         self._arrival_ttl = (
             self._ttl_override if self._ttl_override is not None else self.ttl
         )
         self._ttl_override = None
-        if self.ttl is not None:
-            # Hit expiries due during the chunk only change counts, and
-            # none of the chunk's own hits expires inside it, so they
-            # all apply now.  Stale wheel rows of released slots find no
-            # center (or a recycled one, whose expiries are keyed by
-            # *its* ticks: ``pop(t, 0)`` drains them to zero).
-            for t in range(tick, tick + n):
-                for slot in self._hit_wheel.pop(t, ()):
-                    center = self._state[slot]
-                    if center is not None:
-                        center.count -= center.expiries.pop(t, 0)
-            dead = [s for s in self._death_wheel.pop(tick, ()) if self._alive[s]]
-            self._release_slots(dead)
-        elif tick and tick % self.prune_interval == 0:
-            self._prune_weak()
+        if self.ttl is None:
+            if tick and tick % self.prune_interval == 0:
+                self._prune_weak()
+            return []
+        # Hit expiries due during the chunk only change counts, and none
+        # of the chunk's own hits expires inside it, so they all apply
+        # now.  Stale wheel rows of released slots find no center (or a
+        # recycled one, whose expiries are keyed by *its* ticks:
+        # ``pop(t, 0)`` drains them to zero).
+        deaths = []
+        for row in range(n):
+            for slot in self._hit_wheel.pop(tick + row, ()):
+                center = self._state[slot]
+                if center is not None:
+                    center.count -= center.expiries.pop(tick + row, 0)
+            dead = self._death_wheel.pop(tick + row, None)
+            if dead:
+                deaths.append((row, dead))
+        if deaths and deaths[0][0] == 0:
+            self._release_slots(deaths.pop(0)[1])
+        return deaths
 
     def _new_center(self, slot: int, tick: int) -> None:
         if self.ttl is not None:
             center: Any = _TTLCenter()
-            expiry = tick + self._arrival_ttl
-            self._death_wheel.setdefault(expiry, []).append(slot)
-            heapq.heappush(self._death_ticks, expiry)
+            self._death_wheel.setdefault(tick + self._arrival_ttl, []).append(slot)
         else:
             center = _DecayCenter(tick)
         if slot == len(self._state):

@@ -23,16 +23,17 @@ subtree under the covering and separation invariants, and first-in,
 first-out expiry (the windowed models) removes the oldest points, which
 sit at the top of the tree.  A deleted id therefore stays in the tree,
 listed in :attr:`CoverTreeIndex.tombstones`, and every answer masks it
-out; kNN over-fetches ``k + #tombstones``.  The tree is rebuilt over the
-stored points before the next query once fewer than
-:attr:`CoverTreeIndex.COMPACT_LIVE_FRACTION` of its points are live, or
-once a tombstoned id is re-inserted (the tree still holds it, with a
-payload that may since have changed).
+out; kNN over-fetches ``k + #tombstones``.  The delete that leaves fewer
+than :attr:`CoverTreeIndex.COMPACT_LIVE_FRACTION` of the tree's points
+live rebuilds it over the stored points, and so does the insert of a
+tombstoned id (the tree still holds it, with a payload that may since
+have changed).  The tombstones therefore depend only on the order of
+inserts and deletes, never on when queries run.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -48,17 +49,13 @@ from repro.index.csr import in_sorted
 from repro.metricspace.dataset import IndexArray
 
 
-def _empty() -> QueryResult:
-    return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-
-
 class CoverTreeIndex(NeighborIndex):
     """Neighbor index over a cover tree; works for any metric."""
 
     name = "covertree"
 
-    #: Rebuild the tree before the next query once fewer than this
-    #: fraction of its points are live (the rest being tombstones).
+    #: A delete rebuilds the tree once fewer than this fraction of its
+    #: points are live (the rest being tombstones).
     COMPACT_LIVE_FRACTION = 0.5
 
     def _build(self) -> None:
@@ -75,15 +72,19 @@ class CoverTreeIndex(NeighborIndex):
         #: must not change until a rebuild clears them or they are
         #: re-inserted; the windowed models quarantine their slots.
         self.tombstones = np.empty(0, dtype=np.intp)
-        #: Whether the tree must be rebuilt before the next query.
-        self._stale = False
+
+    def _rebuild(self) -> None:
+        """Rebuild over the stored points; the cost adds to the
+        lifetime construction cost instead of restarting it."""
+        spent, rebuilds = self.n_build_evals, self.n_rebuilds
+        self._build()
+        self.n_build_evals += spent
+        self.n_rebuilds = rebuilds + 1
 
     def _insert(self, new: np.ndarray) -> None:
-        if self._stale or in_sorted(new, self.tombstones).any():
-            # The tree still holds a tombstoned id with its old payload
-            # (or is stale already): the rebuild before the next query
-            # takes ``new`` in with the rest of the stored set.
-            self._stale = True
+        if in_sorted(new, self.tombstones).any():
+            # The tree still holds a tombstoned id with its old payload.
+            self._rebuild()
             return
         before = self.tree.n_distance_evals
         for idx in new:
@@ -92,26 +93,10 @@ class CoverTreeIndex(NeighborIndex):
         self.n_build_evals += self.tree.n_distance_evals - before
 
     def _delete(self, removed: np.ndarray) -> None:
-        if self._stale:
-            return  # the pending rebuild leaves ``removed`` out anyway
         self.tombstones = np.union1d(self.tombstones, removed)
         live = self.n_stored
         if live < self.COMPACT_LIVE_FRACTION * (live + self.tombstones.size):
-            self._stale = True
-
-    def _live_tree(self) -> Optional[CoverTree]:
-        """The tree, rebuilt over the stored points first when stale;
-        ``None`` once every stored point has been deleted."""
-        if self.n_stored == 0:
-            return None
-        if self._stale:
-            # A compaction rebuild adds to the lifetime construction
-            # cost instead of restarting it.
-            spent, rebuilds = self.n_build_evals, self.n_rebuilds
-            self._build()
-            self.n_build_evals += spent
-            self.n_rebuilds = rebuilds + 1
-        return self.tree
+            self._rebuild()
 
     def counters(self) -> dict:
         """Query counters plus the construction cost — the tree's
@@ -136,10 +121,8 @@ class CoverTreeIndex(NeighborIndex):
 
     def _query(self, payload, radius: float) -> QueryResult:
         """One range query by payload: live hits sorted by index."""
-        tree = self._live_tree()
+        tree = self.tree
         self.n_range_queries += 1
-        if tree is None:
-            return _empty()
         before = tree.n_distance_evals
         hits = tree.range_query(payload, radius)
         self.n_candidates += tree.n_distance_evals - before
@@ -181,10 +164,8 @@ class CoverTreeIndex(NeighborIndex):
     def knn(self, query: int, k: int) -> QueryResult:
         dataset = self._require_built()
         k = check_k(k)
-        tree = self._live_tree()
+        tree = self.tree
         self.n_range_queries += 1
-        if tree is None:
-            return _empty()
         before = tree.n_distance_evals
         # Over-fetch so the answer survives tombstone masking: every
         # masked hit could displace a live one.

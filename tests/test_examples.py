@@ -1,8 +1,9 @@
 """Smoke checks for the example scripts.
 
 Each example must at least parse and expose a ``main`` callable; the
-quickstart (the cheapest one) is additionally executed end-to-end so a
-stale API in the examples fails the suite rather than the reader.
+quickstart and the windowed-drift example are additionally executed
+end-to-end so a stale API in the examples fails the suite rather than
+the reader.
 """
 
 import importlib.util
@@ -48,3 +49,19 @@ def test_quickstart_runs(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "Our_Exact" in out
     assert "gonzalez" in out
+
+
+def test_windowed_drift_runs(capsys):
+    """The windowed example end to end, on single ``insert``s into the
+    default index: after each epoch its region reads as a cluster, and
+    every region the window slid past, like the far probe, reads as
+    noise."""
+    load_example("windowed_drift.py").main()
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line[:1].isdigit()]
+    assert len(rows) == 3
+    for epoch, line in enumerate(rows):
+        cells = [line[12 + 12 * k : 24 + 12 * k].strip() for k in range(4)]
+        assert cells[epoch].startswith("cluster")
+        assert cells[:epoch] == ["noise"] * epoch
+        assert cells[3] == "noise"

@@ -6,8 +6,8 @@ query exactly as one built fresh over the survivors — brute row
 compaction, grid cell removal and the cover tree's tombstones alike,
 also when deleted ids come back with recycled payloads.  On top sit
 the windowed eviction parity (every index setting gives the view of
-the index-free model) and the TTL / decay forgetting policies of
-:class:`DecayingApproxDBSCAN`.
+the index-free per-arrival reference) and the TTL / decay forgetting
+policies of :class:`DecayingApproxDBSCAN`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.datasets import make_blobs
 from repro.index import build_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset
+from test_windowed_ingest import canonical, index_free_view
 
 BACKENDS = ["brute", "grid", "covertree"]
 #: Every ``REPRO_DEFAULT_INDEX`` setting the CI matrix exercises.
@@ -199,9 +200,7 @@ class TestCoverTreeTombstones:
             "covertree", dataset, indices=np.arange(100), radius_hint=1.5
         )
         index.delete_batch(np.arange(60))  # live fraction 0.4 < 0.5
-        assert index.tombstones.size == 60  # the rebuild waits for a query
-        index.range_query(70, 1.0)
-        assert index.tombstones.size == 0
+        assert index.tombstones.size == 0  # the delete rebuilt the tree
         assert index.tree.size == 40
 
     def test_rebuild_keeps_lifetime_build_cost(self, dataset):
@@ -212,7 +211,6 @@ class TestCoverTreeTombstones:
         index.insert_batch(np.arange(50, 120))
         grown = index.counters()["n_build_evals"]
         index.delete_batch(np.arange(70))  # live fraction 50/120 < 0.5
-        index.range_query(100, 1.0)  # compacts first
         counters = index.counters()
         assert counters["n_rebuilds"] == 1
         assert counters["n_build_evals"] > grown
@@ -233,7 +231,9 @@ class TestCoverTreeTombstones:
 @pytest.mark.parametrize("setting", INDEX_SETTINGS)
 class TestWindowedEvictionParity:
     """Every ``REPRO_DEFAULT_INDEX`` setting the CI matrix runs gives
-    the windowed, TTL and decay views of the index-free model."""
+    the windowed, TTL and decay views of the index-free per-arrival
+    reference (the cover tree may recycle slots in another order, so
+    cluster ids are compared as a partition)."""
 
     MODELS = {
         "windowed": lambda index: WindowedApproxDBSCAN(
@@ -247,20 +247,25 @@ class TestWindowedEvictionParity:
         ),
     }
 
-    def _run(self, model):
+    QUERIES = [np.array([x, 0.0]) for x in np.linspace(-2.0, 14.0, 12)]
+
+    def _stream(self):
         rng = np.random.default_rng(17)
-        stream = [rng.normal([step / 40.0, 0.0], 0.25) for step in range(500)]
-        model.insert_many(stream)
-        queries = [np.array([x, 0.0]) for x in np.linspace(-2.0, 14.0, 12)]
-        labels = [model.predict(q) for q in queries]
+        return [rng.normal([step / 40.0, 0.0], 0.25) for step in range(500)]
+
+    def _run(self, model):
+        model.insert_many(self._stream())
+        labels = [model.predict(q) for q in self.QUERIES]
         return model, (labels, model.n_clusters, model.n_live_centers)
 
     def test_indexed_matches_dense_model(self, monkeypatch, setting):
         monkeypatch.setenv("REPRO_DEFAULT_INDEX", setting)
         for make in self.MODELS.values():
-            indexed, got = self._run(make(setting))
-            _, want = self._run(make(None))
-            assert got == want
+            indexed, (labels, k, live) = self._run(make(setting))
+            want, want_k, want_live = index_free_view(
+                make(setting), self._stream(), self.QUERIES
+            )
+            assert (canonical(labels), k, live) == (canonical(want), want_k, want_live)
             assert indexed.n_evict_deletes > 0
             assert "evict_index" in indexed.timings.phases
 
@@ -278,10 +283,11 @@ class TestDecayingTTL:
         rng = np.random.default_rng(self.STREAM_SEED)
         return [rng.normal([step / 40.0, 0.0], 0.25) for step in range(n)]
 
+    QUERIES = [np.array([x, 0.0]) for x in np.linspace(-2.0, 12.0, 12)]
+
     def _view(self, model):
-        queries = [np.array([x, 0.0]) for x in np.linspace(-2.0, 12.0, 12)]
         return (
-            [model.predict(q) for q in queries],
+            [model.predict(q) for q in self.QUERIES],
             model.n_clusters,
             model.n_live_centers,
         )
@@ -289,14 +295,15 @@ class TestDecayingTTL:
     def test_uniform_ttl_matches_one_point_buckets(self):
         stream = self._stream()
         window = 100
-        ref = WindowedApproxDBSCAN(1.2, 5, rho=0.5, window=window, n_buckets=window)
-        for p in stream:
-            ref.insert(p)
-        want = self._view(ref)
         for index in (None, "grid"):
+            ref = WindowedApproxDBSCAN(
+                1.2, 5, rho=0.5, window=window, n_buckets=window, index=index
+            )
+            for p in stream:
+                ref.insert(p)
             model = DecayingApproxDBSCAN(1.2, 5, rho=0.5, ttl=window, index=index)
             model.insert_many(stream)
-            assert self._view(model) == want
+            assert self._view(model) == self._view(ref)
 
     def test_insert_many_matches_insert_loop(self):
         stream = self._stream(300)
@@ -328,13 +335,12 @@ class TestDecayingTTL:
 
     def test_decay_indexed_matches_dense(self):
         stream = self._stream(350)
-        dense = DecayingApproxDBSCAN(1.2, 5, rho=0.5, decay=0.015)
-        dense.insert_many(stream)
-        want = self._view(dense)
         for backend in BACKENDS:
             model = DecayingApproxDBSCAN(1.2, 5, rho=0.5, decay=0.015, index=backend)
+            want, want_k, want_live = index_free_view(model, stream, self.QUERIES)
             model.insert_many(stream)
-            assert self._view(model) == want
+            labels, k, live = self._view(model)
+            assert (canonical(labels), k, live) == (canonical(want), want_k, want_live)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -349,3 +355,11 @@ class TestDecayingTTL:
             DecayingApproxDBSCAN(1.0, 3, decay=0.1).insert(
                 np.array([0.0, 0.0]), ttl=5
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["min_weight", "prune_weight"])
+    def test_rejects_bad_weights(self, name, bad):
+        """A NaN ``min_weight`` would make no center core, and a NaN or
+        negative ``prune_weight`` would turn pruning off."""
+        with pytest.raises(ValueError, match=name):
+            DecayingApproxDBSCAN(1.0, 3, decay=0.01, **{name: bad})

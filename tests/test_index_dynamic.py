@@ -7,8 +7,8 @@ streaming passes and the windowed maintenance all rely on it.  On top
 sit the auto-policy grid probe, the grid kNN ring-delta cache, the bulk cover-tree build, and the solver-level
 regressions: Algorithm 1 materializes no dense ``|E|²`` matrix on any
 path, streaming labels under every backend match the index-free
-per-element reference bit for bit, and windowed labels with ``index=``
-match the dense-scan model.
+per-element reference bit for bit, and windowed labels under every
+backend match the index-free per-arrival reference.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.index.registry import DEFAULT_INDEX_ENV
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset
 from test_streaming_batched import PerElementReference
+from test_windowed_ingest import canonical, index_free_view
 
 BACKENDS = ("brute", "grid", "covertree")
 
@@ -422,20 +423,15 @@ class TestWindowedIndexed:
             rng.normal([step / 50.0, 0.0], 0.2) for step in range(600)
         ]
         queries = [np.array([x, 0.0]) for x in np.linspace(-2.0, 13.0, 16)]
-
-        def run(**kw):
-            model = WindowedApproxDBSCAN(
-                1.5, 5, rho=0.5, window=300, n_buckets=6, **kw
-            )
-            for p in stream:
-                model.insert(p)
-            return (
-                [model.predict(q) for q in queries],
-                model.n_clusters,
-                model.n_live_centers,
-            )
-
-        assert run(index=backend) == run()
+        model = WindowedApproxDBSCAN(
+            1.5, 5, rho=0.5, window=300, n_buckets=6, index=backend
+        )
+        want, want_k, want_live = index_free_view(model, stream, queries)
+        for p in stream:
+            model.insert(p)
+        labels = [model.predict(q) for q in queries]
+        assert canonical(labels) == canonical(want)
+        assert (model.n_clusters, model.n_live_centers) == (want_k, want_live)
 
     def test_expiry_rebuilds_index(self):
         model = WindowedApproxDBSCAN(

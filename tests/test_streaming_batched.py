@@ -39,6 +39,7 @@ from repro.index.registry import DEFAULT_INDEX_ENV, build_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
 from repro.utils.components import component_labels
+from test_windowed_ingest import index_free_view
 
 BACKENDS = ("brute", "grid", "covertree")
 #: Index specs the streaming solvers are exercised under; ``auto``
@@ -666,11 +667,10 @@ def test_windowed_insert_many_matches_insert(backend):
         one.insert(p)
     many = build()
     many.insert_many(pts)
-    dense = WindowedApproxDBSCAN(1.0, 5, rho=0.5, window=240, n_buckets=6)
-    dense.insert_many(pts)
+    _, dense_clusters, _ = index_free_view(many, pts, [])
 
     assert many.n_live_centers == one.n_live_centers
-    assert many.n_clusters == one.n_clusters == dense.n_clusters
+    assert many.n_clusters == one.n_clusters == dense_clusters
     probes = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 40.0], [50.0, 50.0]])
     for p in probes:
         assert many.predict(p) == one.predict(p)

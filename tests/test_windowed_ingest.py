@@ -3,7 +3,8 @@ reference maintainer.
 
 :class:`PerArrivalReference` is the straightforward ingest the epoch
 loop of :mod:`repro.core.windowed` replaces: every arrival expires what
-is due, probes the live centers (one range query, or one dense scan),
+is due, probes the live centers (one range query of an index built on
+the model's spec, or, index-free, one scan of every live center),
 registers its ε-hits center by center in dict-based state, and — when
 nothing lies within r̄ — stores a new center in a free slot and inserts
 it into the index at once.  Its reads (cluster refresh, ``predict``)
@@ -12,12 +13,16 @@ follow the model's documented semantics.
 The property: for random streams cut at random into ``insert_many``
 calls and single ``insert``s, every read, ``n_clusters``,
 ``n_live_centers``, ``memory_points``, the slot assignment and every
-live slot's counts (windowed, TTL) or weight (decay) equal the
-reference's after each call.
+live slot's counts (windowed, TTL) or weight (decay) equal the indexed
+reference's after each call, and the partition the reads induce, the
+cluster count and the live-center count equal the index-free
+reference's, which builds no index and so cannot share a backend's
+mistake.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 from typing import Any, Dict, List, Optional
 
@@ -37,10 +42,15 @@ INDEXES = [None, "brute", "grid", "covertree"]
 
 
 class PerArrivalReference:
-    """Per-arrival maintainer with the configuration of ``model``."""
+    """Per-arrival maintainer with the configuration of ``model``: on an
+    index built from ``model.index`` (``None`` resolving to the process
+    default, as in the model), or with ``index_free=True`` on dense
+    scans (a ``reduced_distance_many`` over every live center per
+    arrival, a certified block per refresh)."""
 
-    def __init__(self, model) -> None:
+    def __init__(self, model, index_free: bool = False) -> None:
         self.cfg = model
+        self.index_free = index_free
         self.metric = model.metric
         self.red_eps = self.metric.reduce_threshold(model.eps)
         self.red_r = self.metric.reduce_threshold(model.r_bar)
@@ -76,7 +86,7 @@ class PerArrivalReference:
         self.arrival_ttl = ttl if ttl is not None else self.ttl
         self.n_seen += 1
         self.dirty = True
-        if self.cfg.index is None:
+        if self.index_free:
             slots = self.alive()
         elif self.index is None:
             slots = []
@@ -157,7 +167,7 @@ class PerArrivalReference:
         else:
             slot = self.store.append(payload)
             self.state.append(center)
-        if self.cfg.index is not None:
+        if not self.index_free:
             if self.index is None:
                 self.index = build_index(
                     self.cfg.index, self.store, indices=[slot], radius_hint=self.probe
@@ -175,7 +185,7 @@ class PerArrivalReference:
             return
         for s in slots:
             self.state[s] = None
-        if self.cfg.index is None or self.index is None:
+        if self.index_free:
             self.free.extend(slots)
         else:
             self.index.delete_batch(np.asarray(sorted(slots), dtype=np.intp))
@@ -280,12 +290,34 @@ def assert_same_state(model, ref: PerArrivalReference, queries) -> None:
     assert model.n_clusters == ref.n_clusters()
 
 
+def assert_same_partition(model, ref: PerArrivalReference, queries) -> None:
+    """The reads induce the reference's partition, and the cluster and
+    live-center counts match (slots may differ: the cover tree
+    quarantines them)."""
+    assert model.n_live_centers == len(ref.alive())
+    assert model.n_clusters == ref.n_clusters()
+    assert canonical([model.predict(q) for q in queries]) == canonical(
+        [ref.predict(q) for q in queries]
+    )
+
+
+def index_free_view(model, stream, queries):
+    """The predictions for ``queries``, the cluster count and the
+    live-center count of the index-free reference with ``model``'s
+    configuration after ``stream``."""
+    ref = PerArrivalReference(model, index_free=True)
+    for p in stream:
+        ref.insert(p)
+    return [ref.predict(q) for q in queries], ref.n_clusters(), len(ref.alive())
+
+
 def replay(model, stream, calls, queries) -> None:
-    """Feed ``stream`` to ``model`` and the reference through ``calls``
-    — ``(stop, single, ttl)``: rows up to ``stop`` in one
+    """Feed ``stream`` to ``model`` and both references through
+    ``calls`` — ``(stop, single, ttl)``: rows up to ``stop`` in one
     ``insert_many`` or as single ``insert``s (with an optional
-    per-point ``ttl``) — comparing after every call."""
-    ref = PerArrivalReference(model)
+    per-point ``ttl``) — comparing after every call: the whole state
+    with the indexed reference, the partition with the index-free one."""
+    refs = [PerArrivalReference(model), PerArrivalReference(model, index_free=True)]
     start = 0
     for stop, single, ttl in calls:
         part = stream[start:stop]
@@ -296,12 +328,15 @@ def replay(model, stream, calls, queries) -> None:
                     model.insert(p)
                 else:
                     model.insert(p, ttl=ttl)
-                ref.insert(p, ttl)
+                for ref in refs:
+                    ref.insert(p, ttl)
         else:
             model.insert_many(part)
-            for p in part:
-                ref.insert(p)
-        assert_same_state(model, ref, queries)
+            for ref in refs:
+                for p in part:
+                    ref.insert(p)
+        assert_same_state(model, refs[0], queries)
+        assert_same_partition(model, refs[1], queries)
 
 
 @st.composite
@@ -390,6 +425,26 @@ def test_short_ttl_hits_expire_inside_a_chunk(index):
     replay(model, pts, plan, np.zeros((1, 2)))
 
 
+def test_covertree_compacts_between_a_death_and_a_birth_of_one_chunk():
+    """An anchor center outlives ten isolated ones that die at ticks
+    21-30, inside the one chunk of the last ``insert_many`` call: the
+    sixth death leaves the tree below half live, so that delete rebuilds
+    it and frees the quarantined slots, and the call's later births
+    take them, as in the per-arrival loop."""
+    anchor = np.array([-1000.0, 0.0])
+    stream = np.vstack([
+        [anchor],
+        np.c_[100.0 * np.arange(1, 11), np.zeros(10)],  # ticks 1-10
+        np.repeat([anchor], 16, axis=0),  # ticks 11-26: hits, no births
+        np.c_[5000.0 + 100.0 * np.arange(14), np.zeros(14)],  # ticks 27-40
+    ])
+    model = DecayingApproxDBSCAN(1.0, 2, rho=0.5, ttl=20, index="covertree")
+    plan = [(1, True, 10_000), (21, False, None), (41, False, None)]
+    replay(model, stream, plan, stream[[0, 5, 30, 40]])
+    assert model._index.counters()["n_rebuilds"] >= 1
+    assert model.memory_points < 25  # births recycled released slots
+
+
 EDIT_MODELS = {
     "windowed": lambda index: WindowedApproxDBSCAN(
         2.0, 3, rho=1.0, window=40, n_buckets=5,
@@ -441,7 +496,7 @@ def test_predict_never_reads_the_index(index):
     model = WindowedApproxDBSCAN(0.3, 8, rho=0.5, window=600, n_buckets=6, index=index)
     model.insert_many(pts)
     assert model.n_clusters > 0  # the refresh runs here
-    assert (model._index is None) == (index is None)
+    assert model._index is not None
 
     def snapshot():
         store = model._store
@@ -491,25 +546,22 @@ def test_reads_at_gram_block_sizes_match_index_free(index):
     """With more than 2,048 live 16-d centers a one-query index probe
     would decide on gram/cascade blocks instead of the difference
     kernel.  Reads scan the core payloads under every setting, so each
-    one predicts what the index-free model does (the cover tree recycles
-    slots in another order, so its cluster ids may be a relabeling)."""
+    one predicts what the index-free reference does (the cover tree
+    recycles slots in another order, so its cluster ids may be a
+    relabeling)."""
     pts, _ = make_blobs(
         n=2300, n_clusters=8, dim=16, std=0.5, spread=30.0,
         outlier_fraction=0.05, seed=0,
     )
     eps = 0.9 * 0.5 * np.sqrt(32.0)
-
-    def reads(spec):
-        model = WindowedApproxDBSCAN(
-            eps, 10, rho=0.5, window=2200, n_buckets=25, index=spec
-        )
-        for lo in range(0, len(pts), 250):
-            model.insert_many(pts[lo : lo + 250])
-        assert model.n_live_centers > 2048
-        return [model.predict(q) for q in pts[-300:]], model.n_clusters
-
-    want, want_k = reads(None)
-    got, got_k = reads(index)
+    model = WindowedApproxDBSCAN(
+        eps, 10, rho=0.5, window=2200, n_buckets=25, index=index
+    )
+    for lo in range(0, len(pts), 250):
+        model.insert_many(pts[lo : lo + 250])
+    assert model.n_live_centers > 2048
+    want, want_k, _ = index_free_view(model, pts, pts[-300:])
+    got, got_k = [model.predict(q) for q in pts[-300:]], model.n_clusters
     assert got_k == want_k
     assert canonical(got) == canonical(want)
     if index != "covertree":
@@ -555,7 +607,7 @@ def feed_with_reads(model) -> None:
         model.predict(pts[stop - 1])
 
 
-@pytest.mark.parametrize("index", ["brute", "grid", "covertree"])
+@pytest.mark.parametrize("index", INDEXES)
 @pytest.mark.parametrize("kind", sorted(FORGETTING_MODELS))
 def test_counters_equal_index_and_store_totals(kind, index, monkeypatch):
     """Ingest and refresh work both reach ``model.timings.counters``:
@@ -578,32 +630,54 @@ def test_counters_equal_index_and_store_totals(kind, index, monkeypatch):
     assert counters["distance_evals"] == model._store.n_cross_evals > 0
 
 
-@pytest.mark.parametrize("kind", sorted(FORGETTING_MODELS))
-def test_index_free_counters_report_distance_evals(kind):
-    """The index-free chunk snapshots and refresh blocks count on the
-    store, and the model reports them."""
-    model = FORGETTING_MODELS[kind](None)
-    feed_with_reads(model)
-    counters = model.timings.counters
-    assert counters["distance_evals"] == model._store.n_cross_evals > 0
-    assert "n_range_queries" not in counters
+DRIFT_MODELS = {
+    "windowed": lambda index: WindowedApproxDBSCAN(
+        0.3, 8, rho=0.5, window=1000, n_buckets=8, index=index
+    ),
+    "ttl": lambda index: DecayingApproxDBSCAN(0.3, 8, rho=0.5, ttl=1000, index=index),
+    "decay": lambda index: DecayingApproxDBSCAN(
+        0.3, 8, rho=0.5, decay=0.001, index=index
+    ),
+}
 
 
-def test_index_free_blocks_count_their_entries():
-    """A chunk's snapshot evaluates every (arrival, live center) pair and
-    a refresh every (core, core) pair, and both count on the store."""
+@pytest.mark.parametrize("offset", [1e5, 1e6])
+@pytest.mark.parametrize("kind", sorted(DRIFT_MODELS))
+def test_far_from_origin_stream_keeps_the_index_free_answer(kind, offset):
+    """A drifting 2-d stream shifted far from the origin, where a
+    gram-expanded snapshot loses distances to cancellation and births
+    extra centers: every index setting keeps the index-free reference's
+    live centers, clusters and prediction partition."""
     rng = np.random.default_rng(0)
-    model = WindowedApproxDBSCAN(1.0, 3, rho=0.5, window=1000, n_buckets=4)
-    model.insert_many(rng.normal(0.0, 0.3, (50, 2)))
-    store, live = model._store, model.n_live_centers
-    # Arrivals on live centers: one chunk, no births.
-    repeats = store.gather(np.flatnonzero(model._alive[: model.memory_points])[:7])
-    before = store.n_cross_evals
-    model.insert_many(repeats)
-    assert model.n_live_centers == live
-    assert store.n_cross_evals - before == 7 * live
-    before = store.n_cross_evals
-    core = model.n_core_centers
-    assert core > 1
-    assert store.n_cross_evals - before == core * core
-    assert model.timings.counters["distance_evals"] == store.n_cross_evals
+    pts = rng.normal(0.0, 1.0, (3000, 2)) + np.c_[np.arange(3000) / 200.0, np.zeros(3000)]
+    pts += offset
+    ref = PerArrivalReference(DRIFT_MODELS[kind](None), index_free=True)
+    for p in pts:
+        ref.insert(p)
+    for index in INDEXES:
+        model = DRIFT_MODELS[kind](index)
+        for lo in range(0, len(pts), 500):
+            model.insert_many(pts[lo : lo + 500])
+        assert_same_partition(model, ref, pts[-200:])
+
+
+def test_refresh_takes_no_core_squared_block(monkeypatch):
+    """A default model over a uniform 2-d window with more than 5,000
+    core centers refreshes through the index's blocked range query: the
+    first refresh's traced peak stays far below one |core|² float32
+    block (~125 MB).  The process default is pinned to ``auto``, as
+    without ``REPRO_DEFAULT_INDEX``; the cover tree's per-query
+    traversal would take seconds under tracemalloc."""
+    monkeypatch.setenv("REPRO_DEFAULT_INDEX", "auto")
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.0, 1.0, (12_000, 2))
+    model = WindowedApproxDBSCAN(0.01, 3, rho=0.5, window=12_000, n_buckets=25)
+    model.insert_many(pts)
+    tracemalloc.start()
+    try:
+        assert model.n_clusters > 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_core_centers > 5000
+    assert peak < 40 << 20

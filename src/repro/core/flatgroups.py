@@ -22,7 +22,7 @@ from repro.metricspace.dataset import (
 )
 
 
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The flat positions ``[starts[k], starts[k] + lengths[k])`` for
     every ``k``, concatenated in order."""
     ends = np.cumsum(lengths)
@@ -59,7 +59,7 @@ class FlatGroups:
         """The groups ``groups`` (repeats allowed), re-flattened in that
         order."""
         sizes = self.sizes[groups]
-        flat = self.flat[_concat_ranges(self.starts[groups], sizes)]
+        flat = self.flat[concat_ranges(self.starts[groups], sizes)]
         return FlatGroups(flat, np.cumsum(sizes) - sizes, sizes)
 
     def expand(self, graph: CSRQueryResult, rows: np.ndarray) -> "FlatGroups":
@@ -67,7 +67,7 @@ class FlatGroups:
         that row of ``graph`` lists, concatenated in the row's order."""
         lo = graph.offsets[rows]
         counts = graph.offsets[rows + 1] - lo
-        listed = self.take(graph.ids[_concat_ranges(lo, counts)])
+        listed = self.take(graph.ids[concat_ranges(lo, counts)])
         # A row's members end where its last listed group ends.
         ends = np.r_[0, np.cumsum(listed.sizes)][np.r_[0, np.cumsum(counts)]]
         return FlatGroups(listed.flat, ends[:-1], np.diff(ends))

@@ -43,17 +43,19 @@ batched distance engine instead:
 
 Incremental center index
 ------------------------
-The loop maintains a **dynamic** :class:`~repro.index.base.NeighborIndex`
-over the growing center set (``insert_batch`` after every round).  The
-round flush probes a throwaway index instead; every later
-center-center question is a range query against the dynamic one:
+The round flush needs no center index: it probes each old center that
+still owns active points at its *own* radius ``2·(max distance in its
+group)`` against just that round's pending centers — per-query radii,
+so one wide outlier group cannot inflate every other group's probe, and
+every hit is a certified (old center, new center) steal candidate.  A
+probe block of at most ``CASCADE_MIN_ELEMENTS`` pairs is one brute
+block; a larger one queries a throwaway index of the resolved backend
+over the pending centers, so rounds with many interacting centers keep
+their pruning.  The loop's centers then join a **dynamic**
+:class:`~repro.index.base.NeighborIndex` in one ``insert_batch`` (it
+was built on the first center, which fixes a grid's lattice), and
+every later center-center question is a range query against it:
 
-- the round flush's Feder–Greene pair pruning queries each pre-flush
-  center that still owns active points at its *own* radius ``2·(max
-  distance in its group)`` against a throwaway index over just that
-  round's pending centers — per-query radii, so one wide outlier
-  group cannot inflate every other group's query, and every harvested
-  pair is a certified (old center, new center) steal candidate;
 - the final nearest-center refinement queries, at ``2r̄``, the centers
   that own covered non-center points;
 - the harvested ε-ball counts query at ``ε + max group radius``;
@@ -81,7 +83,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.flatgroups import FlatGroups
+from repro.core.flatgroups import FlatGroups, concat_ranges
 from repro.index.base import NeighborIndex
 from repro.index.registry import (
     IndexSpec,
@@ -89,7 +91,7 @@ from repro.index.registry import (
     resolve_grown_index_name,
 )
 from repro.metricspace.dataset import MetricDataset, pairs_per_slice
-from repro.metricspace.precision import PRUNE_SLACK
+from repro.metricspace.precision import CASCADE_MIN_ELEMENTS, PRUNE_SLACK
 from repro.utils.validation import check_epsilon
 
 #: Centers selected per batched round; bounds the size of the in-round
@@ -127,8 +129,11 @@ class GonzalezNet:
     counters:
         Construction instrumentation: ``peak_center_matrix_bytes``
         (peak bytes of the ``O(|E|·deg)`` center-pair working set),
-        ``net_range_queries`` / ``net_candidates`` (index work spent
-        inside the loop), and ``net_build_evals`` for tree backends.
+        ``net_range_queries`` / ``net_candidates`` (probe and index
+        work, a brute block counting all its pairs), ``net_build_evals``
+        for tree backends, and ``net_flush_rounds`` /
+        ``net_brute_flushes`` (round flushes that probed, and those
+        whose probe was one brute block).
     iterations:
         Number of centers added == number of loop iterations + 1.
     """
@@ -341,14 +346,14 @@ def radius_guided_gonzalez(
     active = np.flatnonzero(red_dist > red_r)
     position_of = np.full(n, -1, dtype=np.int64)
     position_of[first_index] = 0
-    # The incremental center index: queried by every round flush, the
-    # final refinement and the ball-count harvest, then handed to the
-    # caller on the net.  The hint matches the widest post-loop query
-    # radius so grid cells come out usefully sized.  Name specs resolve
-    # through the grown-index policy: auto resolves against the
-    # dataset size (the worst-case |E|, since the index starts from one
-    # center) and an auto-picked grid is probe-validated on a dataset
-    # sample, falling back to brute on degenerate projections.
+    # The incremental center index: queried by the final refinement
+    # and the ball-count harvest, then handed to the caller on the net.
+    # The hint matches the widest post-loop query radius so grid cells
+    # come out usefully sized.  Name specs resolve through the
+    # grown-index policy: auto resolves against the dataset size (the
+    # worst-case |E|, since the index starts from one center) and an
+    # auto-picked grid is probe-validated on a dataset sample, falling
+    # back to brute on degenerate projections.
     hint = 2.0 * r_bar + (eps_for_counts if harvest_counts else 0.0)
     index_spec: IndexSpec = index
     if index_spec is None or isinstance(index_spec, str):
@@ -358,16 +363,20 @@ def radius_guided_gonzalez(
     center_index = build_index(
         index_spec, dataset, indices=[first_index], radius_hint=hint
     )
-    # The round flush probes each round's pending centers through a
-    # throwaway index over *only those centers* (at most one round's
-    # worth of points).  Reuse the resolved backend family, but never
-    # the center_index instance itself — building an instance spec
-    # twice would rebuild it in place.
+    # A round flush whose probe block is too large for one brute block
+    # builds a throwaway index over the pending centers.  It reuses the
+    # resolved backend family, but never the center_index instance
+    # itself — building an instance spec twice would rebuild it in
+    # place.
     flush_spec: IndexSpec = (
         type(index_spec) if isinstance(index_spec, NeighborIndex) else index_spec
     )
-    flush_counters: Dict[str, int] = {}
-    net_counters: Dict[str, int] = {"peak_center_matrix_bytes": 0}
+    flush_counters: Dict[str, int] = {"n_range_queries": 0, "n_candidates": 0}
+    net_counters: Dict[str, int] = {
+        "peak_center_matrix_bytes": 0,
+        "net_flush_rounds": 0,
+        "net_brute_flushes": 0,
+    }
 
     def track_pairs(n_pairs: int, bytes_per_pair: int = 24) -> None:
         """Record the peak concurrent center-pair working set — the
@@ -390,57 +399,63 @@ def radius_guided_gonzalez(
         act_assign = center_of[active]
         group_max = np.zeros(base, dtype=np.float64)
         np.maximum.at(group_max, act_assign, true_dist[active])
-        # (new center, old center) pairs that can possibly steal points:
+        # (old center, new center) pairs that can possibly steal points:
         # a pending center c can take a point p from old group e only if
         # d(p, c) < d(p, e) <= g_e, hence d(c, e) < 2·g_e by the
         # triangle inequality — a *per-group* bound.  Each old center
-        # with active points queries a throwaway index over just this
-        # round's pending centers at its own radius 2·g_e, so every
-        # harvested hit is a certified steal pair.  An earlier revision
-        # queried the pending side against the full center index at the
-        # *global* bound 2·max(g_e) — one distant outlier group
-        # inflated every query to the widest group's radius and dragged
-        # in center-center pairs no group could use.  Stale true
-        # distances are upper bounds, so the pruning is a superset of
-        # the exact one either way.
+        # with active points probes the pending centers at its own
+        # radius 2·g_e, so one distant outlier group cannot inflate
+        # every other group's reach, and every hit is a certified steal
+        # candidate.  Stale true distances are upper bounds, so the
+        # pruning is a superset of the exact one; any superset gives the
+        # same fold below, which is why the probe's backend (one brute
+        # block or a throwaway index) cannot change the net.
         qpos = np.flatnonzero(group_max > 0.0)
-        es = np.empty(0, dtype=np.int64)
-        js_new = np.empty(0, dtype=np.int64)
-        d_ce = np.empty(0, dtype=np.float64)
         if qpos.size:
+            net_counters["net_flush_rounds"] += 1
+            queries = np.asarray(centers[:base], dtype=np.intp)[qpos]
             radii = 2.0 * group_max[qpos] * PRUNE_SLACK
-            pending_index = build_index(
-                flush_spec, dataset, indices=pending,
-                radius_hint=float(radii.max()),
-            )
-            results = pending_index.range_query_batch_csr(
-                np.asarray(centers[:base], dtype=np.intp)[qpos], radii
-            )
-            for counter, value in pending_index.counters().items():
-                flush_counters[counter] = (
-                    flush_counters.get(counter, 0) + int(value)
+            if qpos.size * pending.size <= CASCADE_MIN_ELEMENTS:
+                # A small probe is one brute block: no index to build,
+                # and every pair it evaluates counts as a candidate.
+                net_counters["net_brute_flushes"] += 1
+                block = dataset.cross(queries, pending, reduced=True)
+                rows, js_new = np.nonzero(
+                    block <= metric.reduce_thresholds(radii)[:, None]
                 )
-            if results.ids.size:
-                track_pairs(results.ids.size)
-                es = np.repeat(qpos, results.counts())
+                counts = np.bincount(rows, minlength=qpos.size)
+                d_ce = metric.expand_reduced(block[rows, js_new])
+                flush_counters["n_range_queries"] += qpos.size
+                flush_counters["n_candidates"] += block.size
+            else:
+                pending_index = build_index(
+                    flush_spec, dataset, indices=pending,
+                    radius_hint=float(radii.max()),
+                )
+                results = pending_index.range_query_batch_csr(queries, radii)
+                for counter, value in pending_index.counters().items():
+                    flush_counters[counter] = (
+                        flush_counters.get(counter, 0) + int(value)
+                    )
+                counts = results.counts()
                 js_new = position_of[results.ids] - base
                 d_ce = results.dists
-        if es.size:
-            # Sort only the actives whose group is actually reachable.
-            affected = np.zeros(base, dtype=bool)
-            affected[es] = True
-            sub_active = active[affected[act_assign]]
-            # Each (old group, new center) pair fans out to the group's
-            # members.
-            groups = FlatGroups.from_assignment(
-                sub_active, center_of[sub_active], base
-            ).take(es)
-            pair_point = groups.flat
-            pair_new = np.repeat(js_new, groups.sizes)
+            track_pairs(js_new.size)
+            # Fan each group's hits out to its active members straight
+            # from the probe's rows: a point gathers the row of its
+            # current center.  The pairs come out point-major; the min
+            # and tie scatters below do not depend on their order.
+            row_of = np.zeros(base, dtype=np.intp)
+            row_of[qpos] = np.arange(qpos.size)
+            act_rows = row_of[act_assign]
+            sizes = counts[act_rows]
+            starts = np.cumsum(counts) - counts
+            hits = concat_ranges(starts[act_rows], sizes)
+            pair_point = np.repeat(active, sizes)
+            pair_new = js_new[hits]
             # Per-point tightening of the group-level bound: d_ce is
             # dis(new center, the point's current center).
-            pair_d = np.repeat(d_ce, groups.sizes)
-            keep = pair_d < 2.0 * true_dist[pair_point] * PRUNE_SLACK
+            keep = d_ce[hits] < 2.0 * true_dist[pair_point] * PRUNE_SLACK
             pair_point, pair_new = pair_point[keep], pair_new[keep]
             if pair_point.size:
                 d = dataset.pair(pair_point, pending[pair_new], reduced=True)
@@ -509,16 +524,15 @@ def radius_guided_gonzalez(
                 base + np.arange(len(round_centers))
             )
         flush_pending()
-        if round_centers:
-            # The flush probed the pending centers through its own
-            # throwaway index; only now do they join the center index.
-            center_index.insert_batch(
-                np.asarray(round_centers, dtype=np.intp)
-            )
 
     flush_pending()
     m = len(centers)
     centers_arr = np.asarray(centers, dtype=np.intp)
+    # The loop never queries the center index, so its centers join in
+    # one batch; the one-center build above already fixed a grid's
+    # lattice, so every backend answers as if they had joined round by
+    # round.
+    center_index.insert_batch(centers_arr[1:])
 
     # Refine covered non-center points to their *nearest* center (the
     # centers' own rows are pinned below): the frozen assignment is

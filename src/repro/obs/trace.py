@@ -19,9 +19,10 @@ Per-span diagnostics:
 - ``memory`` — optional samples taken at span exit (``rss_bytes`` from
   ``resource.getrusage``, ``tracemalloc_peak_bytes``), enabled by
   listing ``mem`` in the ``REPRO_TRACE`` environment variable
-  (``REPRO_TRACE=mem``); tracemalloc is started lazily on the first
-  traced span.  Sampling is off by default because tracemalloc slows
-  allocation-heavy runs considerably.
+  (``REPRO_TRACE=mem``), which each :class:`RunTrace` reads once when
+  it is built; tracemalloc is started lazily on the first traced span.
+  Sampling is off by default because tracemalloc slows allocation-heavy
+  runs considerably.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class RunTrace:
     def __init__(self, memory: Optional[bool] = None) -> None:
         self.root = Span("run")
         self._stack: List[Span] = []
-        #: ``None`` defers to ``REPRO_TRACE`` per :func:`begin` call so
-        #: tests can flip the env var between runs.
-        self._memory = memory
+        #: ``None`` reads ``REPRO_TRACE`` once, here: a trace built
+        #: after the variable changes sees the new value, and no span
+        #: pays the parse.
+        self._memory = memory_sampling_enabled() if memory is None else memory
 
     # ------------------------------------------------------------------
 
@@ -126,11 +128,6 @@ class RunTrace:
         """Number of currently open spans."""
         return len(self._stack)
 
-    def _memory_enabled(self) -> bool:
-        if self._memory is not None:
-            return self._memory
-        return memory_sampling_enabled()
-
     def begin(
         self, name: str, counters: Optional[Dict[str, int]] = None
     ) -> _Frame:
@@ -138,7 +135,7 @@ class RunTrace:
         parent = self._stack[-1] if self._stack else self.root
         span = parent.child(name)
         self._stack.append(span)
-        if self._memory_enabled():
+        if self._memory:
             import tracemalloc
 
             if not tracemalloc.is_tracing():  # pragma: no branch
@@ -170,7 +167,7 @@ class RunTrace:
                 delta = value - before.get(key, 0)
                 if delta:
                     span.counters[key] = span.counters.get(key, 0) + delta
-        if self._memory_enabled():
+        if self._memory:
             import tracemalloc
 
             sample: Dict[str, int] = {}

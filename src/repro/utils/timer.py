@@ -33,6 +33,8 @@ _INDEX_COUNTER_KEYS = frozenset(
         "net_range_queries",
         "net_candidates",
         "net_build_evals",
+        "net_flush_rounds",
+        "net_brute_flushes",
         "peak_center_matrix_bytes",
     }
 )

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import radius_guided_gonzalez
+from repro import ApproxMetricDBSCAN, MetricDBSCAN
+from repro.core import gonzalez, radius_guided_gonzalez
 from repro.datasets import make_blobs
-from repro.index import net_neighbor_sets
+from repro.index import GridIndex, net_neighbor_sets
+from repro.index.registry import build_index
 from repro.kcenter import gonzalez_kcenter
 from repro.metricspace import EditDistanceMetric, EuclideanMetric, MetricDataset
 
@@ -288,6 +290,13 @@ def adversarial_outlier_dataset(seed=3):
     return np.vstack(pts)
 
 
+def uniform_square_dataset(seed=0):
+    """4,000 uniform points in the unit square.  At r̄ = 0.01 some
+    rounds' probe blocks (old centers owning uncovered points × new
+    centers) exceed the brute-block size and the others do not."""
+    return np.random.default_rng(seed).uniform(size=(4000, 2))
+
+
 class TestFlushRadiusCounters:
     """Regression tests for the per-center flush radius fix."""
 
@@ -306,21 +315,81 @@ class TestFlushRadiusCounters:
     def test_backends_identical_on_adversarial_dataset(self):
         """The harvested steal-pair superset differs per backend only
         in float-boundary wobble absorbed by the slack, so the pick
-        sequence, assignment, and ball counts must be bit-identical."""
-        X = adversarial_outlier_dataset()
-        nets = [
-            radius_guided_gonzalez(
-                MetricDataset(X, EuclideanMetric()),
-                r_bar=1.0,
-                index=backend,
-                eps_for_counts=1.0,
+        sequence, assignment, and ball counts must be bit-identical.
+
+        Both inputs have round flushes on both sides of the size test:
+        small probe blocks are one brute block, larger ones probe a
+        throwaway index of the center index's backend — a grid here,
+        brute in the reference."""
+        for X, r_bar in (
+            (adversarial_outlier_dataset(), 1.0),
+            (uniform_square_dataset(), 0.01),
+        ):
+            ref, other = [
+                radius_guided_gonzalez(
+                    MetricDataset(X, EuclideanMetric()),
+                    r_bar=r_bar,
+                    index=backend,
+                    eps_for_counts=r_bar,
+                )
+                for backend in ("brute", "grid")
+            ]
+            assert isinstance(other.index, GridIndex)
+            for net in (ref, other):
+                flushes = net.counters["net_flush_rounds"]
+                assert 0 < net.counters["net_brute_flushes"] < flushes
+            assert ref.centers == other.centers
+            np.testing.assert_array_equal(ref.center_of, other.center_of)
+            np.testing.assert_array_equal(
+                ref.dist_to_center, other.dist_to_center
             )
-            for backend in ("brute", "grid")
-        ]
-        ref, other = nets
-        assert ref.centers == other.centers
-        np.testing.assert_array_equal(ref.center_of, other.center_of)
-        np.testing.assert_array_equal(
-            ref.dist_to_center, other.dist_to_center
-        )
-        np.testing.assert_array_equal(ref.ball_counts, other.ball_counts)
+            np.testing.assert_array_equal(ref.ball_counts, other.ball_counts)
+
+
+class TestRoundFlush:
+    """Small round flushes probe with one brute block: no throwaway
+    index per round, and the center index grows once, after the loop."""
+
+    def test_small_rounds_build_no_flush_index(self, monkeypatch):
+        """On the blobs-d2 case every round's probe block is small, so
+        the loop builds no index beyond the grid-served center index,
+        whose centers join it in one ``insert_batch``."""
+        built = []
+
+        def recording_build_index(*args, **kwargs):
+            index = build_index(*args, **kwargs)
+            built.append(index)
+            return index
+
+        inserted = []
+        insert_batch = GridIndex.insert_batch
+
+        def recording_insert_batch(self, indices):
+            inserted.append(len(indices))
+            insert_batch(self, indices)
+
+        monkeypatch.setattr(gonzalez, "build_index", recording_build_index)
+        monkeypatch.setattr(GridIndex, "insert_batch", recording_insert_batch)
+        make, r_bar = TRAVERSAL_CASES["blobs-d2"]
+        net = radius_guided_gonzalez(make(), r_bar, index="auto")
+        assert isinstance(net.index, GridIndex)
+        assert len(built) == 1 and built[0] is net.index
+        assert inserted == [net.n_centers - 1]
+        rounds = net.counters["net_flush_rounds"]
+        assert rounds > 1
+        assert net.counters["net_brute_flushes"] == rounds
+
+    def test_flush_counters_reach_the_run_record(self):
+        """Exact and approx fold the net's flush counters into their
+        ``timings.counters``, so a run record shows the size test's
+        choices."""
+        make, r_bar = uniform_square_dataset, 0.01
+        net = radius_guided_gonzalez(MetricDataset(make()), r_bar)
+        for solver in (
+            MetricDBSCAN(2.0 * r_bar, 5),
+            ApproxMetricDBSCAN(2.0 * r_bar, 5, rho=1.0),
+        ):
+            counters = solver.fit(MetricDataset(make())).timings.counters
+            for key in ("net_flush_rounds", "net_brute_flushes"):
+                assert counters[key] == net.counters[key]
+            assert counters["net_flush_rounds"] > counters["net_brute_flushes"]

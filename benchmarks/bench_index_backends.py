@@ -79,9 +79,9 @@ def run_range_sweep(n=20000, ct_divisor=4):
             start = time.perf_counter()
             idx = build_index(backend, dataset, radius_hint=eps)
             built = time.perf_counter()
-            results = idx.range_query_batch(np.arange(n_b), eps)
+            results = idx.range_query_batch_csr(np.arange(n_b), eps)
             done = time.perf_counter()
-            found = int(sum(len(ids) for ids, _ in results))
+            found = int(results.ids.size)
             rows.append((
                 dim, backend, n_b,
                 f"{built - start:.3f}", f"{done - built:.3f}",

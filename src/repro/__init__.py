@@ -16,8 +16,8 @@ Public API highlights
 - :class:`~repro.metricspace.MetricDataset` plus concrete metrics
   (Euclidean, Minkowski, edit distance, angular, ...).
 - :mod:`repro.index` — pluggable neighbor-search backends (brute,
-  grid, cover tree) behind one range/kNN interface; solvers accept
-  ``index="grid"`` etc.
+  grid, cover tree) behind one CSR range-query interface; solvers
+  accept ``index="grid"`` etc.
 - :mod:`repro.baselines` — every comparison algorithm of Section 5.
 - :mod:`repro.evaluation` — ARI / AMI / NMI from first principles.
 - :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets.

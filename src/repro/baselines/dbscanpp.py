@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.result import ClusteringResult
 from repro.index.base import NeighborIndex
+from repro.index.csr import segment_argmin
 from repro.index.registry import IndexSpec, build_index
 from repro.kcenter import gonzalez_kcenter
 from repro.metricspace.dataset import MetricDataset
@@ -42,15 +43,16 @@ class DBSCANPlusPlus:
     seed:
         RNG seed for uniform sampling / the k-center start point.
     index:
-        Optional :mod:`repro.index` backend for the ε-neighborhood
-        computations (core tests of the sampled points, core-core
-        merging, and the final nearest-core assignment).  ``None``
-        (default) keeps the dense blocked scans; any backend produces
-        the identical clustering.
+        :mod:`repro.index` backend for the ε-neighborhood queries: the
+        core tests of the sampled points (against the full dataset),
+        then the core–core merge and the nearest-core assignment
+        (against one index over the unique core points).  ``None``
+        (default) is the process default (``REPRO_DEFAULT_INDEX``, else
+        ``auto``); every backend produces the identical clustering.
     """
 
-    #: Queries issued per index batch on the index path; bounds the
-    #: resident neighbor-id lists at one chunk's worth.
+    #: Queries issued per index batch; bounds the resident neighbor-id
+    #: lists at one chunk's worth.
     QUERY_CHUNK = 2048
 
     def __init__(
@@ -80,130 +82,76 @@ class DBSCANPlusPlus:
         eps = self.eps
         scope = CounterScope(timings, dataset=dataset)
         scope.__enter__()
-        rng = check_random_state(self.seed)
         m = max(1, int(round(self.ratio * n)))
-
         with timings.phase("sample"):
-            if self.init == "uniform":
-                sample = np.sort(rng.choice(n, size=m, replace=False))
-            else:
-                sample = self._kcenter_sample(dataset, m, rng)
+            sample = self._sample(dataset, m)
 
-        # When an index backend is configured, every ε-neighborhood
-        # below runs through it: the sampled core tests reuse one batch
-        # of range queries, the merge reuses those same answers, and
-        # the assignment queries a second index over the core points.
-        idx_all = (
-            build_index(self.index, dataset, radius_hint=eps)
-            if self.index is not None
-            else None
-        )
-
-        red_eps = dataset.metric.reduce_threshold(eps)
+        chunk = self.QUERY_CHUNK
+        idx_all = build_index(self.index, dataset, radius_hint=eps)
         with timings.phase("label_cores"):
+            # Chunked queries, keeping only the per-point counts:
+            # retaining every neighbor-id list would cost O(sum |N(p)|)
+            # memory on dense-eps workloads.
             core_rows = np.zeros(len(sample), dtype=bool)
-            if idx_all is not None:
-                # Chunked queries, keeping only the per-point counts:
-                # retaining every neighbor-id list would cost
-                # O(sum |N(p)|) memory on dense-eps workloads.
-                for lo in range(0, len(sample), self.QUERY_CHUNK):
-                    hits = idx_all.range_query_batch_csr(
-                        sample[lo : lo + self.QUERY_CHUNK], eps,
-                        with_distances=False,
-                    )
-                    core_rows[lo : lo + self.QUERY_CHUNK] = hits.counts() >= self.min_pts
-            else:
-                # One blocked pass: sampled rows against the full dataset.
-                pos = 0
-                for chunk, block in dataset.cross_blocks(
-                    queries=sample, reduced=True
-                ):
-                    counts = np.count_nonzero(block <= red_eps, axis=1)
-                    core_rows[pos : pos + len(chunk)] = counts >= self.min_pts
-                    pos += len(chunk)
+            for lo in range(0, len(sample), chunk):
+                hits = idx_all.range_query_batch_csr(
+                    sample[lo : lo + chunk], eps, with_distances=False
+                )
+                core_rows[lo : lo + chunk] = hits.counts() >= self.min_pts
             core_arr = np.asarray(sample[core_rows], dtype=np.int64)
+        idx_all.fold_counters_into(timings)
 
         with timings.phase("merge"):
-            # Core-core ε-edges join component roots one chunk or block
-            # at a time, so only one chunk's edges are ever held.
+            # Each core id maps to its *first* position in core_arr;
+            # repeated sampled ids (k-center sampling on data with exact
+            # duplicates) join their first occurrence.
             n_core = len(core_arr)
+            uniq, first = np.unique(core_arr, return_index=True)
+            core_position = np.full(n, -1, dtype=np.int64)
+            core_position[uniq] = first
             roots = np.arange(n_core, dtype=np.int64)
-            if idx_all is not None:
-                # Map each core point id to its *first* position in
-                # core_arr; duplicate sampled points (k-center sampling
-                # on data with exact duplicates) join their first
-                # occurrence, reproducing the dense path's zero-distance
-                # edges.
-                core_position = np.full(n, -1, dtype=np.int64)
-                uniq, first = np.unique(core_arr, return_index=True)
-                core_position[uniq] = first
+            if n_core:
+                # One index over the unique core points serves the merge
+                # and the assignment.  A pre-built instance spec spawns
+                # an unbuilt sibling (same configuration), so idx_all is
+                # not clobbered in place.
+                idx_core = build_index(
+                    self.index.spawn()
+                    if isinstance(self.index, NeighborIndex)
+                    else self.index,
+                    dataset, indices=uniq, radius_hint=eps,
+                )
                 roots = component_roots(n_core, core_position[core_arr], roots)
-                for lo in range(0, n_core, self.QUERY_CHUNK):
-                    hits = idx_all.range_query_batch_csr(
-                        core_arr[lo : lo + self.QUERY_CHUNK], eps,
-                        with_distances=False,
-                    )
-                    i = lo + hits.query_rows()
-                    j = core_position[hits.ids]
-                    later = j > i
-                    roots = component_roots(
-                        n_core, roots[i[later]], roots[j[later]]
-                    )[roots]
-            else:
-                start = 0
-                for chunk_pos, block in dataset.cross_blocks(
-                    queries=core_arr, targets=core_arr, reduced=True
-                ):
-                    # One flat scan: a 2-D np.nonzero is several times slower.
-                    rows, cols = np.divmod(
-                        np.flatnonzero(block <= red_eps), block.shape[1]
-                    )
-                    rows += start
-                    later = cols > rows
-                    roots = component_roots(
-                        n_core, roots[rows[later]], roots[cols[later]]
-                    )[roots]
-                    start += len(chunk_pos)
+            # Core-core ε-edges join component roots one chunk at a
+            # time, so only one chunk's edges are ever held.
+            for lo in range(0, n_core, chunk):
+                hits = idx_core.range_query_batch_csr(
+                    core_arr[lo : lo + chunk], eps, with_distances=False
+                )
+                i = lo + hits.query_rows()
+                j = core_position[hits.ids]
+                later = j > i
+                roots = component_roots(
+                    n_core, roots[i[later]], roots[j[later]]
+                )[roots]
             comp = first_seen_labels(roots)
 
         with timings.phase("assign"):
+            # Every point takes the cluster of its nearest core point
+            # within ε; ties go to the lowest core id (rows are sorted by
+            # id and segment_argmin keeps the first minimum).
             labels = np.full(n, -1, dtype=np.int64)
             core_mask = np.zeros(n, dtype=bool)
             core_mask[core_arr] = True
-            if len(core_arr) > 0 and idx_all is not None:
-                # A second, separate index over the (unique) core
-                # points; when the spec is a pre-built instance, spawn
-                # an unbuilt sibling (same configuration) so idx_all is
-                # not clobbered in place.
-                core_spec = (
-                    self.index.spawn()
-                    if isinstance(self.index, NeighborIndex)
-                    else self.index
-                )
-                idx_core = build_index(
-                    core_spec, dataset, indices=np.unique(core_arr),
-                    radius_hint=eps,
-                )
-                for lo in range(0, n, self.QUERY_CHUNK):
-                    chunk = np.arange(lo, min(lo + self.QUERY_CHUNK, n))
-                    for off, (ids, dists) in enumerate(
-                        idx_core.range_query_batch(chunk, eps)
-                    ):
-                        if len(ids):
-                            labels[lo + off] = comp[
-                                core_position[ids[np.argmin(dists)]]
-                            ]
+            if n_core:
+                for lo in range(0, n, chunk):
+                    hits = idx_core.range_query_batch_csr(
+                        np.arange(lo, min(lo + chunk, n)), eps
+                    )
+                    argpos, _ = segment_argmin(hits.dists, hits.offsets)
+                    found = np.flatnonzero(argpos >= 0)
+                    labels[lo + found] = comp[core_position[hits.ids[argpos[found]]]]
                 idx_core.fold_counters_into(timings)
-            elif len(core_arr) > 0:
-                for chunk, block in dataset.cross_blocks(
-                    targets=core_arr, reduced=True
-                ):
-                    amin = block.argmin(axis=1)
-                    dmin = block[np.arange(block.shape[0]), amin]
-                    ok = dmin <= red_eps
-                    labels[chunk[ok]] = comp[amin[ok]]
-        if idx_all is not None:
-            idx_all.fold_counters_into(timings)
         scope.__exit__(None, None, None)
 
         return ClusteringResult(
@@ -221,11 +169,12 @@ class DBSCANPlusPlus:
             },
         )
 
-    @staticmethod
-    def _kcenter_sample(
-        dataset: MetricDataset, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Greedy farthest-point (Gonzalez) sample of size ``m``."""
+    def _sample(self, dataset: MetricDataset, m: int) -> np.ndarray:
+        """The ``m`` sampled point ids, sorted: uniform without
+        replacement, or a greedy farthest-point (Gonzalez) sample."""
+        rng = check_random_state(self.seed)
+        if self.init == "uniform":
+            return np.sort(rng.choice(dataset.n, size=m, replace=False))
         first = int(rng.integers(dataset.n))
         result = gonzalez_kcenter(dataset, m, first_index=first)
         return np.sort(np.asarray(result.centers, dtype=np.int64))

@@ -336,57 +336,6 @@ class CoverTree:
             if not candidates:
                 return best_idx, best_d
 
-    def knn(self, payload: object, k: int) -> List[Tuple[int, float]]:
-        """The ``k`` nearest stored points to ``payload``.
-
-        Returns up to ``k`` ``(index, distance)`` pairs sorted by
-        distance (fewer when the tree holds fewer points).  Duplicates
-        stored on a node count individually.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if self._root is None:
-            return []
-
-        best: List[Tuple[float, int]] = []  # max-heap emulated via sort
-
-        def offer(index: int, dist: float, duplicates: List[int]) -> None:
-            best.append((dist, index))
-            best.extend((dist, dup) for dup in duplicates)
-            best.sort()
-            del best[k:]
-
-        def kth_bound() -> float:
-            return best[k - 1][0] if len(best) >= k else float("inf")
-
-        root = self._root
-        d_root = self._root_distance(payload)
-        offer(root.index, d_root, root.duplicates)
-        candidates: List[Tuple[_Node, float]] = [(root, d_root)]
-        bound: Optional[int] = None
-        while candidates:
-            expand_level = self._max_child_level(candidates, bound)
-            if expand_level is None:
-                break
-            bound = expand_level
-            new_children = [
-                child for node, _ in candidates for child in node.children
-                if child.level == expand_level
-            ]
-            dists = self._batch(payload, [c.index for c in new_children])
-            for child, dist in zip(new_children, dists):
-                dist = float(dist)
-                offer(child.index, dist, child.duplicates)
-                candidates.append((child, dist))
-            reach = 2.0 ** (expand_level + 1)
-            candidates = [
-                (node, d)
-                for node, d in candidates
-                if d <= kth_bound() + reach
-                and _has_children_below(node, expand_level)
-            ]
-        return [(index, dist) for dist, index in best]
-
     def range_query(self, payload: object, radius: float) -> List[Tuple[int, float]]:
         """All stored points within ``radius`` of ``payload``.
 

@@ -1,7 +1,8 @@
 """Pluggable neighbor-index subsystem (PR 2).
 
-Range/kNN neighbor search behind one interface so solvers scale past
-the dense center-center matrices of PR 1: :class:`BruteForceIndex`
+Range queries behind one interface, answered in one flat CSR shape
+(:class:`CSRQueryResult`), so solvers scale past the dense
+center-center matrices of PR 1: :class:`BruteForceIndex`
 (blocked scans, any metric), :class:`GridIndex` (uniform-cell table
 for vector metrics), :class:`CoverTreeIndex` (general metric spaces),
 selected by name through :func:`build_index` (``auto`` policy, or the
@@ -9,9 +10,9 @@ selected by name through :func:`build_index` (``auto`` policy, or the
 :mod:`repro.index.base` for the interface contract.
 """
 
-from repro.index.base import NeighborIndex, QueryResult
+from repro.index.base import NeighborIndex
 from repro.index.brute import BruteForceIndex
-from repro.index.csr import CSRQueryResult, csr_from_rows, segment_argmin
+from repro.index.csr import CSRQueryResult, segment_argmin
 from repro.index.covertree import CoverTreeIndex
 from repro.index.grid import GridIndex
 from repro.index.netgraph import center_neighbor_sets, net_neighbor_sets
@@ -32,9 +33,7 @@ from repro.index.registry import (
 
 __all__ = [
     "NeighborIndex",
-    "QueryResult",
     "CSRQueryResult",
-    "csr_from_rows",
     "segment_argmin",
     "BruteForceIndex",
     "GridIndex",

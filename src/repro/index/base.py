@@ -1,12 +1,11 @@
 """The :class:`NeighborIndex` interface: pluggable neighbor search.
 
-Every solver in this package ultimately asks the same two questions of
-the data: *which points lie within radius ``r`` of a query* (range
-queries — the ε-neighborhoods of DBSCAN, the merge graphs over Gonzalez
-centers) and *which ``k`` points are nearest* (BCP-style probes).  The
-PR-1 batched distance engine answers them with dense blocked cross
-products, which is optimal for small sets but turns quadratic once the
-net size ``(Δ/r̄)^D`` explodes in high dimensions.
+Every solver in this package asks the data one question: *which points
+lie within radius ``r`` of a query* — the ε-neighborhoods of DBSCAN,
+the ``2r̄ + τ`` merge graphs over Gonzalez centers, the streaming
+probes.  The PR-1 batched distance engine answers it with dense
+blocked cross products, which is optimal for small sets but turns
+quadratic once the net size ``(Δ/r̄)^D`` explodes in high dimensions.
 
 This subpackage factors the question out behind an index interface, the
 same move scikit-learn makes with its ``neighbors`` backends: callers
@@ -27,27 +26,21 @@ Backends are selected by name through :mod:`repro.index.registry`
 
 Contract
 --------
-- Queries are **global dataset indices** (the batch entry points), so
-  backends can route exact-filter evaluations through the instrumented
+- Queries are **global dataset indices**
+  (:meth:`NeighborIndex.range_query_batch_csr`), so backends can route
+  exact-filter evaluations through the instrumented
   :class:`~repro.metricspace.dataset.MetricDataset` kernels and the
   ``n_cross_evals`` attribution of PR 1 stays meaningful.  Streaming
-  consumers whose query payloads are *not* dataset points use the
-  :meth:`NeighborIndex.range_query_points` companion instead.
-- Results are **global point indices sorted ascending**, paired with
-  true (non-reduced) distances aligned to them.  Sorted order makes
-  every backend bit-compatible with the dense ``np.nonzero`` scans it
-  replaces, so downstream tie-breaking (argmin on candidate lists,
-  BFS expansion order) is identical across backends.
-- Batched queries come in two interchangeable shapes: the tuple-list
-  form (one ``(ids, dists)`` pair per query) and the flat CSR form of
-  :class:`~repro.index.csr.CSRQueryResult`
-  (:meth:`NeighborIndex.range_query_batch_csr` /
-  :meth:`NeighborIndex.range_query_points_csr`).  Consumers that fan
-  out over many queries — streaming passes, merge graphs, recounts —
-  should prefer the CSR form: ``brute`` and ``grid`` produce it
-  natively, and its flat arrays feed ``np.bincount`` / segment
-  reductions directly.  Row contents are identical between the two
-  shapes.
+  consumers whose query payloads are *not* dataset points use
+  :meth:`NeighborIndex.range_query_points_csr` instead.
+- Answers come in one shape, the flat CSR form of
+  :class:`~repro.index.csr.CSRQueryResult`: one ``(offsets, ids,
+  dists)`` triple per batch, whose flat arrays feed ``np.bincount`` /
+  segment reductions directly.  Each row holds **global point indices
+  sorted ascending**, paired with true (non-reduced) distances aligned
+  to them.  Sorted order makes every backend bit-compatible with the
+  dense ``np.nonzero`` scans it replaces, so downstream tie-breaking
+  (argmin on candidate lists) is identical across backends.
 - A stored query point always reports itself (distance 0).
 - Instrumentation: ``n_range_queries`` counts queries answered and
   ``n_candidates`` counts the exact-filter distance evaluations spent
@@ -87,16 +80,12 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.index.csr import CSRQueryResult, csr_from_rows, in_sorted
+from repro.index.csr import CSRQueryResult, in_sorted
 from repro.metricspace.dataset import IndexArray, MetricDataset
-
-#: A query answer: (global point indices sorted ascending, aligned true
-#: distances).
-QueryResult = Tuple[np.ndarray, np.ndarray]
 
 
 class NeighborIndex(ABC):
@@ -184,9 +173,9 @@ class NeighborIndex(ABC):
         """Add dataset points to a built index in place.
 
         ``indices`` are global dataset indices, none of which may
-        already be stored.  After the call the index answers
-        ``range_query`` / ``knn`` exactly as one built fresh over the
-        union (the incremental-equivalence contract).  The dataset
+        already be stored.  After the call the index answers every
+        range query exactly as one built fresh over the union (the
+        incremental-equivalence contract).  The dataset
         itself may have grown since :meth:`build` (streaming summaries
         append payloads); new indices only need to be valid *now*.
         """
@@ -279,94 +268,40 @@ class NeighborIndex(ABC):
     # ------------------------------------------------------------------
     # Queries
 
-    def range_query(
-        self, query: int, radius: float, with_distances: bool = True
-    ) -> QueryResult:
-        """Stored points within ``radius`` of dataset point ``query``.
-
-        Returns ``(indices, distances)`` with indices global and sorted
-        ascending.  The default delegates to :meth:`range_query_batch`.
-        """
-        return self.range_query_batch(
-            np.asarray([query], dtype=np.intp), radius,
-            with_distances=with_distances,
-        )[0]
-
     @abstractmethod
-    def range_query_batch(
-        self, queries: IndexArray, radius: float, with_distances: bool = True
-    ) -> List[QueryResult]:
-        """One :meth:`range_query` answer per entry of ``queries``.
-
-        This is the hot entry point: backends batch the exact-filter
-        distance evaluations over many queries at once.
+    def range_query_batch_csr(
+        self, queries: IndexArray, radius, with_distances: bool = True
+    ) -> CSRQueryResult:
+        """Stored points within ``radius`` of each dataset point in
+        ``queries``, as one :class:`~repro.index.csr.CSRQueryResult`:
+        row ``i`` holds query ``i``'s hits, global indices sorted
+        ascending, with true distances aligned to them.
 
         ``radius`` may be a single float shared by every query or an
         array of per-query radii aligned with ``queries`` (the Gonzalez
         flush prunes each old center at its own group radius).
 
         ``with_distances=False`` lets consumers that only need the
-        neighbor *sets* (adjacency precompute, core counting) skip the
+        neighbor *sets* (core counting, merge edges) skip the
         reduced→true expansion — a ``sqrt``/``arccos`` per hit that
-        the dense reduced-threshold paths never paid; the second tuple
-        element is then ``None``.  Scalar-radius queries in this mode
-        additionally route through the certified mixed-precision
-        cascade (:meth:`Metric.cross_certified`) where the backend
-        supports it — decisions only, never distances, so the float32
-        tier applies.
+        the dense reduced-threshold paths never paid; ``dists`` is then
+        ``None``.  Scalar-radius queries in this mode additionally route
+        through the certified mixed-precision cascade
+        (:meth:`Metric.cross_certified`) where the backend supports it —
+        decisions only, never distances, so the float32 tier applies.
         """
 
     @abstractmethod
-    def knn(self, query: int, k: int) -> QueryResult:
-        """The ``k`` stored points nearest to dataset point ``query``.
-
-        Returns ``(indices, distances)`` sorted by ``(distance, index)``
-        (fewer than ``k`` when the index stores fewer points).
-        """
-
-    def range_query_points(
-        self, payloads: Sequence, radius: float, with_distances: bool = True
-    ) -> List[QueryResult]:
+    def range_query_points_csr(
+        self, payloads: Sequence, radius, with_distances: bool = True
+    ) -> CSRQueryResult:
         """Range queries for payloads that are *not* dataset points.
 
         The streaming solvers probe arriving stream elements against an
         index over their center/summary stores; those queries cannot be
         phrased as global indices.  Semantics otherwise match
-        :meth:`range_query_batch`: one ``(stored indices sorted
-        ascending, true distances)`` answer per payload.
+        :meth:`range_query_batch_csr`.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support payload queries"
-        )
-
-    def range_query_batch_csr(
-        self, queries: IndexArray, radius, with_distances: bool = True
-    ) -> CSRQueryResult:
-        """:meth:`range_query_batch` in flat CSR form.
-
-        Same rows, same order, same distances — packed into one
-        ``(offsets, ids, dists)`` triple (see
-        :class:`~repro.index.csr.CSRQueryResult`) so batch consumers
-        skip the per-query tuple unpacking.  The default adapts the
-        tuple-list answer; ``brute`` and ``grid`` override with native
-        flat assembly.
-        """
-        return csr_from_rows(
-            self.range_query_batch(queries, radius, with_distances=with_distances),
-            with_distances,
-        )
-
-    def range_query_points_csr(
-        self, payloads: Sequence, radius, with_distances: bool = True
-    ) -> CSRQueryResult:
-        """:meth:`range_query_points` in flat CSR form (see
-        :meth:`range_query_batch_csr`)."""
-        return csr_from_rows(
-            self.range_query_points(
-                payloads, radius, with_distances=with_distances
-            ),
-            with_distances,
-        )
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -439,10 +374,3 @@ def check_radii(radius, n_queries: int):
         raise ValueError("per-query radii must be non-negative and finite")
     return radii
 
-
-def check_k(k: int) -> int:
-    """Validate a kNN ``k`` (positive integer)."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k

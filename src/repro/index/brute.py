@@ -7,10 +7,9 @@ the correctness reference the other backends are tested against, and
 the fastest choice for small stored sets where numpy throughput beats
 any per-query pruning overhead.
 
-Batched answers are assembled natively in CSR form — one
-``np.flatnonzero`` and one ``bincount`` per evaluated block instead of
-a per-row Python loop — and the tuple-list entry points are thin views
-over it.
+Answers are assembled natively in CSR form: one ``np.flatnonzero``
+and one ``bincount`` per evaluated block instead of a per-row Python
+loop.
 """
 
 from __future__ import annotations
@@ -19,13 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.index.base import (
-    CSRQueryResult,
-    NeighborIndex,
-    QueryResult,
-    check_k,
-    check_radii,
-)
+from repro.index.base import CSRQueryResult, NeighborIndex, check_radii
 from repro.metricspace.dataset import (
     CERTIFIED_BYTES_PER_ENTRY,
     IndexArray,
@@ -142,13 +135,6 @@ class BruteForceIndex(NeighborIndex):
         self.n_candidates += len(queries) * self.n_stored
         return flat.finish(len(queries))
 
-    def range_query_batch(
-        self, queries: IndexArray, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
-        return self.range_query_batch_csr(
-            queries, radius, with_distances=with_distances
-        ).tolist()
-
     def range_query_points_csr(
         self, payloads: Sequence, radius, with_distances: bool = True
     ) -> CSRQueryResult:
@@ -187,34 +173,3 @@ class BruteForceIndex(NeighborIndex):
         self.n_range_queries += len(payloads)
         self.n_candidates += len(payloads) * self.n_stored
         return flat.finish(len(payloads))
-
-    def range_query_points(
-        self, payloads: Sequence, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
-        return self.range_query_points_csr(
-            payloads, radius, with_distances=with_distances
-        ).tolist()
-
-    def knn(self, query: int, k: int) -> QueryResult:
-        dataset = self._require_built()
-        k = check_k(k)
-        if self.n_stored == 0:  # deleted to empty
-            self.n_range_queries += 1
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        metric = dataset.metric
-        targets = self._targets()
-        row = np.asarray(
-            dataset.cross([int(query)], targets, reduced=True)[0], dtype=np.float64
-        )
-        self.n_range_queries += 1
-        self.n_candidates += self.n_stored
-        k = min(k, self.n_stored)
-        if k < self.n_stored:
-            part = np.argpartition(row, k - 1)[:k]
-        else:
-            part = np.arange(self.n_stored)
-        # Sort the k survivors by (distance, global index).
-        order = np.lexsort((self.stored[part], row[part]))
-        cols = part[order]
-        dists = np.asarray(metric.expand_reduced(row[cols]), dtype=np.float64)
-        return self.stored[cols], dists

@@ -12,20 +12,18 @@ doubling-dimension assumption (Claim 1).
 (construction excluded), so the counter stays comparable with the
 exact-filter counts of the other backends.
 
-The CSR batch entry points (``range_query_batch_csr`` /
-``range_query_points_csr``) come from the generic base-class adapter:
-the tree traverses one query at a time regardless, so concatenating the
-tuple-list answer costs nothing extra and keeps the consumer-facing
-format uniform across backends.
+The tree traverses one query at a time, so a batch is one traversal
+per query, each row's hits sorted by id, concatenated into the CSR
+answer by :func:`~repro.index.csr.csr_from_rows`.
 
 Deletion uses tombstones.  Removing a node would mean re-parenting its
 subtree under the covering and separation invariants, and first-in,
 first-out expiry (the windowed models) removes the oldest points, which
 sit at the top of the tree.  A deleted id therefore stays in the tree,
 listed in :attr:`CoverTreeIndex.tombstones`, and every answer masks it
-out; kNN over-fetches ``k + #tombstones``.  The delete that leaves fewer
-than :attr:`CoverTreeIndex.COMPACT_LIVE_FRACTION` of the tree's points
-live rebuilds it over the stored points, and so does the insert of a
+out.  The delete that leaves fewer than
+:attr:`CoverTreeIndex.COMPACT_LIVE_FRACTION` of the tree's points live
+rebuilds it over the stored points, and so does the insert of a
 tombstoned id (the tree still holds it, with a payload that may since
 have changed).  The tombstones therefore depend only on the order of
 inserts and deletes, never on when queries run.
@@ -33,19 +31,13 @@ inserts and deletes, never on when queries run.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.covertree.tree import CoverTree
-from repro.index.base import (
-    NeighborIndex,
-    QueryResult,
-    check_k,
-    check_radii,
-    check_radius,
-)
-from repro.index.csr import in_sorted
+from repro.index.base import CSRQueryResult, NeighborIndex, check_radii
+from repro.index.csr import csr_from_rows, in_sorted
 from repro.metricspace.dataset import IndexArray
 
 
@@ -109,68 +101,49 @@ class CoverTreeIndex(NeighborIndex):
         out["n_rebuilds"] = int(getattr(self, "n_rebuilds", 0))
         return out
 
-    def _live(self, hits: List) -> QueryResult:
-        """The ``(index, distance)`` hits of a tree query as arrays, with
-        tombstoned ids masked out."""
-        ids = np.asarray([i for i, _ in hits], dtype=np.intp)
-        dists = np.asarray([d for _, d in hits], dtype=np.float64)
-        if self.tombstones.size:
-            keep = ~in_sorted(ids, self.tombstones)
-            ids, dists = ids[keep], dists[keep]
-        return ids, dists
-
-    def _query(self, payload, radius: float) -> QueryResult:
-        """One range query by payload: live hits sorted by index."""
+    def _query(self, payload, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """One tree traversal: the live hits within ``radius`` of
+        ``payload`` as ``(ids, distances)``, tombstones masked out and
+        sorted by id."""
         tree = self.tree
         self.n_range_queries += 1
         before = tree.n_distance_evals
         hits = tree.range_query(payload, radius)
         self.n_candidates += tree.n_distance_evals - before
-        ids, dists = self._live(hits)
+        ids = np.asarray([i for i, _ in hits], dtype=np.intp)
+        dists = np.asarray([d for _, d in hits], dtype=np.float64)
+        if self.tombstones.size:
+            keep = ~in_sorted(ids, self.tombstones)
+            ids, dists = ids[keep], dists[keep]
         order = np.argsort(ids, kind="stable")
         return ids[order], dists[order]
 
-    def range_query(
-        self, query: int, radius: float, with_distances: bool = True
-    ) -> QueryResult:
-        # The tree traversal computes true distances anyway, so
-        # with_distances costs nothing here and is ignored.
-        dataset = self._require_built()
-        return self._query(dataset.point(int(query)), check_radius(radius))
+    def _batch(
+        self, payloads: Sequence, radius, with_distances: bool
+    ) -> CSRQueryResult:
+        """One traversal per payload, at its own radius when ``radius``
+        is per-query.  The traversal computes true distances anyway;
+        ``with_distances=False`` only drops them from the answer."""
+        radii = np.broadcast_to(radius, (len(payloads),))
+        return csr_from_rows(
+            [self._query(p, float(r)) for p, r in zip(payloads, radii)],
+            with_distances,
+        )
 
-    def range_query_batch(
+    def range_query_batch_csr(
         self, queries: IndexArray, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
-        queries = np.asarray(queries)
+    ) -> CSRQueryResult:
+        dataset = self._require_built()
+        queries = np.asarray(queries, dtype=np.intp)
         radius = check_radii(radius, len(queries))
-        if isinstance(radius, np.ndarray):
-            # Per-query radii: the tree queries one at a time anyway.
-            return [
-                self.range_query(int(q), float(r))
-                for q, r in zip(queries, radius)
-            ]
-        return [self.range_query(int(q), radius) for q in queries]
+        return self._batch(
+            [dataset.point(int(q)) for q in queries], radius, with_distances
+        )
 
-    def range_query_points(
-        self, payloads, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
+    def range_query_points_csr(
+        self, payloads: Sequence, radius, with_distances: bool = True
+    ) -> CSRQueryResult:
         # The tree queries by payload natively.
         self._require_built()
         radius = check_radii(radius, len(payloads))
-        if isinstance(radius, np.ndarray):
-            return [self._query(p, float(r)) for p, r in zip(payloads, radius)]
-        return [self._query(p, radius) for p in payloads]
-
-    def knn(self, query: int, k: int) -> QueryResult:
-        dataset = self._require_built()
-        k = check_k(k)
-        tree = self.tree
-        self.n_range_queries += 1
-        before = tree.n_distance_evals
-        # Over-fetch so the answer survives tombstone masking: every
-        # masked hit could displace a live one.
-        hits = tree.knn(dataset.point(int(query)), k + self.tombstones.size)
-        self.n_candidates += tree.n_distance_evals - before
-        # CoverTree.knn already sorts by (distance, index).
-        ids, dists = self._live(hits)
-        return ids[:k], dists[:k]
+        return self._batch(payloads, radius, with_distances)

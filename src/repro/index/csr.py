@@ -1,26 +1,24 @@
 """Flat CSR-style batch query results and segment reductions.
 
-The tuple-list shape of :meth:`NeighborIndex.range_query_batch` (one
-``(ids, dists)`` pair per query) forces every consumer that fans out
-over queries — streaming pass 1/3, the pass-2 recount, the merge
-graphs, the windowed refresh — to pay one interpreter iteration and one
-tiny kernel call per query.  :class:`CSRQueryResult` is the flat
-companion: all hits of a batch concatenated row-major into ``ids`` (and
-optionally ``dists``), delimited by ``offsets`` exactly like a
-compressed-sparse-row matrix.  Backends produce it natively with one
-``np.flatnonzero`` per evaluated block, and consumers reduce over it with
-the segment helpers below instead of looping rows.
+Every batched range query answers in one shape,
+:class:`CSRQueryResult`: all hits of a batch concatenated row-major into
+``ids`` (and optionally ``dists``), delimited by ``offsets`` exactly
+like a compressed-sparse-row matrix.  Consumers that fan out over
+queries — streaming passes 1 and 3, the pass-2 recount, the merge
+graphs, the windowed refresh — reduce over it with the segment helpers
+below instead of paying one interpreter iteration per query.  ``brute``
+and ``grid`` produce it natively with one ``np.flatnonzero`` per
+evaluated block; the cover tree concatenates its per-query traversals
+with :func:`csr_from_rows`.
 
 Within each row the ids keep the interface contract of
 :mod:`repro.index.base`: global indices sorted ascending, distances
-aligned.  ``tolist()`` recovers the tuple-list view, so the two formats
-are interchangeable — the CSR one is simply the form the vectorized
-consumers want.
+aligned.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,10 +99,6 @@ class CSRQueryResult:
             None if self.dists is None else self.dists[lo:hi],
         )
 
-    def tolist(self) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """The tuple-list view (one ``(ids, dists)`` pair per query)."""
-        return [self.row(i) for i in range(self.n_queries)]
-
     def __len__(self) -> int:
         return self.n_queries
 
@@ -153,11 +147,11 @@ def csr_from_rows(
     rows: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
     with_distances: bool,
 ) -> CSRQueryResult:
-    """Adapter: concatenate a tuple-list answer into CSR form.
+    """Concatenate per-query ``(ids, dists)`` rows into CSR form.
 
-    This is the generic fallback for backends without a native flat
-    path (the cover tree traverses per query anyway); ``brute`` and
-    ``grid`` build the flat arrays directly instead.
+    The cover tree's assembly: it traverses one query at a time, so its
+    rows arrive one by one.  ``brute`` and ``grid`` build the flat
+    arrays directly instead.
     """
     counts = np.asarray([len(ids) for ids, _ in rows], dtype=np.intp)
     offsets = np.zeros(len(rows) + 1, dtype=np.intp)

@@ -62,13 +62,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.index.base import (
-    CSRQueryResult,
-    NeighborIndex,
-    QueryResult,
-    check_k,
-    check_radii,
-)
+from repro.index.base import CSRQueryResult, NeighborIndex, check_radii
 from repro.index.csr import csr_from_parts, in_sorted
 from repro.metricspace.base import Metric
 from repro.metricspace.counting import unwrap
@@ -180,10 +174,8 @@ class _GridView:
     """Euclidean-compatible coordinate view of a vector metric.
 
     ``coords`` maps payload rows to grid coordinates, ``view_radius``
-    maps true-metric radii to the view geometry, ``expand_view`` maps a
-    view-space lower bound back to a true-metric lower bound (used by
-    the kNN certification), and ``p`` is the norm that aggregates per-dim
-    cell gaps into a view-space lower bound.
+    maps true-metric radii to the view geometry, and ``p`` is the norm
+    that aggregates per-dim cell gaps into a view-space lower bound.
     """
 
     def __init__(self, metric: Metric) -> None:
@@ -225,11 +217,6 @@ class _GridView:
         if self._chord:
             return 2.0 * np.sin(np.clip(radius, 0.0, np.pi) / 2.0)
         return radius
-
-    def expand_view(self, view_bound: float) -> float:
-        if self._chord:
-            return 2.0 * math.asin(min(max(view_bound, 0.0), 2.0) / 2.0)
-        return view_bound
 
 
 class GridIndex(NeighborIndex):
@@ -541,13 +528,6 @@ class GridIndex(NeighborIndex):
         radius = check_radii(radius, len(queries))
         return self._range(dataset.gather(queries), radius, with_distances)
 
-    def range_query_batch(
-        self, queries: IndexArray, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
-        return self.range_query_batch_csr(
-            queries, radius, with_distances=with_distances
-        ).tolist()
-
     def range_query_points_csr(
         self, payloads, radius, with_distances: bool = True
     ) -> CSRQueryResult:
@@ -556,67 +536,3 @@ class GridIndex(NeighborIndex):
         return self._range(
             np.asarray(payloads, dtype=np.float64), radius, with_distances
         )
-
-    def range_query_points(
-        self, payloads, radius, with_distances: bool = True
-    ) -> List[QueryResult]:
-        return self.range_query_points_csr(
-            payloads, radius, with_distances=with_distances
-        ).tolist()
-
-    def knn(self, query: int, k: int) -> QueryResult:
-        dataset = self._require_built()
-        k = check_k(k)
-        self.n_range_queries += 1
-        if self.n_stored == 0:  # deleted to empty
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        metric = dataset.metric
-        qrow = self._cell_rows(self._view.coords(dataset.gather([int(query)])))
-        _, _, starts, ids = self._cells()
-        k = min(k, self.n_stored)
-        # Expanding-ring search: points outside box reach R are at view
-        # distance >= R*w, so once the kth candidate is closer than the
-        # true-metric expansion of that bound the answer is certified.
-        # The cell width is already a view-space quantity; only a
-        # caller-supplied hint needs mapping into view space.
-        reach_r = (
-            float(self._view.view_radius(self.radius_hint))
-            if self.radius_hint
-            else self._width
-        )
-        # Ring-delta cache: each doubling only evaluates the *newly*
-        # reached points; candidates from earlier rings keep their
-        # already-computed reduced distances, so a far-from-mass query
-        # costs O(distinct candidates) total instead of O(rings ·
-        # candidates).  ``seen`` holds the (sorted) ids already
-        # evaluated.
-        seen = np.empty(0, dtype=np.intp)
-        id_parts: List[np.ndarray] = []
-        red_parts: List[np.ndarray] = []
-        while True:
-            _, cells, _ = self._reach(qrow, np.asarray([reach_r]))
-            _, pos = next(_expand(starts[cells], np.diff(starts)[cells]))
-            fresh = np.sort(ids[pos])
-            fresh = fresh[~in_sorted(fresh, seen)]
-            if fresh.size:
-                seen = np.sort(np.concatenate([seen, fresh]))
-                row = dataset.cross([int(query)], fresh, reduced=True)[0]
-                self.n_candidates += fresh.size
-                id_parts.append(fresh)
-                red_parts.append(np.asarray(row, dtype=np.float64))
-            if seen.size >= k:
-                cand = np.concatenate(id_parts)
-                dists = np.asarray(
-                    metric.expand_reduced(np.concatenate(red_parts)),
-                    dtype=np.float64,
-                )
-                sel = np.lexsort((cand, dists))[:k]
-                # Every ungathered point (box-excluded or cell-pruned)
-                # sits at view distance strictly above reach_r.
-                certified = (
-                    seen.size == self.n_stored
-                    or float(dists[sel[-1]]) <= self._view.expand_view(reach_r)
-                )
-                if certified:
-                    return cand[sel], dists[sel]
-            reach_r *= 2.0

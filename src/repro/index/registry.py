@@ -149,7 +149,7 @@ def _probe_grid_degenerate(index: NeighborIndex) -> bool:
         np.linspace(0, n_stored - 1, GRID_PROBE_QUERIES).astype(np.intp)
     ]
     sample = np.unique(sample)
-    index.range_query_batch(sample, index.radius_hint, with_distances=False)
+    index.range_query_batch_csr(sample, index.radius_hint, with_distances=False)
     ratio = index.n_candidates / max(1, len(sample) * n_stored)
     index.reset_counters()
     return ratio > GRID_PROBE_MAX_RATIO

@@ -8,7 +8,6 @@ sees every evaluation.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,23 +23,6 @@ IndexArray = Union[Sequence[int], np.ndarray]
 #: 8 MiB of float64 keeps a block well inside L3 on common hardware
 #: while amortizing the per-call numpy overhead over ~1M entries.
 DEFAULT_BLOCK_BYTES = 8 << 20
-
-#: Adaptive block sizing (``cross_blocks(block_bytes=None)``) steers
-#: each block's measured kernel time into this window: faster blocks
-#: double the byte budget (amortize per-call overhead — matters for
-#: tiny ``d`` where a fixed byte budget yields huge cheap blocks'
-#: opposite, many small expensive calls), slower blocks halve it
-#: (bound latency and the working set — matters for large ``d`` or
-#: expensive scalar metrics).  The learned budget persists on the
-#: dataset, so later iterations start warm.
-ADAPT_LOW_SECONDS = 0.004
-ADAPT_HIGH_SECONDS = 0.040
-ADAPT_MIN_BYTES = 256 << 10
-#: Growth cap: 8x the static default.  Consumers often hold a
-#: same-sized boolean mask next to the block, so the transient
-#: footprint is a small multiple of this.
-ADAPT_MAX_BYTES = 64 << 20
-
 
 #: Per-entry byte weight of a *certified* block: the float64 fallback
 #: holds the reduced block (8) plus the mask (1); the cascade holds the
@@ -130,8 +112,6 @@ class MetricDataset:
         # number of distance entries they produced (see cross/cross_blocks).
         self.n_cross_blocks = 0
         self.n_cross_evals = 0
-        # Learned byte budget for adaptive cross_blocks sizing.
-        self._adaptive_block_bytes = DEFAULT_BLOCK_BYTES
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -275,13 +255,8 @@ class MetricDataset:
         each float64 block stays within the byte budget.  Peak memory is
         therefore bounded regardless of ``len(queries) * len(targets)``.
 
-        ``block_bytes=None`` (default) sizes blocks *adaptively*: the
-        budget starts at the dataset's learned value (initially
-        ``DEFAULT_BLOCK_BYTES``) and each block's measured kernel time
-        steers it into the ``[ADAPT_LOW_SECONDS, ADAPT_HIGH_SECONDS]``
-        window.  Pass an explicit byte count for fully deterministic
-        chunking (tests, memory-capped environments).  Chunking never
-        affects the values produced, only their grouping.
+        ``block_bytes=None`` (default) means ``DEFAULT_BLOCK_BYTES``.
+        Chunking never affects the values produced, only their grouping.
 
         With ``certified_threshold`` set, blocks are *boolean decision
         masks* ``dis <= certified_threshold`` from
@@ -290,7 +265,6 @@ class MetricDataset:
         :data:`CERTIFIED_BYTES_PER_ENTRY` to cover the float32 copies.
         ``reduced`` is ignored in that mode.
         """
-        adaptive = block_bytes is None
         q = np.arange(self._n, dtype=np.intp) if queries is None else np.asarray(
             queries, dtype=np.intp
         )
@@ -308,36 +282,17 @@ class MetricDataset:
         else:
             entry_bytes = 8
             kernel = self.metric.reduced_cross if reduced else self.metric.cross
-        if not adaptive:
-            step = rows_per_block(n_targets, block_bytes, entry_bytes)
-        start = 0
-        while start < len(q):
-            if adaptive:
-                budget = self._adaptive_block_bytes
-                step = rows_per_block(n_targets, budget, entry_bytes)
+        step = rows_per_block(
+            n_targets,
+            DEFAULT_BLOCK_BYTES if block_bytes is None else block_bytes,
+            entry_bytes,
+        )
+        for start in range(0, len(q), step):
             chunk = q[start : start + step]
-            began = time.perf_counter()
             block = kernel(self.gather(chunk), t)
-            if adaptive:
-                elapsed = time.perf_counter() - began
-                if (
-                    elapsed > ADAPT_HIGH_SECONDS
-                    and budget > ADAPT_MIN_BYTES
-                ):
-                    self._adaptive_block_bytes = max(budget // 2, ADAPT_MIN_BYTES)
-                elif (
-                    elapsed < ADAPT_LOW_SECONDS
-                    and budget < ADAPT_MAX_BYTES
-                    # Only a block that actually consumed its budget is
-                    # evidence the budget is too small (tail chunks and
-                    # tiny query sets finish fast regardless).
-                    and block.size * entry_bytes >= budget // 2
-                ):
-                    self._adaptive_block_bytes = min(budget * 2, ADAPT_MAX_BYTES)
             self.n_cross_blocks += 1
             self.n_cross_evals += block.size
             yield chunk, block
-            start += len(chunk)
 
     def pairwise(self, indices: Optional[IndexArray] = None) -> np.ndarray:
         """Pairwise distance matrix over ``indices`` (all points if None).
@@ -365,7 +320,6 @@ class MetricDataset:
         counted._n = self._n
         counted.n_cross_blocks = 0
         counted.n_cross_evals = 0
-        counted._adaptive_block_bytes = self._adaptive_block_bytes
         return counted
 
     def same_space(self, other: "MetricDataset") -> bool:
@@ -504,7 +458,6 @@ class GrowingMetricDataset(MetricDataset):
         self._store = PayloadStore(self.metric)
         self.n_cross_blocks = 0
         self.n_cross_evals = 0
-        self._adaptive_block_bytes = DEFAULT_BLOCK_BYTES
 
     @property
     def _points(self) -> Any:

@@ -110,13 +110,6 @@ class TimingBreakdown:
     trace: RunTrace = field(
         default_factory=RunTrace, repr=False, compare=False
     )
-    #: Seconds recorded by *root-level* (depth-0) ``phase`` entries only;
-    #: the double-count-free view :attr:`total` sums.  Empty for
-    #: breakdowns populated by hand (constructor / direct ``phases``
-    #: writes), in which case :attr:`total` falls back to the flat map.
-    root_phases: Dict[str, float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def count(self, name: str, amount: int = 1) -> None:
         """Accumulate ``amount`` into counter ``name``."""
@@ -136,24 +129,20 @@ class TimingBreakdown:
         try:
             yield
         finally:
-            _, elapsed, depth = self.trace.finish(frame, self.counters)
+            _, elapsed, _ = self.trace.finish(frame, self.counters)
             self.phases[name] = self.phases.get(name, 0.0) + elapsed
-            if depth == 0:
-                self.root_phases[name] = (
-                    self.root_phases.get(name, 0.0) + elapsed
-                )
 
     @property
     def total(self) -> float:
         """Wall-clock covered by the recorded phases, in seconds.
 
-        Sums only root-level phases so nested spans are not double
-        counted; breakdowns whose ``phases`` were written directly
-        (no ``phase()`` call ever ran) fall back to summing the flat
-        map.
+        Once a ``phase()`` has run this is the trace root's seconds, the
+        sum of the root-level spans, so nested spans are not double
+        counted; breakdowns whose ``phases`` were written directly (no
+        ``phase()`` call ever ran) sum the flat map.
         """
-        if self.root_phases:
-            return sum(self.root_phases.values())
+        if self.trace.root.n_calls:
+            return self.trace.root.seconds
         return sum(self.phases.values())
 
     def fraction(self, name: str) -> float:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.result import ClusteringResult
+from repro.index.csr import CSRQueryResult
 from repro.metricspace import EditDistanceMetric, MetricDataset
+from repro.utils.components import component_labels
 
 
 def core_partition(labels: Sequence[int], mask: Sequence[bool]) -> Set[FrozenSet[int]]:
@@ -66,6 +68,68 @@ def bfs_dbscan(dataset: MetricDataset, eps: float, min_pts: int) -> ClusteringRe
                 queue.extend(region[p])
         next_cluster += 1
     return ClusteringResult(labels=labels, core_mask=core_mask)
+
+
+def dense_dbscanpp(solver, dataset: MetricDataset) -> ClusteringResult:
+    """DBSCAN++ with ``solver``'s configuration on dense brute-force
+    ``cross_blocks`` scans and no index: the ground truth
+    :class:`~repro.baselines.DBSCANPlusPlus` is tested against.
+
+    The sampled points' core tests read full rows of the reduced
+    distance matrix, the core–core ε-edges come from the
+    ``|core| × |core|`` block (repeated sampled ids included, joined by
+    their zero distance), and every point takes the cluster of the
+    first core position of ``np.argmin`` over its row, so ties go to
+    the lowest core id.
+    """
+    n = dataset.n
+    red_eps = dataset.metric.reduce_threshold(solver.eps)
+    sample = solver._sample(dataset, max(1, int(round(solver.ratio * n))))
+    core_rows = np.zeros(len(sample), dtype=bool)
+    pos = 0
+    for chunk, block in dataset.cross_blocks(queries=sample, reduced=True):
+        degree = np.count_nonzero(block <= red_eps, axis=1)
+        core_rows[pos : pos + len(chunk)] = degree >= solver.min_pts
+        pos += len(chunk)
+    core_arr = sample[core_rows]
+    rows, cols, start = [], [], 0
+    for chunk, block in dataset.cross_blocks(
+        queries=core_arr, targets=core_arr, reduced=True
+    ):
+        r, c = np.nonzero(block <= red_eps)
+        rows.append(r + start)
+        cols.append(c)
+        start += len(chunk)
+    comp = component_labels(
+        len(core_arr),
+        np.concatenate(rows) if rows else [],
+        np.concatenate(cols) if cols else [],
+    )
+    labels = np.full(n, -1, dtype=np.int64)
+    core_mask = np.zeros(n, dtype=bool)
+    core_mask[core_arr] = True
+    if len(core_arr):
+        for chunk, block in dataset.cross_blocks(targets=core_arr, reduced=True):
+            nearest = block.argmin(axis=1)
+            ok = block[np.arange(len(chunk)), nearest] <= red_eps
+            labels[chunk[ok]] = comp[nearest[ok]]
+    return ClusteringResult(labels=labels, core_mask=core_mask)
+
+
+def assert_csr_equal(
+    got: CSRQueryResult, want: CSRQueryResult, atol: float = 1e-6
+) -> None:
+    """Assert two range-query answers hold the same rows: equal offsets
+    and ids, and distances equal within ``atol`` — or ``None`` on both
+    sides, as a query with ``with_distances=False`` answers."""
+    np.testing.assert_array_equal(got.offsets, want.offsets)
+    np.testing.assert_array_equal(got.ids, want.ids)
+    assert (got.dists is None) == (want.dists is None)
+    if want.dists is not None:
+        # Kernel families differ in the last ulps (gram vs difference
+        # formulation), scaled by the coordinate magnitude; neighbor
+        # membership is what must be exact.
+        np.testing.assert_allclose(got.dists, want.dists, atol=atol)
 
 
 def assert_labels_equivalent(a: Sequence[int], b: Sequence[int]) -> None:

@@ -15,7 +15,7 @@ from repro.metricspace import (
     rows_per_block,
 )
 
-from conftest import bfs_dbscan, core_partition, same_cluster_pairs
+from conftest import bfs_dbscan, core_partition, dense_dbscanpp, same_cluster_pairs
 
 #: The module, not the ``dbscan`` convenience function the package
 #: exports under the same name.
@@ -210,6 +210,64 @@ class TestDBSCANPlusPlus:
             DBSCANPlusPlus(0.5, 5, ratio=0.0)
         with pytest.raises(ValueError):
             DBSCANPlusPlus(0.5, 5, init="fancy")
+
+    @staticmethod
+    def _assert_matches_oracle(solver, ds):
+        got = solver.fit(ds)
+        want = dense_dbscanpp(solver, ds)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.core_mask, want.core_mask)
+        return got
+
+    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("init", ["uniform", "kcenter"])
+    def test_matches_dense_oracle(self, index, init, monkeypatch):
+        # A small query chunk spreads every pass over several chunks.
+        monkeypatch.setattr(DBSCANPlusPlus, "QUERY_CHUNK", 37)
+        for seed in range(3):
+            solver = DBSCANPlusPlus(
+                0.5, 5, ratio=0.4, init=init, seed=seed, index=index
+            )
+            self._assert_matches_oracle(solver, blob_instance(seed + 30, n_out=20))
+
+    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("init", ["uniform", "kcenter"])
+    def test_duplicate_points_match_dense_oracle(self, index, init):
+        rng = np.random.default_rng(4)
+        base = rng.normal(0.0, 0.3, size=(30, 2))
+        pts = np.vstack([base, base[:15], base[:5], [[4.0, 4.0]] * 6])
+        solver = DBSCANPlusPlus(0.4, 4, ratio=0.5, init=init, seed=1, index=index)
+        self._assert_matches_oracle(solver, MetricDataset(pts))
+
+    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("init", ["uniform", "kcenter"])
+    def test_assignment_tie_takes_lowest_core_id(self, index, init):
+        # Two clusters on a line, B = [3, 4] and A = [0, 1], and the
+        # non-core point 2.0 (id 9) exactly 1.0 from A's core 1.0
+        # (id 8) and B's core 3.0 (id 10).  B holds the lowest id, so
+        # it is cluster 0; the tie still goes to A, the lower core id.
+        b_far = [4.0, 3.75, 3.5, 3.25]
+        a = [0.0, 0.25, 0.5, 0.75, 1.0]
+        ds = MetricDataset(np.array(b_far + a + [2.0, 3.0])[:, None])
+        solver = DBSCANPlusPlus(1.0, 4, ratio=1.0, init=init, index=index)
+        got = self._assert_matches_oracle(solver, ds)
+        assert got.n_clusters == 2 and not got.core_mask[9]
+        assert got.labels[9] == got.labels[8] == 1
+        assert got.labels[10] == got.labels[0] == 0
+
+    @pytest.mark.parametrize("init", ["uniform", "kcenter"])
+    def test_brute_evaluates_no_more_than_dense(self, init):
+        """The core index serves the merge and the assignment over the
+        unique core points: never more evaluations than the dense
+        ``|sample|·n + |core|² + n·|core|`` scans."""
+        rng = np.random.default_rng(5)
+        base = rng.normal(0.0, 0.3, size=(60, 2))
+        ds = MetricDataset(np.vstack([base, base[:30], [[6.0, 6.0]] * 8]))
+        solver = DBSCANPlusPlus(0.4, 4, ratio=0.6, init=init, seed=2, index="brute")
+        got = solver.fit(ds).timings.counters["distance_evals"]
+        before = ds.n_cross_evals
+        dense_dbscanpp(solver, ds)
+        assert 0 < got <= ds.n_cross_evals - before
 
 
 class TestDYW:

@@ -6,9 +6,15 @@ their reduced-space variants) must agree with the scalar
 batches, single points, and odd block-boundary sizes.
 """
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
+from repro import ApproxMetricDBSCAN
+from repro.baselines import OriginalDBSCAN
+from repro.datasets import make_blobs
 from repro.metricspace import (
     CosineMetric,
     CountingMetric,
@@ -18,6 +24,7 @@ from repro.metricspace import (
     MetricDataset,
     MinkowskiMetric,
 )
+from repro.metricspace.dataset import DEFAULT_BLOCK_BYTES, rows_per_block
 
 RNG = np.random.default_rng(1234)
 
@@ -145,11 +152,8 @@ def test_dataset_cross_blocks_reassemble(block_bytes):
 
 
 def test_dataset_cross_blocks_adaptive_reassembles():
-    """block_bytes=None (adaptive sizing) must tile the same matrix;
-    the learned budget stays within its clamp bounds and persists on
-    the dataset."""
-    from repro.metricspace.dataset import ADAPT_MAX_BYTES, ADAPT_MIN_BYTES
-
+    """block_bytes=None must tile the same matrix, in chunks of
+    ``rows_per_block(n, DEFAULT_BLOCK_BYTES)`` rows."""
     pts = _vector_payloads(200)
     ds = MetricDataset(pts)
     full = ds.cross()
@@ -160,7 +164,31 @@ def test_dataset_cross_blocks_adaptive_reassembles():
         tiles.append(block)
     assert seen_rows == list(range(ds.n))
     np.testing.assert_allclose(np.vstack(tiles), full, atol=1e-12)
-    assert ADAPT_MIN_BYTES <= ds._adaptive_block_bytes <= ADAPT_MAX_BYTES
+    step = rows_per_block(ds.n, DEFAULT_BLOCK_BYTES)
+    assert [len(tile) for tile in tiles] == [
+        min(step, ds.n - lo) for lo in range(0, ds.n, step)
+    ]
+
+
+def test_block_count_does_not_depend_on_the_clock(monkeypatch):
+    """Two fits of one solver on one dataset report equal
+    ``distance_blocks``, also under a clock on which every kernel call
+    looks slow: block sizes depend on the shapes alone."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    pts, _ = make_blobs(
+        n=2000, n_clusters=4, dim=2, std=0.5, spread=10.0,
+        outlier_fraction=0.05, seed=0,
+    )
+    ds = MetricDataset(pts)
+    for solver in (
+        OriginalDBSCAN(0.3, 5, index="brute"),
+        ApproxMetricDBSCAN(0.3, 5, rho=0.5, index="brute"),
+    ):
+        first, second = (
+            solver.fit(ds).timings.counters["distance_blocks"] for _ in range(2)
+        )
+        assert first == second
 
 
 def test_dataset_cross_blocks_explicit_budget_is_static():

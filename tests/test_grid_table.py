@@ -28,7 +28,7 @@ from repro.index import build_index
 from repro.index.grid import GridIndex
 from repro.metricspace import MetricDataset
 
-ATOL = 1e-6
+from conftest import assert_csr_equal
 
 
 def _clustered(rng, n, dim):
@@ -41,15 +41,6 @@ def _clustered(rng, n, dim):
 
 def _radii(rng, width, size):
     return width * np.exp(rng.uniform(np.log(0.05), np.log(50.0), size=size))
-
-
-def _assert_rows_equal(got, want, with_distances):
-    np.testing.assert_array_equal(got.offsets, want.offsets)
-    np.testing.assert_array_equal(got.ids, want.ids)
-    if with_distances:
-        np.testing.assert_allclose(got.dists, want.dists, atol=ATOL)
-    else:
-        assert got.dists is None
 
 
 @given(
@@ -95,10 +86,9 @@ def test_grid_rows_equal_brute(seed, dim, n, per_query, with_distances, dense):
         _radii(rng, width, queries.size) if per_query
         else float(_radii(rng, width, 1)[0])
     )
-    _assert_rows_equal(
+    assert_csr_equal(
         grid.range_query_batch_csr(queries, radius, with_distances),
         brute.range_query_batch_csr(queries, radius, with_distances),
-        with_distances,
     )
     payloads = np.vstack([
         rng.normal(scale=6.0, size=(8, dim)),
@@ -108,10 +98,9 @@ def test_grid_rows_equal_brute(seed, dim, n, per_query, with_distances, dense):
         _radii(rng, width, len(payloads)) if per_query
         else float(_radii(rng, width, 1)[0])
     )
-    _assert_rows_equal(
+    assert_csr_equal(
         grid.range_query_points_csr(payloads, radius, with_distances),
         brute.range_query_points_csr(payloads, radius, with_distances),
-        with_distances,
     )
 
 
@@ -148,18 +137,12 @@ def test_far_cells_are_clipped_not_cast_blindly(span):
     queries = np.arange(0, ds.n, 3)
     for radius in (2.5, 3.0 * ulp, np.where(queries < 60, 2.5, 3.0 * ulp)):
         want = _reference(ds, stored, queries, radius)
-        got = grid.range_query_batch_csr(queries, radius).tolist()
-        for (g_ids, g_d), (w_ids, w_d) in zip(got, want):
+        got = grid.range_query_batch_csr(queries, radius)
+        masks = grid.range_query_points_csr(
+            ds.gather(queries), radius, with_distances=False
+        )
+        for i, (w_ids, w_d) in enumerate(want):
+            g_ids, g_d = got.row(i)
             np.testing.assert_array_equal(g_ids, w_ids)
             np.testing.assert_allclose(g_d, w_d, rtol=1e-12)
-        mask_rows = grid.range_query_points_csr(
-            ds.gather(queries), radius, with_distances=False
-        ).tolist()
-        for (g_ids, _), (w_ids, _) in zip(mask_rows, want):
-            np.testing.assert_array_equal(g_ids, w_ids)
-    far_query = ds.n - 1
-    ids, dists = grid.knn(far_query, 4)
-    (w_ids, w_d), = _reference(ds, stored, [far_query], 1e3 * ulp)
-    order = np.lexsort((w_ids, w_d))[:4]
-    np.testing.assert_array_equal(ids, w_ids[order])
-    np.testing.assert_allclose(dists, w_d[order], rtol=1e-12)
+            np.testing.assert_array_equal(masks.row(i)[0], w_ids)

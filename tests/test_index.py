@@ -37,7 +37,7 @@ from repro.metricspace import (
     MinkowskiMetric,
 )
 
-from conftest import bfs_dbscan
+from conftest import assert_csr_equal, bfs_dbscan, dense_dbscanpp
 
 BACKENDS = ("brute", "grid", "covertree")
 
@@ -65,38 +65,28 @@ def edit_dataset(seed=2):
     return MetricDataset(strings, EditDistanceMetric())
 
 
-def assert_same_answers(got, want, atol=1e-6):
-    assert len(got) == len(want)
-    for (g_ids, g_d), (w_ids, w_d) in zip(got, want):
-        np.testing.assert_array_equal(g_ids, w_ids)
-        # Kernel families differ in the last ulps (gram vs difference
-        # formulation), scaled by the coordinate magnitude; neighbor
-        # membership is what must be exact.
-        np.testing.assert_allclose(g_d, w_d, atol=atol)
-
-
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ("grid", "covertree"))
     @pytest.mark.parametrize("radius", (0.5, 2.0, 4.5))
     def test_range_euclidean(self, backend, radius):
         ds = euclidean_dataset()
         queries = np.arange(ds.n)
-        want = build_index("brute", ds).range_query_batch(queries, radius)
-        got = build_index(backend, ds, radius_hint=radius).range_query_batch(
+        want = build_index("brute", ds).range_query_batch_csr(queries, radius)
+        got = build_index(backend, ds, radius_hint=radius).range_query_batch_csr(
             queries, radius
         )
-        assert_same_answers(got, want)
+        assert_csr_equal(got, want)
 
     @pytest.mark.parametrize("backend", ("grid", "covertree"))
     def test_range_cosine(self, backend):
         ds = cosine_dataset()
         queries = np.arange(ds.n)
         for radius in (0.2, 0.8):
-            want = build_index("brute", ds).range_query_batch(queries, radius)
-            got = build_index(backend, ds, radius_hint=radius).range_query_batch(
+            want = build_index("brute", ds).range_query_batch_csr(queries, radius)
+            got = build_index(backend, ds, radius_hint=radius).range_query_batch_csr(
                 queries, radius
             )
-            assert_same_answers(got, want)
+            assert_csr_equal(got, want)
 
     @pytest.mark.parametrize(
         "metric", [MinkowskiMetric(p=1.5), ManhattanMetric()]
@@ -104,61 +94,42 @@ class TestBackendEquivalence:
     def test_range_minkowski_family_grid(self, metric):
         rng = np.random.default_rng(7)
         ds = MetricDataset(rng.normal(size=(150, 6)), metric)
-        want = build_index("brute", ds).range_query_batch(np.arange(ds.n), 2.0)
-        got = build_index("grid", ds, radius_hint=2.0).range_query_batch(
+        want = build_index("brute", ds).range_query_batch_csr(np.arange(ds.n), 2.0)
+        got = build_index("grid", ds, radius_hint=2.0).range_query_batch_csr(
             np.arange(ds.n), 2.0
         )
-        assert_same_answers(got, want)
+        assert_csr_equal(got, want)
 
     def test_range_edit_distance_covertree(self):
         ds = edit_dataset()
         for radius in (2.0, 5.0):
-            want = build_index("brute", ds).range_query_batch(
+            want = build_index("brute", ds).range_query_batch_csr(
                 np.arange(ds.n), radius
             )
-            got = build_index("covertree", ds).range_query_batch(
+            got = build_index("covertree", ds).range_query_batch_csr(
                 np.arange(ds.n), radius
             )
-            assert_same_answers(got, want)
+            assert_csr_equal(got, want)
 
     @pytest.mark.parametrize("backend", ("grid", "covertree"))
     def test_range_on_subset(self, backend):
         ds = euclidean_dataset()
         stored = np.arange(0, ds.n, 3)
         queries = np.arange(0, ds.n, 5)  # queries need not be stored
-        want = build_index("brute", ds, indices=stored).range_query_batch(
+        want = build_index("brute", ds, indices=stored).range_query_batch_csr(
             queries, 2.5
         )
         got = build_index(
             backend, ds, indices=stored, radius_hint=2.5
-        ).range_query_batch(queries, 2.5)
-        assert_same_answers(got, want)
-
-    @pytest.mark.parametrize("backend", ("grid", "covertree"))
-    @pytest.mark.parametrize("k", (1, 5, 17))
-    def test_knn_euclidean(self, backend, k):
-        ds = euclidean_dataset(n=150)
-        ref = build_index("brute", ds)
-        idx = build_index(backend, ds, radius_hint=1.0)
-        for q in range(0, ds.n, 7):
-            w_ids, w_d = ref.knn(q, k)
-            g_ids, g_d = idx.knn(q, k)
-            np.testing.assert_array_equal(g_ids, w_ids)
-            np.testing.assert_allclose(g_d, w_d, atol=1e-6)
-
-    def test_knn_larger_than_stored(self):
-        ds = euclidean_dataset(n=40)
-        for backend in BACKENDS:
-            ids, dists = build_index(backend, ds).knn(0, 100)
-            assert len(ids) == ds.n
-            assert dists[0] == pytest.approx(0.0, abs=1e-6)
+        ).range_query_batch_csr(queries, 2.5)
+        assert_csr_equal(got, want)
 
     def test_self_is_reported(self):
         ds = euclidean_dataset(n=60)
         for backend in BACKENDS:
-            ids, dists = build_index(backend, ds, radius_hint=0.5).range_query(
-                11, 0.5
-            )
+            ids, dists = build_index(
+                backend, ds, radius_hint=0.5
+            ).range_query_batch_csr([11], 0.5).row(0)
             assert 11 in ids
             assert dists[list(ids).index(11)] == pytest.approx(0.0, abs=1e-6)
 
@@ -168,27 +139,16 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(9)
         ds = MetricDataset(rng.uniform(-300, 300, size=(400, 3)))
         idx = GridIndex().build(ds, radius_hint=0.5)
-        want = build_index("brute", ds).range_query_batch(np.arange(40), 50.0)
+        want = build_index("brute", ds).range_query_batch_csr(np.arange(40), 50.0)
         # ±300 coordinates scale the gram-vs-diff kernel jitter up.
-        assert_same_answers(
-            idx.range_query_batch(np.arange(40), 50.0), want, atol=1e-4
+        assert_csr_equal(
+            idx.range_query_batch_csr(np.arange(40), 50.0), want, atol=1e-4
         )
-
-    def test_grid_knn_far_outlier(self):
-        rng = np.random.default_rng(10)
-        pts = np.vstack([rng.normal(size=(120, 3)), [[500.0, 500.0, 500.0]]])
-        ds = MetricDataset(pts)
-        idx = GridIndex().build(ds, radius_hint=0.3)
-        ref = build_index("brute", ds)
-        ids, dists = idx.knn(120, 4)
-        w_ids, w_d = ref.knn(120, 4)
-        np.testing.assert_array_equal(ids, w_ids)
-        np.testing.assert_allclose(dists, w_d, atol=1e-6)
 
     def test_rebuild_resets_counters(self):
         ds = euclidean_dataset(n=80)
         idx = GridIndex()
-        build_index(idx, ds, radius_hint=1.0).range_query_batch(np.arange(10), 1.0)
+        build_index(idx, ds, radius_hint=1.0).range_query_batch_csr(np.arange(10), 1.0)
         assert idx.counters()["n_range_queries"] == 10
         build_index(idx, ds, radius_hint=1.0)
         assert idx.counters() == {"n_range_queries": 0, "n_candidates": 0}
@@ -197,13 +157,13 @@ class TestBackendEquivalence:
     def test_ids_only_queries_match(self, backend):
         ds = euclidean_dataset(n=120)
         idx = build_index(backend, ds, radius_hint=2.0)
-        full = idx.range_query_batch(np.arange(30), 2.0)
-        slim = idx.range_query_batch(np.arange(30), 2.0, with_distances=False)
-        for (f_ids, _), (s_ids, s_d) in zip(full, slim):
-            np.testing.assert_array_equal(f_ids, s_ids)
-            # Distances may be omitted (None) on the slim path; the
-            # cover tree computes them anyway and may keep them.
-            assert s_d is None or len(s_d) == len(s_ids)
+        full = idx.range_query_batch_csr(np.arange(30), 2.0)
+        slim = idx.range_query_batch_csr(np.arange(30), 2.0, with_distances=False)
+        np.testing.assert_array_equal(slim.offsets, full.offsets)
+        np.testing.assert_array_equal(slim.ids, full.ids)
+        # The cover tree computes distances anyway; every backend drops
+        # them from an ids-only answer.
+        assert slim.dists is None
 
     def test_counters_accumulate(self):
         ds = euclidean_dataset(n=90)
@@ -212,12 +172,80 @@ class TestBackendEquivalence:
             fresh = idx.counters()
             assert fresh["n_range_queries"] == 0
             assert fresh["n_candidates"] == 0
-            idx.range_query_batch(np.arange(30), 1.0)
+            idx.range_query_batch_csr(np.arange(30), 1.0)
             counts = idx.counters()
             assert counts["n_range_queries"] == 30
             assert counts["n_candidates"] > 0
             idx.reset_counters()
             assert idx.counters()["n_candidates"] == 0
+
+
+class TestCoverTreeCSR:
+    """The cover tree answers with one traversal per query, concatenated
+    into CSR form; every row must equal brute's."""
+
+    def _dataset(self):
+        # A tight group with exact duplicates, plus isolated points far
+        # from it and from each other.
+        rng = np.random.default_rng(11)
+        group = rng.normal(0.0, 0.4, size=(40, 3))
+        group[30:] = group[:10]
+        isolated = 50.0 * np.arange(1, 6)[:, None] * np.ones((1, 3))
+        return MetricDataset(np.vstack([group, isolated]))
+
+    @pytest.mark.parametrize("with_distances", [True, False])
+    def test_empty_rows_first_middle_last(self, with_distances):
+        ds = self._dataset()
+        stored = np.arange(40)
+        queries = np.array([40, 3, 41, 17, 33, 42])
+        want = build_index("brute", ds, indices=stored).range_query_batch_csr(
+            queries, 1.0, with_distances
+        )
+        got = build_index("covertree", ds, indices=stored).range_query_batch_csr(
+            queries, 1.0, with_distances
+        )
+        assert_csr_equal(got, want)
+        counts = got.counts()
+        assert counts[[0, 2, 5]].tolist() == [0, 0, 0]
+        assert (counts[[1, 3, 4]] > 0).all()
+
+    def test_per_query_radii_including_zero(self):
+        ds = self._dataset()
+        queries = np.array([0, 5, 44, 12, 31, 40, 7])
+        radii = np.array([0.0, 0.8, 0.0, 1.5, 0.0, 60.0, 0.3])
+        want = build_index("brute", ds).range_query_batch_csr(queries, radii)
+        got = build_index("covertree", ds).range_query_batch_csr(queries, radii)
+        assert_csr_equal(got, want)
+        # Radius 0 still finds the query itself and its exact duplicate.
+        np.testing.assert_array_equal(got.row(0)[0], [0, 30])
+        np.testing.assert_array_equal(got.row(2)[0], [44])
+
+    def test_tombstoned_hits_masked(self):
+        ds = self._dataset()
+        index = build_index("covertree", ds)
+        gone = np.arange(0, 45, 4)
+        index.delete_batch(gone)
+        assert index.tombstones.size == gone.size  # masked, not rebuilt
+        survivors = np.setdiff1d(np.arange(ds.n), gone)
+        queries = np.arange(0, ds.n, 3)
+        want = build_index("brute", ds, indices=survivors).range_query_batch_csr(
+            queries, 1.2
+        )
+        got = index.range_query_batch_csr(queries, 1.2)
+        assert_csr_equal(got, want)
+        assert not np.isin(got.ids, gone).any()
+
+    def test_payload_queries_equal_index_queries(self):
+        ds = self._dataset()
+        index = build_index("covertree", ds)
+        queries = np.arange(0, ds.n, 2)
+        radii = np.linspace(0.0, 2.0, queries.size)
+        for radius in (1.0, radii):
+            assert_csr_equal(
+                index.range_query_points_csr(ds.gather(queries), radius),
+                index.range_query_batch_csr(queries, radius),
+                atol=0.0,
+            )
 
 
 class TestRegistry:
@@ -359,8 +387,9 @@ class TestSolverRegression:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_dbscanpp_labels(self, backend):
         ds = euclidean_dataset(n=300)
-        want = DBSCANPlusPlus(2.0, 5, seed=3).fit(ds)
-        got = DBSCANPlusPlus(2.0, 5, seed=3, index=backend).fit(ds)
+        solver = DBSCANPlusPlus(2.0, 5, seed=3, index=backend)
+        want = dense_dbscanpp(solver, ds)
+        got = solver.fit(ds)
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.core_mask, want.core_mask)
 
@@ -368,15 +397,13 @@ class TestSolverRegression:
     def test_dbscanpp_kcenter_duplicate_points(self, backend):
         # k-center sampling repeats indices on data with exact
         # duplicates; the index path must survive it and match the
-        # dense path's labels (zero-distance duplicate edges included).
-        pts = np.vstack([np.zeros((10, 3)), np.ones((4, 3))])
-        want = DBSCANPlusPlus(0.5, 2, ratio=0.5, init="kcenter", seed=0).fit(
-            MetricDataset(pts)
-        )
-        got = DBSCANPlusPlus(
+        # dense oracle's labels (zero-distance duplicate edges included).
+        ds = MetricDataset(np.vstack([np.zeros((10, 3)), np.ones((4, 3))]))
+        solver = DBSCANPlusPlus(
             0.5, 2, ratio=0.5, init="kcenter", seed=0, index=backend
-        ).fit(MetricDataset(pts))
-        np.testing.assert_array_equal(got.labels, want.labels)
+        )
+        got = solver.fit(ds)
+        np.testing.assert_array_equal(got.labels, dense_dbscanpp(solver, ds).labels)
 
     def test_dbscanpp_instance_spec_counters_not_doubled(self):
         pts = euclidean_dataset(n=200).points

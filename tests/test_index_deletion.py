@@ -20,6 +20,7 @@ from repro.datasets import make_blobs
 from repro.index import build_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset
+from conftest import assert_csr_equal
 from test_windowed_ingest import canonical, index_free_view
 
 BACKENDS = ["brute", "grid", "covertree"]
@@ -36,38 +37,24 @@ def dataset():
     return MetricDataset(pts)
 
 
-def _assert_same_answers(got, want):
-    for (gi, gd), (wi, wd) in zip(got, want):
-        np.testing.assert_array_equal(gi, wi)
-        np.testing.assert_allclose(gd, wd)
-
-
 def _assert_matches_fresh(index, fresh, n):
     queries = np.arange(0, n, 7)
-    for radius in (0.4, 1.5, 5.0):
-        _assert_same_answers(
-            index.range_query_batch(queries, radius),
-            fresh.range_query_batch(queries, radius),
+    for radius in (0.4, 1.5, 5.0, np.linspace(0.3, 4.0, len(queries))):
+        assert_csr_equal(
+            index.range_query_batch_csr(queries, radius),
+            fresh.range_query_batch_csr(queries, radius),
+            atol=1e-9,
         )
-    per_query = np.linspace(0.3, 4.0, len(queries))
-    _assert_same_answers(
-        index.range_query_batch(queries, per_query),
-        fresh.range_query_batch(queries, per_query),
+    assert_csr_equal(
+        index.range_query_batch_csr(queries, 1.5, with_distances=False),
+        fresh.range_query_batch_csr(queries, 1.5, with_distances=False),
     )
-    got = index.range_query_batch_csr(queries, 1.5)
-    want = fresh.range_query_batch_csr(queries, 1.5)
-    np.testing.assert_array_equal(got.offsets, want.offsets)
-    np.testing.assert_array_equal(got.ids, want.ids)
     payloads = [index.dataset.point(int(q)) for q in queries[:5]]
-    _assert_same_answers(
-        index.range_query_points(payloads, 1.5),
-        fresh.range_query_points(payloads, 1.5),
+    assert_csr_equal(
+        index.range_query_points_csr(payloads, 1.5),
+        fresh.range_query_points_csr(payloads, 1.5),
+        atol=1e-9,
     )
-    for q in range(0, n, 41):
-        gi, gd = index.knn(q, 6)
-        wi, wd = fresh.knn(q, 6)
-        np.testing.assert_array_equal(gi, wi)
-        np.testing.assert_allclose(gd, wd)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -119,13 +106,11 @@ class TestDeletedEqualsFresh:
         )
         index.delete_batch(np.arange(40))
         assert index.n_stored == 0
-        for ids, dists in index.range_query_batch(np.arange(6), 2.0):
-            assert ids.size == 0 and dists.size == 0
-        assert index.range_query_batch_csr(np.arange(6), 2.0).ids.size == 0
-        ids, _ = index.knn(0, 4)
-        assert ids.size == 0
+        empty = index.range_query_batch_csr(np.arange(6), 2.0)
+        np.testing.assert_array_equal(empty.offsets, np.zeros(7))
+        assert empty.ids.size == 0 and empty.dists.size == 0
         index.insert_batch([5, 1, 3])
-        ids, _ = index.range_query(1, 1e9)
+        ids, _ = index.range_query_batch_csr([1], 1e9).row(0)
         np.testing.assert_array_equal(ids, [1, 3, 5])
 
     def test_recycled_payloads_match_fresh(self, dataset, backend):
@@ -189,7 +174,7 @@ class TestCoverTreeTombstones:
         )
         index.delete_batch(np.arange(0, 100, 3))  # 34 of 100: above half
         assert index.tombstones.size == 34
-        ids, _ = index.range_query(1, 1e9)
+        ids, _ = index.range_query_batch_csr([1], 1e9).row(0)
         assert not np.isin(ids, np.arange(0, 100, 3)).any()
         # Masked, not rebuilt: the tree still holds the deleted ids.
         assert index.tombstones.size == 34
@@ -214,18 +199,6 @@ class TestCoverTreeTombstones:
         counters = index.counters()
         assert counters["n_rebuilds"] == 1
         assert counters["n_build_evals"] > grown
-
-    def test_knn_overfetches_past_tombstones(self, dataset):
-        index = build_index(
-            "covertree", dataset, indices=np.arange(80), radius_hint=1.5
-        )
-        wi, wd = build_index(
-            "covertree", dataset, indices=np.arange(40, 80)
-        ).knn(50, 8)
-        index.delete_batch(np.arange(40))
-        gi, gd = index.knn(50, 8)
-        np.testing.assert_array_equal(gi, wi)
-        np.testing.assert_allclose(gd, wd)
 
 
 @pytest.mark.parametrize("setting", INDEX_SETTINGS)

@@ -1,10 +1,10 @@
 """Tests for the dynamic-index layer and its consumers.
 
 The load-bearing contract is *incremental equivalence*: an index grown
-via ``insert_batch`` must answer ``range_query``/``knn`` exactly as one
-built fresh over the union, for every backend — the Gonzalez loop, the
+via ``insert_batch`` must answer every range query exactly as one built
+fresh over the union, for every backend — the Gonzalez loop, the
 streaming passes and the windowed maintenance all rely on it.  On top
-sit the auto-policy grid probe, the grid kNN ring-delta cache, the bulk cover-tree build, and the solver-level
+sit the auto-policy grid probe, the bulk cover-tree build, and the solver-level
 regressions: Algorithm 1 materializes no dense ``|E|²`` matrix on any
 path, streaming labels under every backend match the index-free
 per-element reference bit for bit, and windowed labels under every
@@ -31,6 +31,7 @@ from repro.index import (
 from repro.index.registry import DEFAULT_INDEX_ENV
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset
+from conftest import assert_csr_equal
 from test_streaming_batched import PerElementReference
 from test_windowed_ingest import canonical, index_free_view
 
@@ -45,13 +46,6 @@ def blob_dataset(n=600, dim=8, seed=0):
     return MetricDataset(pts)
 
 
-def assert_query_equal(got, want, atol=1e-9):
-    for (g_ids, g_d), (w_ids, w_d) in zip(got, want):
-        np.testing.assert_array_equal(g_ids, w_ids)
-        if g_d is not None and w_d is not None:
-            np.testing.assert_allclose(g_d, w_d, atol=atol)
-
-
 class TestIncrementalEquivalence:
     """Grown == fresh, per backend, including adversarial insert order."""
 
@@ -64,15 +58,11 @@ class TestIncrementalEquivalence:
         fresh = build_index(backend, ds, radius_hint=2.0)
         queries = np.arange(0, ds.n, 13)
         for radius in (0.5, 2.0, 6.0):
-            assert_query_equal(
-                grown.range_query_batch(queries, radius),
-                fresh.range_query_batch(queries, radius),
+            assert_csr_equal(
+                grown.range_query_batch_csr(queries, radius),
+                fresh.range_query_batch_csr(queries, radius),
+                atol=1e-9,
             )
-        for q in range(0, ds.n, 101):
-            g_ids, g_d = grown.knn(q, 9)
-            w_ids, w_d = fresh.knn(q, 9)
-            np.testing.assert_array_equal(g_ids, w_ids)
-            np.testing.assert_allclose(g_d, w_d, atol=1e-9)
 
     @pytest.mark.parametrize("backend", ("brute", "covertree"))
     def test_grown_matches_fresh_edit_distance(self, backend):
@@ -85,9 +75,10 @@ class TestIncrementalEquivalence:
         grown = build_index(backend, ds, indices=np.arange(40))
         grown.insert_batch(np.arange(40, 80))
         fresh = build_index(backend, ds)
-        assert_query_equal(
-            grown.range_query_batch(np.arange(80), 2.0),
-            fresh.range_query_batch(np.arange(80), 2.0),
+        assert_csr_equal(
+            grown.range_query_batch_csr(np.arange(80), 2.0),
+            fresh.range_query_batch_csr(np.arange(80), 2.0),
+            atol=1e-9,
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -97,9 +88,10 @@ class TestIncrementalEquivalence:
         for i in range(1, ds.n):
             grown.insert(i)
         fresh = build_index(backend, ds, radius_hint=1.0)
-        assert_query_equal(
-            grown.range_query_batch(np.arange(ds.n), 1.5),
-            fresh.range_query_batch(np.arange(ds.n), 1.5),
+        assert_csr_equal(
+            grown.range_query_batch_csr(np.arange(ds.n), 1.5),
+            fresh.range_query_batch_csr(np.arange(ds.n), 1.5),
+            atol=1e-9,
         )
 
     def test_insert_validation(self):
@@ -120,50 +112,11 @@ class TestIncrementalEquivalence:
         pts = np.asarray(ds.points)
         for backend in BACKENDS:
             idx = build_index(backend, ds, radius_hint=2.0)
-            by_index = idx.range_query_batch(np.arange(0, 200, 17), 2.0)
-            by_payload = idx.range_query_points(
+            by_index = idx.range_query_batch_csr(np.arange(0, 200, 17), 2.0)
+            by_payload = idx.range_query_points_csr(
                 [pts[i] for i in range(0, 200, 17)], 2.0
             )
-            assert_query_equal(by_payload, by_index, atol=1e-6)
-
-
-class TestGridKnnRingCache:
-    def test_far_query_evaluates_each_candidate_once(self):
-        # Near shell at ~2.9 with cell width 1: gathered at reach 2 but
-        # not certified (2.9 > 2), so the pre-cache code re-evaluated
-        # them at reach 4.  The delta cache must evaluate each stored
-        # point at most once.
-        rng = np.random.default_rng(0)
-        shell = rng.normal(size=(10, 3))
-        radii = 2.8 + 0.02 * np.arange(10)  # distinct — no float ties
-        shell = radii[:, None] * shell / np.linalg.norm(
-            shell, axis=1, keepdims=True
-        )
-        far = 40.0 + rng.uniform(-1, 1, size=(50, 3))
-        pts = np.vstack([[[0.0, 0.0, 0.0]], shell, far])
-        ds = MetricDataset(pts)
-        idx = GridIndex(cell_width=1.0).build(ds, radius_hint=1.0)
-        ref = build_index("brute", ds)
-        ids, dists = idx.knn(0, 8)
-        w_ids, w_d = ref.knn(0, 8)
-        np.testing.assert_array_equal(ids, w_ids)
-        np.testing.assert_allclose(dists, w_d, atol=1e-9)
-        # 11 near points (self + shell) answer the query; the far mass
-        # is never gathered, and nothing is evaluated twice.
-        assert idx.n_candidates <= ds.n
-        assert idx.n_candidates == 11
-
-    def test_trickling_rings_stay_linear(self):
-        # Points spread along a line force several doublings; total
-        # evaluations stay <= n_stored (each point evaluated once).
-        pts = np.array([[float(2**k), 0.0] for k in range(12)] + [[0.0, 0.0]])
-        ds = MetricDataset(pts)
-        idx = GridIndex(cell_width=1.0).build(ds)
-        ref = build_index("brute", ds)
-        ids, dists = idx.knn(12, 5)
-        w_ids, w_d = ref.knn(12, 5)
-        np.testing.assert_array_equal(ids, w_ids)
-        assert idx.n_candidates <= ds.n
+            assert_csr_equal(by_payload, by_index)
 
 
 class TestAutoPolicyProbe:
@@ -213,9 +166,6 @@ class TestBulkCoverTree:
             assert bulk.nearest(q)[1] == pytest.approx(
                 classic.nearest(q)[1], abs=1e-12
             )
-            got_k = [d for _, d in bulk.knn(q, 7)]
-            want_k = [d for _, d in classic.knn(q, 7)]
-            np.testing.assert_allclose(got_k, want_k, atol=1e-12)
 
     def test_bulk_handles_duplicates(self):
         pts = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 2 + [[9.0, 0.0]])
@@ -461,7 +411,7 @@ class TestGrowingDataset:
         for _ in range(5):
             idx.insert(ds.append(rng.normal(size=3)))
         assert ds.n == 15 and idx.n_stored == 15
-        ids, dists = idx.range_query(0, 100.0)
+        ids, dists = idx.range_query_batch_csr([0], 100.0).row(0)
         assert len(ids) == 15  # sees every appended point
         assert np.all(np.diff(ids) > 0)
 

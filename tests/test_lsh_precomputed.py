@@ -1,11 +1,10 @@
-"""Tests for LSH-DBSCAN, PrecomputedMetric, CachedMetric, the new
-generators, and the cover-tree kNN query."""
+"""Tests for LSH-DBSCAN, PrecomputedMetric, CachedMetric and the new
+generators."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import LSHDBSCAN, OriginalDBSCAN
-from repro.covertree import CoverTree
 from repro.datasets import make_spirals, make_swiss_roll
 from repro.evaluation import adjusted_rand_index
 from repro.metricspace import (
@@ -172,38 +171,3 @@ class TestNewGenerators:
         radius = np.hypot(pts[:, 0], pts[:, 2])
         assert np.allclose(pts[:, 0], radius * np.cos(radius), atol=1e-9)
         assert np.allclose(pts[:, 2], radius * np.sin(radius), atol=1e-9)
-
-
-class TestCoverTreeKNN:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        ds = MetricDataset(rng.normal(size=(150, 3)))
-        tree = CoverTree(ds)
-        for k in (1, 3, 10):
-            q = rng.normal(size=3)
-            got = tree.knn(q, k)
-            dists = ds.distances_point(q)
-            want = np.sort(dists)[:k]
-            assert np.allclose([d for _, d in got], want, atol=1e-9)
-
-    def test_k_larger_than_tree(self):
-        ds = MetricDataset(np.arange(4, dtype=float).reshape(-1, 1))
-        tree = CoverTree(ds)
-        out = tree.knn(np.array([0.0]), 10)
-        assert len(out) == 4
-
-    def test_duplicates_counted(self):
-        pts = np.array([[0.0], [0.0], [5.0]])
-        tree = CoverTree(MetricDataset(pts))
-        out = tree.knn(np.array([0.1]), 2)
-        assert sorted(i for i, _ in out) == [0, 1]
-
-    def test_invalid_k(self):
-        tree = CoverTree(MetricDataset(np.array([[0.0]])))
-        with pytest.raises(ValueError):
-            tree.knn(np.array([0.0]), 0)
-
-    def test_empty_tree(self):
-        ds = MetricDataset(np.array([[0.0]]))
-        tree = CoverTree(ds, indices=[])
-        assert tree.knn(np.array([0.0]), 3) == []

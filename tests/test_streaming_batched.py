@@ -2,11 +2,10 @@
 
 Two load-bearing properties:
 
-1. **CSR/tuple-list interchangeability** — every backend's flat CSR
-   answers (``offsets``, ``ids``, ``dists``) must describe exactly the
-   same rows, in the same order, with the same distances as the
-   tuple-list API, for scalar and per-query radii, with and without
-   distances.
+1. **Backend CSR equivalence** — every backend's flat CSR answers
+   (``offsets``, ``ids``, ``dists``) must describe exactly the rows of
+   the brute-force scan, in the same order, with the same distances,
+   for scalar and per-query radii, with and without distances.
 2. **Chunk steps == one arrival at a time** — :class:`PerElementReference`
    runs Algorithm 3 the straightforward way: pass 1 takes each arrival
    on its own against the chunk-start snapshot plus the centers born
@@ -39,6 +38,7 @@ from repro.index.registry import DEFAULT_INDEX_ENV, build_index
 from repro.metricspace import EditDistanceMetric, MetricDataset
 from repro.metricspace.dataset import GrowingMetricDataset, rows_per_block
 from repro.utils.components import component_labels
+from conftest import assert_csr_equal
 from test_windowed_ingest import index_free_view
 
 BACKENDS = ("brute", "grid", "covertree")
@@ -90,8 +90,8 @@ class TestCSRContainer:
         np.testing.assert_allclose(csr.dists, [0.5, 1.5, 0.25])
         np.testing.assert_array_equal(csr.counts(), [2, 0, 1])
         np.testing.assert_array_equal(csr.query_rows(), [0, 0, 2])
-        got = csr.tolist()
-        for (g_ids, g_d), (w_ids, w_d) in zip(got, rows):
+        for i, (w_ids, w_d) in enumerate(rows):
+            g_ids, g_d = csr.row(i)
             np.testing.assert_array_equal(g_ids, w_ids)
             np.testing.assert_allclose(g_d, w_d)
 
@@ -100,7 +100,7 @@ class TestCSRContainer:
         assert csr.n_queries == 4
         assert csr.ids.size == 0
         assert csr.dists is None
-        assert all(ids.size == 0 for ids, _ in csr.tolist())
+        assert all(csr.row(i)[0].size == 0 for i in range(4))
 
     def test_offsets_validated(self):
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestSegmentArgmin:
 
 
 # ----------------------------------------------------------------------
-# Backend CSR == tuple-list equivalence
+# Backend CSR == brute-force CSR
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -159,16 +159,10 @@ class TestBackendCSREquivalence:
         )
         return MetricDataset(pts)
 
-    def _assert_match(self, csr, rows, with_distances):
-        assert csr.n_queries == len(rows)
-        if not with_distances:
-            assert csr.dists is None
-        for i, (w_ids, w_d) in enumerate(rows):
-            g_ids, g_d = csr.row(i)
-            np.testing.assert_array_equal(g_ids, w_ids)
-            assert np.all(np.diff(g_ids) > 0)  # sorted ascending
-            if with_distances:
-                np.testing.assert_allclose(g_d, w_d, atol=1e-9)
+    def _assert_match(self, csr, want):
+        assert_csr_equal(csr, want)
+        for i in range(csr.n_queries):
+            assert np.all(np.diff(csr.row(i)[0]) > 0)  # sorted ascending
 
     @pytest.mark.parametrize("with_distances", [True, False])
     def test_scalar_radius(self, backend, with_distances):
@@ -178,10 +172,10 @@ class TestBackendCSREquivalence:
         csr = index.range_query_batch_csr(
             queries, 1.8, with_distances=with_distances
         )
-        rows = index.range_query_batch(
+        want = build_index("brute", ds).range_query_batch_csr(
             queries, 1.8, with_distances=with_distances
         )
-        self._assert_match(csr, rows, with_distances)
+        self._assert_match(csr, want)
         assert csr.ids.size > 0  # non-degenerate instance
 
     def test_per_query_radii(self, backend):
@@ -190,8 +184,8 @@ class TestBackendCSREquivalence:
         queries = np.arange(0, 60, dtype=np.intp)
         radii = np.linspace(0.4, 2.4, queries.size)
         csr = index.range_query_batch_csr(queries, radii)
-        rows = index.range_query_batch(queries, radii)
-        self._assert_match(csr, rows, with_distances=True)
+        want = build_index("brute", ds).range_query_batch_csr(queries, radii)
+        self._assert_match(csr, want)
 
     @pytest.mark.parametrize("with_distances", [True, False])
     def test_payload_queries(self, backend, with_distances):
@@ -202,10 +196,10 @@ class TestBackendCSREquivalence:
         csr = index.range_query_points_csr(
             payloads, 1.5, with_distances=with_distances
         )
-        rows = index.range_query_points(
+        want = build_index("brute", ds).range_query_points_csr(
             payloads, 1.5, with_distances=with_distances
         )
-        self._assert_match(csr, rows, with_distances)
+        self._assert_match(csr, want)
 
     @pytest.mark.parametrize("n_stored", [30, 240], ids=["more-queries", "fewer-queries"])
     def test_block_shapes_match_direct_distances(self, backend, n_stored):
@@ -230,6 +224,8 @@ class TestBackendCSREquivalence:
             np.testing.assert_array_equal(csr.ids, want_ids)
 
     def test_counters_advance_identically(self, backend):
+        """Index queries and payload queries of the same points count
+        the same queries and candidates."""
         ds = self._dataset()
         a = build_index(backend, ds, radius_hint=1.8)
         b = build_index(backend, ds, radius_hint=1.8)
@@ -237,7 +233,7 @@ class TestBackendCSREquivalence:
         a.reset_counters()
         b.reset_counters()
         a.range_query_batch_csr(queries, 1.8)
-        b.range_query_batch(queries, 1.8)
+        b.range_query_points_csr(ds.points[queries], 1.8)
         assert a.counters() == b.counters()
 
 
@@ -248,12 +244,12 @@ def test_csr_equivalence_edit_distance(backend):
     index = build_index(backend, ds, radius_hint=3.0)
     queries = np.arange(0, ds.n, 2, dtype=np.intp)
     csr = index.range_query_batch_csr(queries, 3.0)
-    rows = index.range_query_batch(queries, 3.0)
-    assert csr.n_queries == len(rows)
-    for i, (w_ids, w_d) in enumerate(rows):
-        g_ids, g_d = csr.row(i)
-        np.testing.assert_array_equal(g_ids, w_ids)
-        np.testing.assert_allclose(g_d, w_d)
+    # The reference is one dense block of true distances, no index.
+    d = ds.cross(queries)
+    rows, cols = np.nonzero(d <= 3.0)
+    offsets = np.zeros(queries.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=queries.size), out=offsets[1:])
+    assert_csr_equal(csr, CSRQueryResult(offsets, cols, d[rows, cols]))
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +313,7 @@ class PerElementReference:
         ):
             m0 = len(centers)
             if m0 and indexed:
-                snapshot = center_index.range_query_points(
+                snapshot = center_index.range_query_points_csr(
                     chunk, probe, with_distances=False
                 )
             elif m0:
@@ -326,7 +322,7 @@ class PerElementReference:
                 if indexed:
                     cand = np.arange(m0, len(centers), dtype=np.intp)
                     if m0:
-                        cand = np.concatenate([snapshot[i][0], cand])
+                        cand = np.concatenate([snapshot.row(i)[0], cand])
                     red = (
                         metric.reduced_distance_many(payload, centers.gather(cand))
                         if cand.size else np.empty(0)
@@ -374,10 +370,11 @@ class PerElementReference:
             watch_index = build_index(self._spec(), watch, radius_hint=eps)
         for chunk in stream_chunks(factory(), lambda: rows_per_block(len(watch))):
             if watch_index is not None:
-                for ids, _ in watch_index.range_query_points(
+                hits = watch_index.range_query_points_csr(
                     chunk, eps, with_distances=False
-                ):
-                    counts[ids] += 1
+                )
+                for i in range(hits.n_queries):
+                    counts[hits.row(i)[0]] += 1
             else:
                 mask = metric.cross_certified(chunk, watch.view(), eps)
                 counts += np.count_nonzero(mask, axis=0)
@@ -401,10 +398,10 @@ class PerElementReference:
             summary_index = build_index(
                 self._spec(), summary, radius_hint=merge_radius
             )
-            rows = summary_index.range_query_batch(
+            rows = summary_index.range_query_batch_csr(
                 np.arange(size, dtype=np.intp), merge_radius, with_distances=False
             )
-            edges = [(a, int(b)) for a, (ids, _) in enumerate(rows) for b in ids if b > a]
+            edges = [(a, int(b)) for a in range(size) for b in rows.row(a)[0] if b > a]
         elif size:
             mask = metric.cross_certified(summary.view(), summary.view(), merge_radius)
             edges = list(zip(*np.nonzero(np.triu(mask, 1))))
@@ -423,11 +420,11 @@ class PerElementReference:
             chunk_labels = [-1] * len(chunk)
             if indexed:
                 rest = []
-                hits = center_index.range_query_points(
+                hits = center_index.range_query_points_csr(
                     chunk, cfg.r_bar, with_distances=False
                 )
                 for i, payload in enumerate(chunk):
-                    ids = hits[i][0]
+                    ids = hits.row(i)[0]
                     if ids.size:
                         red = metric.reduced_distance_many(payload, centers.gather(ids))
                         j = int(ids[int(np.argmin(red))])
@@ -436,10 +433,11 @@ class PerElementReference:
                             continue
                     rest.append(i)
                 if rest and summary_index is not None:
-                    shits = summary_index.range_query_points(
+                    shits = summary_index.range_query_points_csr(
                         [chunk[i] for i in rest], fallback, with_distances=False
                     )
-                    for i, (ids, _) in zip(rest, shits):
+                    for row, i in enumerate(rest):
+                        ids = shits.row(row)[0]
                         if ids.size:
                             red = metric.reduced_distance_many(
                                 chunk[i], summary.gather(ids)

@@ -91,9 +91,9 @@ class PerArrivalReference:
         elif self.index is None:
             slots = []
         else:
-            hits = self.index.range_query_points(
+            hits = self.index.range_query_points_csr(
                 [payload], self.probe, with_distances=False
-            )[0][0]
+            ).ids
             slots = [int(s) for s in hits]
         red = (
             self.metric.reduced_distance_many(payload, self.store.gather(slots))
@@ -247,9 +247,9 @@ class PerArrivalReference:
             return -1
         radius = (1.0 + self.cfg.rho / 2.0) * self.cfg.eps
         if self.index is not None:
-            hits = self.index.range_query_points(
+            hits = self.index.range_query_points_csr(
                 [payload], radius, with_distances=False
-            )[0][0]
+            ).ids
             cand = [int(s) for s in hits if int(s) in self.cluster]
             if not cand:
                 return -1
